@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _mobius(n: int) -> int:
@@ -114,10 +115,11 @@ class _Field:
     ``reduction_rows[j - phi]`` holds the integer coordinates of
     x^j mod Phi_M for phi <= j < M; products of reduced elements have
     degree at most 2*phi - 2 < M whenever M is even, so the table covers
-    every exponent that can occur.
+    every exponent that can occur.  ``root_index`` maps the integer
+    coordinates of each root of unity zeta^j, 0 <= j < M, back to j.
     """
 
-    __slots__ = ("order", "phi", "poly", "reduction_rows")
+    __slots__ = ("order", "phi", "poly", "reduction_rows", "_root_index")
 
     def __init__(self, M: int):
         self.order = M
@@ -137,6 +139,23 @@ class _Field:
                 row = shifted
             rows.append(row)
         self.reduction_rows = tuple(rows)
+        self._root_index = None
+
+    def root_index(self) -> dict:
+        """The map from coordinates of zeta^j to j, built on first use.
+
+        Keys are integer tuples; a ``CycNum`` coefficient tuple looks up
+        the same entry, since integral Fractions hash and compare like
+        the integers they equal."""
+        if self._root_index is None:
+            phi = self.phi
+            index = {
+                (0,) * j + (1,) + (0,) * (phi - j - 1): j for j in range(phi)
+            }
+            for j, row in enumerate(self.reduction_rows, start=phi):
+                index[row] = j
+            self._root_index = index
+        return self._root_index
 
 
 @lru_cache(maxsize=None)
@@ -304,8 +323,22 @@ class CycNum:
         return result
 
     def inverse(self) -> "CycNum":
+        """Multiplicative inverse.
+
+        A root of unity zeta^j is found in the field's table of roots
+        and inverts to zeta^(-j) without arithmetic; any other element
+        goes through :meth:`euclid_inverse`.  Both give the same
+        canonical coefficients."""
+        field = _field(self.order)
+        j = field.root_index().get(self.coeffs)
+        if j is not None:
+            return _root(field, -j % field.order)
+        return self.euclid_inverse()
+
+    def euclid_inverse(self) -> "CycNum":
         """Multiplicative inverse via the extended Euclidean algorithm
-        against Phi_M (which is irreducible over Q)."""
+        against Phi_M (which is irreducible over Q); the reference for
+        the root-of-unity fast path of :meth:`inverse`."""
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero cyclotomic element")
         field = _field(self.order)
@@ -447,13 +480,16 @@ def make_root(M: int, j: int) -> CycNum:
     """
     if M % 8:
         raise ValueError("cyclotomic order %d is not divisible by 8" % M)
-    j %= M
-    field = _field(M)
+    return _root(_field(M), j % M)
+
+
+def _root(field: _Field, j: int) -> CycNum:
+    """zeta^j for 0 <= j < M."""
     if j < field.phi:
         coeffs = [_ZERO] * field.phi
-        coeffs[j] = Fraction(1)
-        return CycNum(M, coeffs)
-    return CycNum(M, field.reduction_rows[j - field.phi])
+        coeffs[j] = _ONE
+        return CycNum(field.order, coeffs)
+    return CycNum(field.order, field.reduction_rows[j - field.phi])
 
 
 def exponent_sum(M: int, counts) -> CycNum:
@@ -559,12 +595,15 @@ def sqrt_p_prime(p: int) -> CycNum:
     return sqrt2 ** a * _odd_sqrt(M, m)
 
 
+@lru_cache(maxsize=None)
 def eta_kappa(p: int):
-    """The normalization eta = 1/sqrt(p') and anomaly kappa = g * eta.
+    """The normalization eta = 1/sqrt(p') and anomaly kappa = g * eta,
+    computed once per order.
 
-    kappa is asserted to be an eighth root of unity at construction
-    time (a fourth root for odd p); failure would mean the square-root
-    construction and the Gauss sum disagree, which is a bug trap.
+    kappa is checked to be an eighth root of unity (a fourth root for
+    odd p), raising ArithmeticError otherwise; failure would mean the
+    square-root construction and the Gauss sum disagree, which is a bug
+    trap.
 
     >>> eta_kappa(5)[1]
     CycNum(40: 1)
@@ -579,9 +618,12 @@ def eta_kappa(p: int):
     eta = sqrt_p_prime(p).inverse()
     kappa = g * eta
     unit = one(field_order(p))
-    assert kappa ** 8 == unit, "kappa is not an eighth root of unity"
-    if p % 2:
-        assert kappa ** 4 == unit, "kappa is not a fourth root of unity"
+    if kappa ** 8 != unit:
+        raise ArithmeticError(
+            "kappa is not an eighth root of unity at p = %d" % p)
+    if p % 2 and kappa ** 4 != unit:
+        raise ArithmeticError(
+            "kappa is not a fourth root of unity at p = %d" % p)
     return eta, kappa
 
 

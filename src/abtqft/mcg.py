@@ -555,8 +555,8 @@ def weil_intertwiner(fsymp, ctx):
             for z in labs:
                 for w in labs:
                     if (z, w) in S:
-                        lead = S[(z, w)]
-                        return {k: v / lead for k, v in S.items()}
+                        scale = S[(z, w)].inverse()
+                        return {k: v * scale for k, v in S.items()}
     raise RuntimeError(
         "averaging produced no intertwiner; the representation "
         "would not be irreducible")

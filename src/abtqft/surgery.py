@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .cyclotomic import (
@@ -159,6 +160,15 @@ def _color_sum(p, B, fixed=None):
     return exponent_sum(M, counts)
 
 
+@lru_cache(maxsize=None)
+def _normalisation(p, sig, k):
+    """kappa^(-sig) * eta^k.  kappa is an eighth root of unity, so
+    callers pass sig mod 8 and the cache holds one entry per
+    (p, sig mod 8, k)."""
+    eta, kappa = eta_kappa(p)
+    return kappa ** (-sig) * eta ** k
+
+
 def z_invariant(p, B):
     """Invariant of the closed manifold presented by B.
 
@@ -169,9 +179,8 @@ def z_invariant(p, B):
     CycNum(24: 1)
     """
     B = _check_symmetric(B)
-    n = len(B)
-    eta, kappa = eta_kappa(p)
-    return kappa ** (-signature(B)) * eta ** (n + 1) * _color_sum(p, B)
+    norm = _normalisation(p, signature(B) % 8, len(B) + 1)
+    return norm * _color_sum(p, B)
 
 
 def matrix_element(p, B_full, fixed, g_plus):
@@ -183,9 +192,8 @@ def matrix_element(p, B_full, fixed, g_plus):
     n = len(B_full)
     free = [i for i in range(n) if i not in fixed]
     sub = tuple(tuple(B_full[i][j] for j in free) for i in free)
-    eta, kappa = eta_kappa(p)
-    total = _color_sum(p, B_full, fixed)
-    return kappa ** (-signature(sub)) * eta ** (g_plus + len(free)) * total
+    norm = _normalisation(p, signature(sub) % 8, g_plus + len(free))
+    return norm * _color_sum(p, B_full, fixed)
 
 
 # -- lens spaces ----------------------------------------------------------
@@ -357,8 +365,8 @@ def refined_invariant(p, B, cls):
                 e += ci * sum(row[j] * colors[j] for j in range(n))
         key = (e % p) * step
         counts[key] = counts.get(key, 0) + 1
-    eta, kappa = eta_kappa(p)
-    return kappa ** (-signature(B)) * eta ** (n + 1) * exponent_sum(M, counts)
+    norm = _normalisation(p, signature(B) % 8, n + 1)
+    return norm * exponent_sum(M, counts)
 
 
 # -- Kirby moves ----------------------------------------------------------

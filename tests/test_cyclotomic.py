@@ -85,6 +85,41 @@ def test_inverse_of_random_elements():
         zero(24).inverse()
 
 
+def test_root_inverse_matches_euclid_reference(monkeypatch):
+    orders = {field_order(p)
+              for p in (3, 4, 5, 7, 8, 9, 11, 12, 13, 16, 20, 24)}
+    roots = [(M, j) for M in sorted(orders) for j in range(M)]
+    expected = {(M, j): make_root(M, j).euclid_inverse().coeffs
+                for M, j in roots}
+
+    def no_euclid(self):
+        raise AssertionError("root of unity sent to the Euclid inverse")
+
+    monkeypatch.setattr(CycNum, "euclid_inverse", no_euclid)
+    for M, j in roots:
+        inv = make_root(M, j).inverse()
+        assert inv.coeffs == expected[(M, j)], (M, j)
+        assert all(type(c) is Fraction for c in inv.coeffs)
+        assert inv == make_root(M, -j)
+
+
+def test_inverse_of_non_roots_uses_euclid(monkeypatch):
+    calls = []
+    reference = CycNum.euclid_inverse
+
+    def counting(self):
+        calls.append(self)
+        return reference(self)
+
+    monkeypatch.setattr(CycNum, "euclid_inverse", counting)
+    for p in (3, 4, 5, 8, 12, 13):
+        M = field_order(p)
+        for x in (sqrt_p_prime(p), 1 + make_root(M, 1)):
+            calls.clear()
+            assert x * x.inverse() == 1
+            assert calls == [x]
+
+
 def test_division_and_pow():
     x = make_root(24, 5) + 2
     assert (x / x) == 1
@@ -225,6 +260,25 @@ def test_kappa_is_eighth_root_for_supported_p():
         assert kappa ** 8 == 1
         if p % 2:
             assert kappa ** 4 == 1
+
+
+def test_eta_kappa_memo_matches_direct_computation():
+    for p in (3, 4, 5, 7, 8, 12, 13, 16):
+        memo = eta_kappa(p)
+        assert eta_kappa(p) is memo
+        direct = eta_kappa.__wrapped__(p)
+        assert [x.coeffs for x in memo] == [x.coeffs for x in direct]
+
+
+def test_eta_kappa_guard_raises_without_assert(monkeypatch):
+    # a Gauss sum off by a factor 2 makes kappa no root of unity; the
+    # guard is an exception, so ``python -O`` keeps it
+    real = cyclotomic.gauss_sum
+    monkeypatch.setattr(cyclotomic, "gauss_sum",
+                        lambda p: tuple(2 * x for x in real(p)))
+    for p in (5, 8):
+        with pytest.raises(ArithmeticError, match="root of unity"):
+            eta_kappa.__wrapped__(p)
 
 
 def test_root_q_and_q_power():

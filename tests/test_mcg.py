@@ -5,7 +5,7 @@ import pytest
 
 from abtqft import mcg
 from abtqft.cobordism import F_cylinder, compose_maps
-from abtqft.cyclotomic import field_order, one, q_power
+from abtqft.cyclotomic import CycNum, field_order, one, q_power
 from abtqft.heisenberg import closed_context, monomial_of, to_finite
 from abtqft.homology import identity_matrix, intersection, mat_mul
 from abtqft.mcg import (
@@ -362,6 +362,25 @@ def test_weil_intertwines_genus_two():
     F = twist_generators(2)["chain"].matrix
     S = weil_intertwiner(F, ctx)
     assert _intertwines(ctx, F, S)
+
+
+def test_weil_intertwiner_inverts_once(monkeypatch):
+    calls = []
+    original = CycNum.inverse
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(CycNum, "inverse", counting)
+    lib = twist_generators(1)
+    for p in (3, 5):
+        ctx = closed_context(p, 1)
+        for F in (lib["ta"].matrix, lib["tb"].matrix, ((0, -1), (1, 0))):
+            calls.clear()
+            S = weil_intertwiner(F, ctx)
+            assert len(calls) <= 1, (p, F, len(calls))
+            assert len(S) > 1
 
 
 def test_weil_rejects_non_symplectic():

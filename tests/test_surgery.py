@@ -122,6 +122,17 @@ def test_z_normalizations():
         assert z_invariant(p, ((-1,),)) == eta
 
 
+def test_normalisation_matches_inline_formula():
+    for p in (3, 4, 5, 7, 8, 12, 13, 16):
+        eta, kappa = eta_kappa(p)
+        for s in range(-9, 10):
+            for k in range(9):
+                inline = kappa ** (-s) * eta ** k
+                assert surgery._normalisation(p, s % 8, k).coeffs \
+                    == inline.coeffs, (p, s, k)
+                assert surgery._normalisation(p, s, k) == inline
+
+
 def test_blow_up_neutrality():
     rng = random.Random(34)
     for p in (3, 4, 5, 8):
