@@ -10,7 +10,9 @@ and round-trip through the parsers in this module.
 Exit codes are stable:
 
 * 0 - success
-* 2 - malformed input (bad JSON, bad matrices, bad words, bad domain)
+* 2 - malformed input (bad JSON, a top-level value that is not an
+  object, bad matrices, bad words, bad domain, a boolean or float where
+  an integer is documented)
 * 3 - unsupported order p for the requested computation
 * 4 - program validation or frame errors in ``tqft``
 * 5 - normalized map of a composite program without a closure matrix
@@ -79,11 +81,25 @@ class CliError(Exception):
 def _read_doc(path):
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(sys.stdin)
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
     except (OSError, ValueError) as exc:
         raise CliError(2, "cannot read input document: %s" % (exc,))
+    if not isinstance(doc, dict):
+        raise CliError(2, "input document must be a JSON object, got %s"
+                          % type(doc).__name__)
+    return doc
+
+
+def _json_int(value, what):
+    """``value`` if it is a JSON integer; booleans, floats and strings
+    are refused with exit code 2."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CliError(2, "%s must be an integer, got %s"
+                          % (what, json.dumps(value)))
+    return value
 
 
 def _check_p(p):
@@ -113,7 +129,7 @@ def scalar_doc(x, digits):
 def parse_scalar(doc):
     """Inverse of scalar_doc on the exact part."""
     try:
-        return CycNum(int(doc["order"]),
+        return CycNum(_json_int(doc["order"], "scalar order"),
                       tuple(Fraction(c) for c in doc["coeffs"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(2, "bad scalar document: %s" % (exc,))
@@ -124,7 +140,8 @@ def _matrix_from(doc, key="B"):
     if rows is None:
         raise CliError(2, "input document lacks %r" % (key,))
     try:
-        B = tuple(tuple(int(x) for x in row) for row in rows)
+        B = tuple(tuple(_json_int(x, "matrix entry") for x in row)
+                  for row in rows)
     except (TypeError, ValueError) as exc:
         raise CliError(2, "bad matrix: %s" % (exc,))
     n = len(B)
@@ -155,10 +172,13 @@ def _map_doc(m, digits):
 
 
 def _parse_vector(doc, ctx):
+    if not isinstance(doc, dict):
+        raise CliError(2, "vector document must be a JSON object")
     out = {}
     for entry in doc.get("entries", ()):
         try:
-            label = tuple(int(x) for x in entry["label"])
+            label = tuple(_json_int(x, "vector label") for x in
+                          entry["label"])
             raw = entry["value"]
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(2, "bad vector entry: %s" % (exc,))
@@ -167,7 +187,7 @@ def _parse_vector(doc, ctx):
         else:
             try:
                 frac = Fraction(raw) if isinstance(raw, str) else Fraction(
-                    int(raw))
+                    _json_int(raw, "vector value"))
             except (TypeError, ValueError) as exc:
                 raise CliError(2, "bad vector value: %s" % (exc,))
             value = from_rational(field_order(ctx.p), frac)
@@ -189,8 +209,9 @@ def cmd_invariant(args):
               "size": len(B), "signature": signature(B)}
     if fixed:
         try:
-            fixed = {int(k): int(v) for k, v in fixed.items()}
-        except (TypeError, ValueError) as exc:
+            fixed = {int(k): _json_int(v, "fixed colour")
+                     for k, v in fixed.items()}
+        except (AttributeError, TypeError, ValueError) as exc:
             raise CliError(2, "bad fixed_colors: %s" % (exc,))
         if any(not 0 <= i < len(B) for i in fixed):
             raise CliError(2, "fixed_colors index out of range")
@@ -303,10 +324,11 @@ def cmd_tqft(args):
 
 def _parse_triple(doc, key, ctx):
     raw = doc.get(key)
+    what = "group element %r" % (key,)
     try:
-        k = int(raw[0])
-        a = tuple(int(x) for x in raw[1])
-        b = tuple(int(x) for x in raw[2])
+        k = _json_int(raw[0], what)
+        a = tuple(_json_int(x, what) for x in raw[1])
+        b = tuple(_json_int(x, what) for x in raw[2])
     except (TypeError, ValueError, IndexError) as exc:
         raise CliError(2, "bad group element %r: %s" % (key, exc))
     if len(a) != ctx.g or len(b) != ctx.g:
@@ -320,8 +342,8 @@ def cmd_heis(args):
     _check_p(args.p)
     doc = _read_doc(args.input)
     op = doc.get("op")
-    g = doc.get("g")
-    if not isinstance(g, int) or g < 1:
+    g = _json_int(doc.get("g"), "genus 'g'")
+    if g < 1:
         raise CliError(2, "document needs a positive integer genus 'g'")
     ctx = closed_context(args.p, g)
     if op == "mul":
@@ -381,7 +403,8 @@ def _class_from(doc, key, genus):
         return f
     if "images" in raw:
         try:
-            images = tuple(FreeWord(tuple(int(x) for x in w))
+            images = tuple(FreeWord(tuple(_json_int(x, "image letter")
+                                          for x in w))
                            for w in raw["images"])
             return MappingClass(genus, images)
         except (TypeError, ValueError) as exc:
@@ -393,8 +416,8 @@ def cmd_mcg(args):
     _check_p(args.p)
     doc = _read_doc(args.input)
     op = doc.get("op")
-    genus = doc.get("g")
-    if not isinstance(genus, int) or genus < 1:
+    genus = _json_int(doc.get("g"), "genus 'g'")
+    if genus < 1:
         raise CliError(2, "document needs a positive integer genus 'g'")
     if op == "theta":
         f = _class_from(doc, "f", genus)
@@ -428,7 +451,7 @@ def cmd_mcg(args):
     if op == "weil":
         if "matrix" in doc:
             try:
-                fs = tuple(tuple(int(x) for x in row)
+                fs = tuple(tuple(_json_int(x, "matrix entry") for x in row)
                            for row in doc["matrix"])
             except (TypeError, ValueError) as exc:
                 raise CliError(2, "bad matrix: %s" % (exc,))

@@ -482,30 +482,39 @@ def normalized_map(p, prog: CobordismProgram, closure=None, mode="auto"):
 # -- program (de)serialization --------------------------------------------
 
 
+def _integer(value):
+    """A JSON integer; booleans, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("expected an integer, got %r" % (value,))
+    return value
+
+
+def _integer_rows(rows):
+    return tuple(tuple(_integer(x) for x in r) for r in rows)
+
+
 def load_program(doc):
     """Build a program from a plain dict as read from a program file:
     {"source": {"g": .., "L": [..]}, "steps": [{"kind": ..}, ..],
-    "target": {..}}."""
+    "target": {..}}.  Every number in it must be an integer."""
     def obj(d):
-        return CobObject(g=int(d["g"]), L=tuple(tuple(r) for r in d["L"]))
+        return CobObject(g=_integer(d["g"]), L=_integer_rows(d["L"]))
 
     steps = []
     for i, s in enumerate(doc.get("steps", ())):
         kind = s.get("kind")
         try:
             if kind == "cylinder":
-                steps.append(
-                    MappingCylinder(tuple(tuple(r) for r in s["matrix"]))
-                )
+                steps.append(MappingCylinder(_integer_rows(s["matrix"])))
             elif kind == "index1":
                 pos = s.get("position")
-                steps.append(Index1(None if pos is None else int(pos)))
+                steps.append(Index1(None if pos is None else _integer(pos)))
             elif kind == "index2":
                 steps.append(
                     Index2(
-                        int(s["handle"]),
-                        int(s["gamma"][0]),
-                        int(s["gamma"][1]),
+                        _integer(s["handle"]),
+                        _integer(s["gamma"][0]),
+                        _integer(s["gamma"][1]),
                     )
                 )
             else:

@@ -2,17 +2,26 @@
 
 The scalar type :class:`CycNum` stores coordinates in the power basis
 ``1, zeta, ..., zeta^(phi(M)-1)`` after reduction modulo the M-th
-cyclotomic polynomial, with exact rational coefficients.  The field is
-large enough to contain a primitive p-th root of unity q, the eighth
-roots of unity, and the real square root of p' (p' = p for odd p and
-p/2 for even p), so Gauss sums, the normalization eta = 1/sqrt(p') and
-the anomaly kappa = g/sqrt(p') are all exact elements.  Equality is
+cyclotomic polynomial, as integer numerators over one positive common
+denominator, with their common factor cancelled.  The field is large
+enough to contain a primitive p-th root of unity q, the eighth roots of
+unity, and the real square root of p' (p' = p for odd p and p/2 for
+even p), so Gauss sums, the normalization eta = 1/sqrt(p') and the
+anomaly kappa = g/sqrt(p') are all exact elements.  Equality is
 coefficient equality; no floating point enters any decision.
+
+Sums are integer vector operations.  A product with a sparse operand
+runs a schoolbook loop over its nonzero terms; a dense product packs
+each numerator vector into one big integer and multiplies once
+(Kronecker substitution).  Either way the product is folded back into
+the power basis with the integer rows of x^j mod Phi_M.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -37,7 +46,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _mobius(n: int) -> int:
@@ -115,11 +123,14 @@ class _Field:
     ``reduction_rows[j - phi]`` holds the integer coordinates of
     x^j mod Phi_M for phi <= j < M; products of reduced elements have
     degree at most 2*phi - 2 < M whenever M is even, so the table covers
-    every exponent that can occur.  ``root_index`` maps the integer
-    coordinates of each root of unity zeta^j, 0 <= j < M, back to j.
+    every exponent that can occur.  ``fold_rows`` keeps only the nonzero
+    ``(i, coefficient)`` entries of each row.  ``root_index`` maps the
+    integer coordinates of each root of unity zeta^j, 0 <= j < M, back
+    to j, and ``root`` returns zeta^j itself.
     """
 
-    __slots__ = ("order", "phi", "poly", "reduction_rows", "_root_index")
+    __slots__ = ("order", "phi", "poly", "reduction_rows", "fold_rows",
+                 "_root_index", "_roots")
 
     def __init__(self, M: int):
         self.order = M
@@ -139,23 +150,32 @@ class _Field:
                 row = shifted
             rows.append(row)
         self.reduction_rows = tuple(rows)
+        self.fold_rows = tuple(
+            tuple((i, r) for i, r in enumerate(row) if r) for row in rows
+        )
         self._root_index = None
+        self._roots = None
+
+    def _build_roots(self):
+        phi = self.phi
+        vectors = [
+            (0,) * j + (1,) + (0,) * (phi - j - 1) for j in range(phi)
+        ] + list(self.reduction_rows)
+        self._root_index = {v: j for j, v in enumerate(vectors)}
+        self._roots = tuple(_new(self.order, v, 1) for v in vectors)
 
     def root_index(self) -> dict:
-        """The map from coordinates of zeta^j to j, built on first use.
-
-        Keys are integer tuples; a ``CycNum`` coefficient tuple looks up
-        the same entry, since integral Fractions hash and compare like
-        the integers they equal."""
+        """The map from integer coordinates of zeta^j to j, built on
+        first use."""
         if self._root_index is None:
-            phi = self.phi
-            index = {
-                (0,) * j + (1,) + (0,) * (phi - j - 1): j for j in range(phi)
-            }
-            for j, row in enumerate(self.reduction_rows, start=phi):
-                index[row] = j
-            self._root_index = index
+            self._build_roots()
         return self._root_index
+
+    def root(self, j: int) -> "CycNum":
+        """zeta^j for 0 <= j < M, built once per field."""
+        if self._roots is None:
+            self._build_roots()
+        return self._roots[j]
 
 
 @lru_cache(maxsize=None)
@@ -163,20 +183,89 @@ def _field(M: int) -> _Field:
     return _Field(M)
 
 
-def _reduce(field: _Field, vec: list) -> tuple:
-    """Fold a coefficient vector indexed by exponent into the power basis."""
+def _fold(field: _Field, vec: list) -> list:
+    """Fold a coefficient vector indexed by exponent (below M) into the
+    power basis; works for integer and for rational entries."""
     phi = field.phi
     out = list(vec[:phi])
     if len(out) < phi:
         out.extend([0] * (phi - len(out)))
+    rows = field.fold_rows
     for j in range(phi, len(vec)):
         c = vec[j]
         if c:
-            row = field.reduction_rows[j - phi]
-            for i, r in enumerate(row):
-                if r:
-                    out[i] += c * r
-    return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in out)
+            for i, r in rows[j - phi]:
+                out[i] += c * r
+    return out
+
+
+def _schoolbook(sparse, dense) -> list:
+    """Integer polynomial product by a loop over the nonzero terms of
+    ``sparse``."""
+    out = [0] * (len(sparse) + len(dense) - 1)
+    for i, c in enumerate(sparse):
+        if c:
+            for j, d in enumerate(dense, i):
+                out[j] += c * d
+    return out
+
+
+# typed-view codes for the slot widths (in bytes) that fit a machine word
+_VIEW_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _kronecker(a, b) -> list:
+    """Integer polynomial product by Kronecker substitution.
+
+    Each vector is packed into one integer with slots of k bits,
+    k >= bits(max|a|) + bits(max|b|) + bits(n) + 2 rounded up to whole
+    bytes, so every product coefficient c satisfies |c| < 2^(k-2).
+    Adding 2^(k-1) to each slot of the product makes every slot
+    nonnegative and below 2^k, so the slots are read back from the
+    bytes of one integer without carries: through a typed view when a
+    slot fits a machine word, else one slot at a time."""
+    k = (max(max(a), -min(a)).bit_length()
+         + max(max(b), -min(b)).bit_length() + len(a).bit_length() + 2)
+    width = next((w for w in _VIEW_CODES if 8 * w >= k), (k + 7) >> 3)
+    k = width << 3
+    packed_a = 0
+    for c in reversed(a):
+        packed_a = (packed_a << k) + c
+    packed_b = 0
+    for c in reversed(b):
+        packed_b = (packed_b << k) + c
+    slots = len(a) + len(b) - 1
+    bias = int.from_bytes((b"\x80" + bytes(width - 1)) * slots, "big")
+    raw = (packed_a * packed_b + bias).to_bytes(slots * width, sys.byteorder)
+    code = _VIEW_CODES.get(width)
+    if code is not None:
+        values = memoryview(raw).cast(code).tolist()
+    else:
+        values = [int.from_bytes(raw[i:i + width], sys.byteorder)
+                  for i in range(0, slots * width, width)]
+    half = 1 << (k - 1)
+    return [v - half for v in values]
+
+
+# a product with an operand of at most this many nonzero terms (a root
+# of unity, a two-term element) takes the schoolbook loop, which is
+# cheaper there than packing
+_SPARSE_TERMS = 5
+
+
+def _mul_numerators(field: _Field, a: tuple, b: tuple) -> tuple:
+    """Reduced integer coordinates of the product of two numerator
+    vectors."""
+    n = field.phi
+    terms_a = n - a.count(0)
+    terms_b = n - b.count(0)
+    if terms_a <= _SPARSE_TERMS or terms_b <= _SPARSE_TERMS:
+        if terms_a > terms_b:
+            a, b = b, a
+        product = _schoolbook(a, b)
+    else:
+        product = _kronecker(a, b)
+    return tuple(_fold(field, product))
 
 
 def _frac_poly_divmod(a: list, b: list):
@@ -207,6 +296,11 @@ def _frac_poly_divmod(a: list, b: list):
 class CycNum:
     """Element of Q(zeta_M) in canonical power-basis form.
 
+    The coordinates are stored as a tuple ``num`` of integer numerators
+    over one positive denominator ``den``, with gcd(den, *num) = 1 (zero
+    has den = 1), so equal elements have equal storage.  ``coeffs`` gives
+    the same coordinates as a tuple of Fractions.
+
     Arithmetic coerces plain integers and Fractions; elements of
     different orders do not mix.
 
@@ -219,21 +313,32 @@ class CycNum:
     True
     >>> make_root(24, 7).inverse() == make_root(24, 17)
     True
+    >>> (make_root(8, 1) / 2 + make_root(8, 3) / 6).num
+    (0, 3, 0, 1)
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs):
-        coeffs = tuple(
-            c if isinstance(c, Fraction) else Fraction(c) for c in coeffs
-        )
+        coeffs = [
+            c if isinstance(c, (int, Fraction)) else Fraction(c)
+            for c in coeffs
+        ]
         if len(coeffs) != _field(order).phi:
             raise ValueError(
                 "expected %d coefficients for order %d, got %d"
                 % (_field(order).phi, order, len(coeffs))
             )
+        den = math.lcm(*[c.denominator for c in coeffs])
         self.order = order
-        self.coeffs = coeffs
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coordinates as a tuple of Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- coercion ---------------------------------------------------------
 
@@ -252,38 +357,45 @@ class CycNum:
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     # -- ring operations --------------------------------------------------
+
+    def _combine(self, other, op):
+        """Coordinate-wise ``op`` (add or sub) over a common denominator."""
+        da, db = self.den, other.den
+        if da == db:
+            return _new(self.order, tuple(map(op, self.num, other.num)), da)
+        g = math.gcd(da, db)
+        ka, kb = db // g, da // g
+        return _new(
+            self.order,
+            tuple(op(a * ka, b * kb) for a, b in zip(self.num, other.num)),
+            da * ka,
+        )
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycNum(
-            self.order,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.order, tuple(-a for a in self.coeffs))
+        return _new(self.order, tuple(map(operator.neg, self.num)), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycNum(
-            self.order,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -295,14 +407,11 @@ class CycNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        out = [_ZERO] * (2 * len(a) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
-        return CycNum(self.order, _reduce(_field(self.order), out))
+        return _new(
+            self.order,
+            _mul_numerators(_field(self.order), self.num, other.num),
+            self.den * other.den,
+        )
 
     __rmul__ = __mul__
 
@@ -330,15 +439,16 @@ class CycNum:
         goes through :meth:`euclid_inverse`.  Both give the same
         canonical coefficients."""
         field = _field(self.order)
-        j = field.root_index().get(self.coeffs)
-        if j is not None:
-            return _root(field, -j % field.order)
+        if self.den == 1:
+            j = field.root_index().get(self.num)
+            if j is not None:
+                return field.root(-j % field.order)
         return self.euclid_inverse()
 
     def euclid_inverse(self) -> "CycNum":
         """Multiplicative inverse via the extended Euclidean algorithm
-        against Phi_M (which is irreducible over Q); the reference for
-        the root-of-unity fast path of :meth:`inverse`."""
+        over Fractions against Phi_M (which is irreducible over Q); the
+        reference for the root-of-unity fast path of :meth:`inverse`."""
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero cyclotomic element")
         field = _field(self.order)
@@ -361,7 +471,7 @@ class CycNum:
             raise ArithmeticError("gcd with cyclotomic polynomial not constant")
         scale = 1 / r0[0]
         inv = [c * scale for c in s0]
-        return CycNum(self.order, _reduce(field, inv))
+        return CycNum(self.order, _fold(field, inv))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -378,31 +488,38 @@ class CycNum:
     def conjugate(self) -> "CycNum":
         """Complex conjugation, realized by zeta -> zeta^(M-1)."""
         M = self.order
-        vec = [_ZERO] * M
-        vec[0] = self.coeffs[0]
-        for j, c in enumerate(self.coeffs[1:], start=1):
+        vec = [0] * M
+        vec[0] = self.num[0]
+        for j, c in enumerate(self.num[1:], start=1):
             if c:
                 vec[M - j] += c
-        return CycNum(M, _reduce(_field(M), vec))
+        return _new(M, tuple(_fold(_field(M), vec)), self.den)
 
     # -- comparison -------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, CycNum):
             if other.order == self.order:
-                return self.coeffs == other.coeffs
+                return self.num == other.num and self.den == other.den
             return (
                 self.is_rational()
                 and other.is_rational()
-                and self.coeffs[0] == other.coeffs[0]
+                and self.num[0] == other.num[0]
+                and self.den == other.den
             )
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (
+                self.num[0] == other.numerator
+                and self.den == other.denominator
+                and self.is_rational()
+            )
         return NotImplemented
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.coeffs[0])
+            return hash(Fraction(self.num[0], self.den))
+        if self.den == 1:
+            return hash((self.order, self.num))
         return hash((self.order, self.coeffs))
 
     # -- display ----------------------------------------------------------
@@ -451,11 +568,26 @@ class CycNum:
         return cls(int(doc["order"]), [Fraction(s) for s in doc["coeffs"]])
 
 
+def _new(order: int, num: tuple, den: int) -> CycNum:
+    """A CycNum from integer numerators over a positive denominator,
+    cancelling their common factor."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple(c // g for c in num)
+            den //= g
+    x = object.__new__(CycNum)
+    x.order = order
+    x.num = num
+    x.den = den
+    return x
+
+
 # -- constructors ---------------------------------------------------------
 
 
 def zero(M: int) -> CycNum:
-    return CycNum(M, (_ZERO,) * _field(M).phi)
+    return _new(M, (0,) * _field(M).phi, 1)
 
 
 def one(M: int) -> CycNum:
@@ -463,8 +595,10 @@ def one(M: int) -> CycNum:
 
 
 def from_rational(M: int, r) -> CycNum:
-    coeffs = [Fraction(r)] + [_ZERO] * (_field(M).phi - 1)
-    return CycNum(M, coeffs)
+    if not isinstance(r, (int, Fraction)):
+        r = Fraction(r)
+    return _new(M, (r.numerator,) + (0,) * (_field(M).phi - 1),
+                r.denominator)
 
 
 def make_root(M: int, j: int) -> CycNum:
@@ -480,16 +614,7 @@ def make_root(M: int, j: int) -> CycNum:
     """
     if M % 8:
         raise ValueError("cyclotomic order %d is not divisible by 8" % M)
-    return _root(_field(M), j % M)
-
-
-def _root(field: _Field, j: int) -> CycNum:
-    """zeta^j for 0 <= j < M."""
-    if j < field.phi:
-        coeffs = [_ZERO] * field.phi
-        coeffs[j] = _ONE
-        return CycNum(field.order, coeffs)
-    return CycNum(field.order, field.reduction_rows[j - field.phi])
+    return _field(M).root(j % M)
 
 
 def exponent_sum(M: int, counts) -> CycNum:
@@ -505,7 +630,7 @@ def exponent_sum(M: int, counts) -> CycNum:
     for j, c in items:
         if c:
             vec[j % M] += c
-    return CycNum(M, _reduce(_field(M), vec))
+    return CycNum(M, _fold(_field(M), vec))
 
 
 # -- roots of unity and Gauss sums ----------------------------------------

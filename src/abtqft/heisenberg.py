@@ -32,7 +32,6 @@ __all__ = [
     "correspondence_context",
     "labels",
     "integral_mul",
-    "integral_inverse",
     "split_coords",
     "to_finite",
     "finite_mul",
@@ -129,11 +128,6 @@ def integral_mul(ctx, e1, e2):
     k1, x1 = e1
     k2, x2 = e2
     return (k1 + k2 + ctx.form(x1, x2), tuple(a + b for a, b in zip(x1, x2)))
-
-
-def integral_inverse(ctx, e):
-    k, x = e
-    return (-k, tuple(-c for c in x))
 
 
 def split_coords(ctx, x):
@@ -284,8 +278,11 @@ def _echelonize(rows, col_rank):
     """Reduce sparse relation rows (dicts col -> CycNum) to a pivot map
     col -> expansion, where each expansion writes the pivot column as a
     combination of non-pivot columns.  ``col_rank`` orders the columns;
-    pivots prefer low rank."""
+    pivots prefer low rank.  Relation rows repeat a few pivot values
+    many times, so each distinct pivot value is inverted once per call
+    (``negated_inverses``)."""
     pivots = {}
+    negated_inverses = {}
 
     def _substitute(target, col, coeff, expansion):
         for c2, v2 in expansion.items():
@@ -311,8 +308,11 @@ def _echelonize(rows, col_rank):
         if not row:
             continue
         pc = min(row, key=col_rank)
-        inv = row[pc].inverse()
-        expansion = {c: -(v * inv) for c, v in row.items() if c != pc}
+        lead = row[pc]
+        factor = negated_inverses.get(lead)
+        if factor is None:
+            factor = negated_inverses[lead] = -lead.inverse()
+        expansion = {c: v * factor for c, v in row.items() if c != pc}
         for other in pivots.values():
             if pc in other:
                 coeff = other.pop(pc)

@@ -43,7 +43,6 @@ __all__ = [
     "cylinder_correspondence",
     "index1_correspondence",
     "index2_correspondence",
-    "correspondence_of",
     "lagrangian_compose",
     "compose_correspondences",
 ]
@@ -629,20 +628,6 @@ def index2_correspondence(g, k, alpha, beta, L_rows=None, Ldual_rows=None):
     )
     _check_adapted(corr)
     return corr
-
-
-def correspondence_of(kind, **kw):
-    """Dispatcher used by program loaders: kind is 'cylinder', 'index1'
-    or 'index2' with the matching keyword payload."""
-    if kind == "cylinder":
-        return cylinder_correspondence(kw["F"], kw["L_rows"], kw["Ldual_rows"])
-    if kind == "index1":
-        return index1_correspondence(kw["L_rows"], kw["Ldual_rows"])
-    if kind == "index2":
-        return index2_correspondence(
-            kw["g"], kw["k"], kw["alpha"], kw["beta"]
-        )
-    raise ValueError("unknown simple cobordism kind %r" % (kind,))
 
 
 def lagrangian_compose(corr, L_rows):

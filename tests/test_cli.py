@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -254,6 +255,59 @@ def test_mcg_weil_report(tmp_path, capsys):
     unknown = _doc(tmp_path, "unk.json",
                    {"op": "weil", "g": 1, "f": {"word": ["nope"]}})
     _run(capsys, ["mcg", unknown, "--p", "3"], expect=2)
+
+
+# -- document shape and integer fields -------------------------------------
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("invariant", []),
+    ("refine", [[1]]),
+    ("tqft", []),
+    ("heis", [1, 2]),
+    ("mcg", []),
+])
+def test_non_object_document_is_malformed(monkeypatch, capsys, command,
+                                          payload):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    p = "8" if command == "refine" else "5"
+    report = _run(capsys, [command, "-", "--p", p], expect=2)
+    assert "JSON object" in report["error"]
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("invariant", {"B": [[True]]}),
+    ("refine", {"B": [[True, False], [False, True]]}),
+    ("heis", {"op": "mul", "g": True, "x": [0, [1], [0]],
+              "y": [0, [0], [1]]}),
+    ("mcg", {"op": "theta", "g": True, "f": {"word": ["ta"]}}),
+    ("invariant", {"B": [[1.5]]}),
+    ("heis", {"op": "mul", "g": 1, "x": [0, [1.0], [0]],
+              "y": [0, [0], [1]]}),
+])
+def test_booleans_and_floats_are_not_integers(tmp_path, capsys, command,
+                                              payload):
+    p = "8" if command == "refine" else "5"
+    path = _doc(tmp_path, "doc.json", payload)
+    report = _run(capsys, [command, path, "--p", p], expect=2)
+    assert "must be an integer" in report["error"]
+
+
+@pytest.mark.parametrize("where, value", [
+    ("g", True), ("L", 1.0), ("handle", False), ("gamma", 1.5)])
+def test_program_numbers_must_be_integers(tmp_path, capsys, where, value):
+    prog = _surgery_program([1, 1])
+    if where == "g":
+        prog["source"]["g"] = value
+    elif where == "L":
+        prog["source"]["L"][0][0] = value
+    elif where == "handle":
+        prog["steps"][0]["handle"] = value
+    else:
+        prog["steps"][0]["gamma"][1] = value
+    report = _run(capsys, ["tqft", _doc(tmp_path, "prog.json", prog),
+                           "--p", "5"], expect=2)
+    assert "expected an integer" in report["error"]
 
 
 # -- serialization ---------------------------------------------------------

@@ -320,6 +320,167 @@ def test_json_round_trip():
     assert CycNum.from_json(doc) == eta_kappa(3)[0]
 
 
+# -- the Fraction reference for the integer arithmetic --------------------
+
+REFERENCE_ORDERS = sorted({field_order(p) for p in
+                           (3, 4, 5, 7, 8, 9, 11, 12, 13, 16, 20, 24)})
+
+
+def _ref_reduce(M, vec):
+    """The earlier Fraction fold of a coefficient vector indexed by
+    exponent into the power basis."""
+    field = cyclotomic._field(M)
+    phi = field.phi
+    out = list(vec[:phi])
+    if len(out) < phi:
+        out.extend([0] * (phi - len(out)))
+    for j in range(phi, len(vec)):
+        c = vec[j]
+        if c:
+            row = field.reduction_rows[j - phi]
+            for i, r in enumerate(row):
+                if r:
+                    out[i] += c * r
+    return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in out)
+
+
+def _ref_mul(M, a, b):
+    """The earlier Fraction schoolbook product of coefficient tuples."""
+    out = [Fraction(0)] * (2 * len(a) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    return _ref_reduce(M, out)
+
+
+def _ref_conjugate(M, a):
+    vec = [Fraction(0)] * M
+    vec[0] = a[0]
+    for j, c in enumerate(a[1:], start=1):
+        if c:
+            vec[M - j] += c
+    return _ref_reduce(M, vec)
+
+
+def _ref_hash(M, coeffs):
+    if not any(coeffs[1:]):
+        return hash(coeffs[0])
+    return hash((M, coeffs))
+
+
+def _reference_elements(rng, M):
+    """Sparse and dense elements with small and with 30-digit numerators
+    and denominators, as (CycNum, Fraction coefficient tuple) pairs."""
+    phi = len(cyclotomic_polynomial(M)) - 1
+    out = []
+    for bound in (5, 10 ** 30):
+        for terms in (1, 2, phi, phi - 1):
+            coeffs = [Fraction(0)] * phi
+            for i in rng.sample(range(phi), terms):
+                coeffs[i] = Fraction(rng.randint(-bound, bound) or 1,
+                                     rng.randint(1, bound))
+            out.append((CycNum(M, coeffs), tuple(coeffs)))
+    return out
+
+
+def _dense(x):
+    return len(x.num) - x.num.count(0) > cyclotomic._SPARSE_TERMS
+
+
+def test_integer_arithmetic_matches_fraction_reference(monkeypatch):
+    kronecker_calls = []
+    kronecker = cyclotomic._kronecker
+
+    def counting(a, b):
+        kronecker_calls.append(1)
+        return kronecker(a, b)
+
+    monkeypatch.setattr(cyclotomic, "_kronecker", counting)
+    rng = random.Random(2024)
+    dense_products = 0
+    for M in REFERENCE_ORDERS:
+        elements = _reference_elements(rng, M)
+        roots = [(make_root(M, j), make_root(M, j).coeffs) for j in range(M)]
+        for x, a in elements + roots:
+            assert x.coeffs == a and hash(x) == _ref_hash(M, a)
+            negated = tuple(-c for c in a)
+            assert (-x).coeffs == negated and hash(-x) == _ref_hash(M, negated)
+            conj = x.conjugate()
+            assert conj.coeffs == _ref_conjugate(M, a)
+            assert hash(conj) == _ref_hash(M, conj.coeffs)
+        pairs = [(x, y) for x, _ in elements for y, _ in elements]
+        pairs += [(r, rng.choice(elements)[0]) for r, _ in roots]
+        for x, y in pairs:
+            a, b = x.coeffs, y.coeffs
+            for got, want in (
+                (x + y, tuple(u + v for u, v in zip(a, b))),
+                (x - y, tuple(u - v for u, v in zip(a, b))),
+            ):
+                assert got.coeffs == want and hash(got) == _ref_hash(M, want)
+            del kronecker_calls[:]
+            got = x * y
+            want = _ref_mul(M, a, b)
+            assert got.coeffs == want, (M, x, y)
+            assert hash(got) == _ref_hash(M, want)
+            expect_kronecker = _dense(x) and _dense(y)
+            assert len(kronecker_calls) == expect_kronecker, (M, x, y)
+            dense_products += expect_kronecker
+    assert dense_products > 0
+
+
+def test_kronecker_slots_hold_every_coefficient_size():
+    # all-equal extreme entries give the largest product coefficients;
+    # the sizes cover every typed slot width and the wide fallback
+    rng = random.Random(5)
+    for n in (4, 8, 24, 48):
+        for bits in range(1, 80, 3):
+            top = (1 << bits) - 1
+            for a, b in (
+                ((top,) * n, (top,) * n),
+                ((-top,) * n, (top,) * n),
+                (tuple(rng.randint(-top, top) for _ in range(n)),
+                 tuple(rng.randint(-top, top) for _ in range(n))),
+            ):
+                assert cyclotomic._kronecker(a, b) == \
+                    cyclotomic._schoolbook(a, b), (n, bits)
+
+
+def test_inverse_and_exponent_sum_match_fraction_reference():
+    rng = random.Random(77)
+    for M in REFERENCE_ORDERS:
+        phi = len(cyclotomic_polynomial(M)) - 1
+        elements = _reference_elements(rng, M)
+        # Euclid over Fractions takes seconds on dense elements once
+        # phi >= 40, and minutes on dense 30-digit ones
+        picks = (0, 1, 4, 5) if phi >= 40 else (0, 1, 2, 4, 5)
+        for x, a in [elements[i] for i in picks] + [
+            (make_root(M, j), make_root(M, j).coeffs) for j in range(M)
+        ]:
+            inv = x.inverse()
+            assert _ref_mul(M, a, inv.coeffs) == (1,) + (0,) * (phi - 1)
+            assert hash(inv) == _ref_hash(M, inv.coeffs)
+        for _ in range(10):
+            counts = {rng.randrange(2 * M): rng.randint(-10 ** 30, 10 ** 30)
+                      for _ in range(rng.randint(1, M))}
+            vec = [0] * M
+            for e, c in counts.items():
+                vec[e % M] += c
+            want = _ref_reduce(M, vec)
+            got = exponent_sum(M, counts)
+            assert got.coeffs == want and hash(got) == _ref_hash(M, want)
+            assert got.den == 1
+
+
+def test_storage_is_canonical():
+    x = CycNum(24, [Fraction(2, 6), Fraction(4, 3)] + [0] * 6)
+    assert (x.num, x.den) == ((1, 4) + (0,) * 6, 3)
+    y = x * 3 - make_root(24, 1) * 4
+    assert (y.num, y.den) == ((1,) + (0,) * 7, 1)
+    assert (zero(24) * x).den == 1
+
+
 def test_doctests():
     failures, _ = doctest.testmod(cyclotomic)
     assert failures == 0

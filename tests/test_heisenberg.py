@@ -5,7 +5,8 @@ import random
 import pytest
 
 from abtqft import heisenberg
-from abtqft.cyclotomic import field_order, one, p_prime, q_power
+from abtqft.cobordism import CobObject, F_cylinder, F_index2, canonical_context
+from abtqft.cyclotomic import CycNum, field_order, one, p_prime, q_power
 from abtqft.heisenberg import (
     HeisContext,
     closed_context,
@@ -286,6 +287,44 @@ def test_oracle_cancellation_is_identity():
                         total = total + a * b if total else a * b
                 expected = unit if y == z else 0
                 assert total == expected
+
+
+def test_elimination_inverts_each_distinct_pivot_once(monkeypatch):
+    # every pivot value reaches CycNum.inverse unless it was inverted
+    # before in the same elimination, so the calls are the distinct pivot
+    # values exactly when no value is inverted twice
+    inverted = []
+    reference = CycNum.inverse
+
+    def counting(self):
+        inverted.append(self)
+        return reference(self)
+
+    rng = random.Random(26)
+    genus2 = CobObject(2, ((1, 0, 0, 0), (0, 1, 0, 0)))
+    torus = CobObject(1, ((1, 0),))
+    ctx4 = canonical_context(4, genus2)
+    ctx5 = canonical_context(5, torus)
+    F = _random_symplectic(rng, 2)
+    cases = (
+        (4, index2_correspondence(2, 0, 1, 2, ctx4.L, ctx4.Ldual)),
+        (4, cylinder_correspondence(F, ctx4.L, ctx4.Ldual)),
+        (5, index2_correspondence(1, 0, 1, 1, ctx5.L, ctx5.Ldual)),
+    )
+    monkeypatch.setattr(CycNum, "inverse", counting)
+    for p, corr in cases:
+        inverted.clear()
+        dim = heisenberg.bimodule_quotient_dim(p, corr)
+        pairs = p_prime(p) ** (2 * corr.g_minus + corr.g_plus)
+        assert dim == p_prime(p) ** corr.g_plus
+        assert len(inverted) == len(set(inverted)), (p, corr)
+        # the pivots repeat their values, so the memo saves inversions
+        assert len(inverted) < pairs - dim
+    monkeypatch.undo()
+    # the elimination still gives the closed route's maps
+    assert induced_map_oracle(4, cases[1][1]) == F_cylinder(4, ctx4, F)[0]
+    assert (F_index2(5, ctx5, 0, 1, 1, mode="oracle")
+            == F_index2(5, ctx5, 0, 1, 1, mode="closed"))
 
 
 def test_commutant_dimensions():
