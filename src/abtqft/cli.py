@@ -30,6 +30,7 @@ from .cobordism import (
     ProgramError,
     apply_map,
     canonical_context,
+    json_int,
     load_program,
     normalized_map,
 )
@@ -93,13 +94,14 @@ def _read_doc(path):
     return doc
 
 
-def _json_int(value, what):
-    """``value`` if it is a JSON integer; booleans, floats and strings
-    are refused with exit code 2."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise CliError(2, "%s must be an integer, got %s"
-                          % (what, json.dumps(value)))
-    return value
+def _genus(doc):
+    g = doc.get("g")
+    try:
+        if json_int(g) >= 1:
+            return g
+    except TypeError:
+        pass
+    raise CliError(2, "document needs a positive integer genus 'g'")
 
 
 def _check_p(p):
@@ -129,7 +131,7 @@ def scalar_doc(x, digits):
 def parse_scalar(doc):
     """Inverse of scalar_doc on the exact part."""
     try:
-        return CycNum(_json_int(doc["order"], "scalar order"),
+        return CycNum(json_int(doc["order"]),
                       tuple(Fraction(c) for c in doc["coeffs"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(2, "bad scalar document: %s" % (exc,))
@@ -140,8 +142,7 @@ def _matrix_from(doc, key="B"):
     if rows is None:
         raise CliError(2, "input document lacks %r" % (key,))
     try:
-        B = tuple(tuple(_json_int(x, "matrix entry") for x in row)
-                  for row in rows)
+        B = tuple(tuple(json_int(x) for x in row) for row in rows)
     except (TypeError, ValueError) as exc:
         raise CliError(2, "bad matrix: %s" % (exc,))
     n = len(B)
@@ -177,8 +178,7 @@ def _parse_vector(doc, ctx):
     out = {}
     for entry in doc.get("entries", ()):
         try:
-            label = tuple(_json_int(x, "vector label") for x in
-                          entry["label"])
+            label = tuple(json_int(x) for x in entry["label"])
             raw = entry["value"]
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(2, "bad vector entry: %s" % (exc,))
@@ -187,7 +187,7 @@ def _parse_vector(doc, ctx):
         else:
             try:
                 frac = Fraction(raw) if isinstance(raw, str) else Fraction(
-                    _json_int(raw, "vector value"))
+                    json_int(raw))
             except (TypeError, ValueError) as exc:
                 raise CliError(2, "bad vector value: %s" % (exc,))
             value = from_rational(field_order(ctx.p), frac)
@@ -209,8 +209,7 @@ def cmd_invariant(args):
               "size": len(B), "signature": signature(B)}
     if fixed:
         try:
-            fixed = {int(k): _json_int(v, "fixed colour")
-                     for k, v in fixed.items()}
+            fixed = {int(k): json_int(v) for k, v in fixed.items()}
         except (AttributeError, TypeError, ValueError) as exc:
             raise CliError(2, "bad fixed_colors: %s" % (exc,))
         if any(not 0 <= i < len(B) for i in fixed):
@@ -324,11 +323,10 @@ def cmd_tqft(args):
 
 def _parse_triple(doc, key, ctx):
     raw = doc.get(key)
-    what = "group element %r" % (key,)
     try:
-        k = _json_int(raw[0], what)
-        a = tuple(_json_int(x, what) for x in raw[1])
-        b = tuple(_json_int(x, what) for x in raw[2])
+        k = json_int(raw[0])
+        a = tuple(json_int(x) for x in raw[1])
+        b = tuple(json_int(x) for x in raw[2])
     except (TypeError, ValueError, IndexError) as exc:
         raise CliError(2, "bad group element %r: %s" % (key, exc))
     if len(a) != ctx.g or len(b) != ctx.g:
@@ -342,9 +340,7 @@ def cmd_heis(args):
     _check_p(args.p)
     doc = _read_doc(args.input)
     op = doc.get("op")
-    g = _json_int(doc.get("g"), "genus 'g'")
-    if g < 1:
-        raise CliError(2, "document needs a positive integer genus 'g'")
+    g = _genus(doc)
     ctx = closed_context(args.p, g)
     if op == "mul":
         x = _parse_triple(doc, "x", ctx)
@@ -403,8 +399,7 @@ def _class_from(doc, key, genus):
         return f
     if "images" in raw:
         try:
-            images = tuple(FreeWord(tuple(_json_int(x, "image letter")
-                                          for x in w))
+            images = tuple(FreeWord(tuple(json_int(x) for x in w))
                            for w in raw["images"])
             return MappingClass(genus, images)
         except (TypeError, ValueError) as exc:
@@ -416,9 +411,7 @@ def cmd_mcg(args):
     _check_p(args.p)
     doc = _read_doc(args.input)
     op = doc.get("op")
-    genus = _json_int(doc.get("g"), "genus 'g'")
-    if genus < 1:
-        raise CliError(2, "document needs a positive integer genus 'g'")
+    genus = _genus(doc)
     if op == "theta":
         f = _class_from(doc, "f", genus)
         report = {"command": "mcg", "op": "theta", "p": args.p, "g": genus,
@@ -451,7 +444,7 @@ def cmd_mcg(args):
     if op == "weil":
         if "matrix" in doc:
             try:
-                fs = tuple(tuple(_json_int(x, "matrix entry") for x in row)
+                fs = tuple(tuple(json_int(x) for x in row)
                            for row in doc["matrix"])
             except (TypeError, ValueError) as exc:
                 raise CliError(2, "bad matrix: %s" % (exc,))

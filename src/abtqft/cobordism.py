@@ -75,6 +75,7 @@ __all__ = [
     "monoidal_product",
     "normalized_map",
     "load_program",
+    "json_int",
 ]
 
 
@@ -482,15 +483,16 @@ def normalized_map(p, prog: CobordismProgram, closure=None, mode="auto"):
 # -- program (de)serialization --------------------------------------------
 
 
-def _integer(value):
-    """A JSON integer; booleans, floats and strings are refused."""
+def json_int(value):
+    """``value`` if it is an integer as read from JSON; booleans, floats
+    and strings raise ``TypeError``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError("expected an integer, got %r" % (value,))
     return value
 
 
 def _integer_rows(rows):
-    return tuple(tuple(_integer(x) for x in r) for r in rows)
+    return tuple(tuple(json_int(x) for x in r) for r in rows)
 
 
 def load_program(doc):
@@ -498,7 +500,7 @@ def load_program(doc):
     {"source": {"g": .., "L": [..]}, "steps": [{"kind": ..}, ..],
     "target": {..}}.  Every number in it must be an integer."""
     def obj(d):
-        return CobObject(g=_integer(d["g"]), L=_integer_rows(d["L"]))
+        return CobObject(g=json_int(d["g"]), L=_integer_rows(d["L"]))
 
     steps = []
     for i, s in enumerate(doc.get("steps", ())):
@@ -508,13 +510,13 @@ def load_program(doc):
                 steps.append(MappingCylinder(_integer_rows(s["matrix"])))
             elif kind == "index1":
                 pos = s.get("position")
-                steps.append(Index1(None if pos is None else _integer(pos)))
+                steps.append(Index1(None if pos is None else json_int(pos)))
             elif kind == "index2":
                 steps.append(
                     Index2(
-                        _integer(s["handle"]),
-                        _integer(s["gamma"][0]),
-                        _integer(s["gamma"][1]),
+                        json_int(s["handle"]),
+                        json_int(s["gamma"][0]),
+                        json_int(s["gamma"][1]),
                     )
                 )
             else:

@@ -10,10 +10,8 @@ even p), so Gauss sums, the normalization eta = 1/sqrt(p') and the
 anomaly kappa = g/sqrt(p') are all exact elements.  Equality is
 coefficient equality; no floating point enters any decision.
 
-Sums are integer vector operations.  A product with a sparse operand
-runs a schoolbook loop over its nonzero terms; a dense product packs
-each numerator vector into one big integer and multiplies once
-(Kronecker substitution).  Either way the product is folded back into
+Sums are integer vector operations.  A product runs a schoolbook loop
+over the nonzero terms of its sparser operand and is folded back into
 the power basis with the integer rows of x^j mod Phi_M.
 """
 
@@ -21,7 +19,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -210,62 +207,12 @@ def _schoolbook(sparse, dense) -> list:
     return out
 
 
-# typed-view codes for the slot widths (in bytes) that fit a machine word
-_VIEW_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
-def _kronecker(a, b) -> list:
-    """Integer polynomial product by Kronecker substitution.
-
-    Each vector is packed into one integer with slots of k bits,
-    k >= bits(max|a|) + bits(max|b|) + bits(n) + 2 rounded up to whole
-    bytes, so every product coefficient c satisfies |c| < 2^(k-2).
-    Adding 2^(k-1) to each slot of the product makes every slot
-    nonnegative and below 2^k, so the slots are read back from the
-    bytes of one integer without carries: through a typed view when a
-    slot fits a machine word, else one slot at a time."""
-    k = (max(max(a), -min(a)).bit_length()
-         + max(max(b), -min(b)).bit_length() + len(a).bit_length() + 2)
-    width = next((w for w in _VIEW_CODES if 8 * w >= k), (k + 7) >> 3)
-    k = width << 3
-    packed_a = 0
-    for c in reversed(a):
-        packed_a = (packed_a << k) + c
-    packed_b = 0
-    for c in reversed(b):
-        packed_b = (packed_b << k) + c
-    slots = len(a) + len(b) - 1
-    bias = int.from_bytes((b"\x80" + bytes(width - 1)) * slots, "big")
-    raw = (packed_a * packed_b + bias).to_bytes(slots * width, sys.byteorder)
-    code = _VIEW_CODES.get(width)
-    if code is not None:
-        values = memoryview(raw).cast(code).tolist()
-    else:
-        values = [int.from_bytes(raw[i:i + width], sys.byteorder)
-                  for i in range(0, slots * width, width)]
-    half = 1 << (k - 1)
-    return [v - half for v in values]
-
-
-# a product with an operand of at most this many nonzero terms (a root
-# of unity, a two-term element) takes the schoolbook loop, which is
-# cheaper there than packing
-_SPARSE_TERMS = 5
-
-
 def _mul_numerators(field: _Field, a: tuple, b: tuple) -> tuple:
     """Reduced integer coordinates of the product of two numerator
-    vectors."""
-    n = field.phi
-    terms_a = n - a.count(0)
-    terms_b = n - b.count(0)
-    if terms_a <= _SPARSE_TERMS or terms_b <= _SPARSE_TERMS:
-        if terms_a > terms_b:
-            a, b = b, a
-        product = _schoolbook(a, b)
-    else:
-        product = _kronecker(a, b)
-    return tuple(_fold(field, product))
+    vectors, by a schoolbook loop over the sparser one."""
+    if a.count(0) < b.count(0):
+        a, b = b, a
+    return tuple(_fold(field, _schoolbook(a, b)))
 
 
 def _frac_poly_divmod(a: list, b: list):

@@ -290,7 +290,7 @@ def test_booleans_and_floats_are_not_integers(tmp_path, capsys, command,
     p = "8" if command == "refine" else "5"
     path = _doc(tmp_path, "doc.json", payload)
     report = _run(capsys, [command, path, "--p", p], expect=2)
-    assert "must be an integer" in report["error"]
+    assert "integer" in report["error"]
 
 
 @pytest.mark.parametrize("where, value", [
