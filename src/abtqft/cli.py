@@ -175,8 +175,11 @@ def _map_doc(m, digits):
 def _parse_vector(doc, ctx):
     if not isinstance(doc, dict):
         raise CliError(2, "vector document must be a JSON object")
+    entries = doc.get("entries", ())
+    if not isinstance(entries, list):
+        raise CliError(2, "vector 'entries' must be a list")
     out = {}
-    for entry in doc.get("entries", ()):
+    for entry in entries:
         try:
             label = tuple(json_int(x) for x in entry["label"])
             raw = entry["value"]
@@ -184,6 +187,9 @@ def _parse_vector(doc, ctx):
             raise CliError(2, "bad vector entry: %s" % (exc,))
         if isinstance(raw, dict):
             value = parse_scalar(raw)
+            if value.order != field_order(ctx.p):
+                raise CliError(2, "vector value of order %d, expected %d"
+                               % (value.order, field_order(ctx.p)))
         else:
             try:
                 frac = Fraction(raw) if isinstance(raw, str) else Fraction(
@@ -327,7 +333,7 @@ def _parse_triple(doc, key, ctx):
         k = json_int(raw[0])
         a = tuple(json_int(x) for x in raw[1])
         b = tuple(json_int(x) for x in raw[2])
-    except (TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CliError(2, "bad group element %r: %s" % (key, exc))
     if len(a) != ctx.g or len(b) != ctx.g:
         raise CliError(2, "group element %r does not match genus %d"
@@ -361,10 +367,7 @@ def cmd_heis(args):
                 "vector": _vector_doc(out, args.digits)}
     if op == "matrix":
         h = _parse_triple(doc, "element", ctx)
-        mono = monomial_of(ctx, h)
-        m = {}
-        for src, (tgt, e) in mono.as_dict().items():
-            m[(tgt, src)] = q_power(args.p, e)
+        m = monomial_of(ctx, h).as_map()
         return {"command": "heis", "op": "matrix", "p": args.p, "g": g,
                 "map": _map_doc(m, args.digits)}
     if op == "commutant":
@@ -385,14 +388,20 @@ def _class_from(doc, key, genus):
     raw = doc.get(key)
     if raw is None:
         raise CliError(2, "document lacks mapping class %r" % (key,))
+    if not isinstance(raw, dict):
+        raise CliError(2, "mapping class %r must be an object" % (key,))
     if "word" in raw:
+        word = raw["word"]
+        if not isinstance(word, list):
+            raise CliError(2, "mapping class %r: 'word' must be a list of "
+                              "twist names" % (key,))
         try:
             lib = twist_generators(genus)
         except ValueError as exc:
             raise CliError(2, str(exc))
         f = MappingClass.identity(genus)
-        for name in raw["word"]:
-            if name not in lib:
+        for name in word:
+            if not isinstance(name, str) or name not in lib:
                 raise CliError(2, "unknown twist %r for genus %d"
                                % (name, genus))
             f = f * lib[name]

@@ -502,8 +502,13 @@ def load_program(doc):
     def obj(d):
         return CobObject(g=json_int(d["g"]), L=_integer_rows(d["L"]))
 
+    step_docs = doc.get("steps", ())
+    if not isinstance(step_docs, (list, tuple)):
+        raise ProgramError("'steps' must be a list of step objects")
     steps = []
-    for i, s in enumerate(doc.get("steps", ())):
+    for i, s in enumerate(step_docs):
+        if not isinstance(s, dict):
+            raise ProgramError("step %d: must be an object" % i)
         kind = s.get("kind")
         try:
             if kind == "cylinder":
@@ -512,12 +517,10 @@ def load_program(doc):
                 pos = s.get("position")
                 steps.append(Index1(None if pos is None else json_int(pos)))
             elif kind == "index2":
+                alpha, beta = s["gamma"]
                 steps.append(
-                    Index2(
-                        json_int(s["handle"]),
-                        json_int(s["gamma"][0]),
-                        json_int(s["gamma"][1]),
-                    )
+                    Index2(json_int(s["handle"]), json_int(alpha),
+                           json_int(beta))
                 )
             else:
                 raise ValueError("unknown kind %r" % (kind,))

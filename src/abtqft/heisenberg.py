@@ -24,7 +24,13 @@ import itertools
 from dataclasses import dataclass
 
 from .cyclotomic import field_order, one, p_prime, q_power
-from .homology import Correspondence, _det, boundary_intersection
+from .homology import (
+    Correspondence,
+    _is_symplectic_basis,
+    boundary_intersection,
+    standard_dual,
+    standard_lagrangian,
+)
 
 __all__ = [
     "HeisContext",
@@ -68,17 +74,10 @@ class HeisContext:
     def __post_init__(self):
         if self.p < 3 or self.p % 4 == 2:
             raise ValueError("order must be odd or divisible by 4")
-        g = self.g
-        assert len(self.L) == g and len(self.Ldual) == g
-        for i in range(g):
-            for j in range(g):
-                assert self.form(self.L[i], self.L[j]) == 0
-                assert self.form(self.Ldual[i], self.Ldual[j]) == 0
-                assert self.form(self.L[i], self.Ldual[j]) == (
-                    1 if i == j else 0
-                )
-        if g:
-            assert abs(_det(tuple(self.L) + tuple(self.Ldual))) == 1
+        if len(self.L) != self.g or not _is_symplectic_basis(
+                tuple(self.L) + tuple(self.Ldual), form=self.form):
+            raise ValueError("L and Ldual must be a symplectic basis "
+                             "with form(L[i], Ldual[j]) = delta_ij")
 
     @property
     def g(self):
@@ -97,13 +96,8 @@ class HeisContext:
 
 def closed_context(p, g):
     """Standard meridian/longitude context on a closed genus-g surface."""
-    L = tuple(
-        tuple(1 if j == i else 0 for j in range(2 * g)) for i in range(g)
-    )
-    W = tuple(
-        tuple(1 if j == g + i else 0 for j in range(2 * g)) for i in range(g)
-    )
-    return HeisContext(p=p, g_minus=0, g_plus=g, L=L, Ldual=W)
+    return HeisContext(p=p, g_minus=0, g_plus=g, L=standard_lagrangian(g),
+                       Ldual=standard_dual(g))
 
 
 def correspondence_context(p, corr: Correspondence):
@@ -217,6 +211,11 @@ class MonomialOp:
 
     def as_dict(self):
         return {c: (t, e) for c, t, e in self.entries}
+
+    def as_map(self):
+        """The operator as a sparse matrix {(target, source): q^e}, the
+        form ``cobordism.compose_maps`` multiplies."""
+        return {(t, c): q_power(self.p, e) for c, t, e in self.entries}
 
     def compose(self, other):
         """self after other (matrix product self @ other)."""

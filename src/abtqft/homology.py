@@ -75,31 +75,6 @@ def identity_matrix(n):
     )
 
 
-def _det(A):
-    """Exact integer determinant (fraction-free Gaussian elimination)."""
-    n = len(A)
-    if n == 0:
-        return 1
-    M = [list(row) for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[-1][-1]
-
-
 # -- symplectic form ------------------------------------------------------
 
 
@@ -290,13 +265,6 @@ def row_span_equal(A, B):
     return hnf(A) == hnf(B)
 
 
-def is_primitive_vector(v):
-    g = 0
-    for c in v:
-        g = gcd(g, c)
-    return g == 1
-
-
 # -- Lagrangian predicates ------------------------------------------------
 
 
@@ -323,22 +291,34 @@ def is_lagrangian(basis, g):
     return saturate(basis) == H
 
 
-def is_symplectic(F):
-    """Does the matrix preserve the intersection form (F J F^T = J)?"""
-    F = _freeze(F)
-    n = len(F)
-    if n % 2 or any(len(row) != n for row in F):
+def _is_symplectic_basis(rows, modulus=None, form=intersection):
+    """Is the Gram matrix form(rows[i], rows[j]) the standard one of
+    (a_1..a_g, b_1..b_g), exactly or modulo ``modulus``?
+
+    For a square matrix F this says F J F^T = J.  For a frame L + Ldual
+    it says both halves are isotropic and L[i] . Ldual[j] = delta_ij;
+    checked exactly, the rows are then a basis of the lattice, since
+    det(rows)^2 times the determinant 1 of the form is det J = 1.
+    ``form`` must be alternating, so the entries above the diagonal
+    decide.
+    """
+    n = len(rows)
+    if n % 2 or any(len(row) != n for row in rows):
         return False
     g = n // 2
     for i in range(n):
-        for j in range(n):
-            expected = intersection(
-                tuple(1 if k == i else 0 for k in range(n)),
-                tuple(1 if k == j else 0 for k in range(n)),
-            )
-            if intersection(F[i], F[j]) != expected:
+        for j in range(i + 1, n):
+            diff = form(rows[i], rows[j]) - (1 if j == i + g else 0)
+            if modulus is not None:
+                diff %= modulus
+            if diff:
                 return False
     return True
+
+
+def is_symplectic(F):
+    """Does the matrix preserve the intersection form (F J F^T = J)?"""
+    return _is_symplectic_basis(_freeze(F))
 
 
 # -- symplectic bases -----------------------------------------------------
@@ -378,11 +358,7 @@ def symplectic_dual_basis(L_rows, g):
                 for k in range(2 * g):
                     row[k] += c * U[j][k]
         W2.append(tuple(row))
-    for i in range(g):
-        for j in range(g):
-            assert intersection(U[i], W2[j]) == (1 if i == j else 0)
-            assert intersection(W2[i], W2[j]) == 0
-    assert abs(_det(U + tuple(W2))) == 1
+    assert _is_symplectic_basis(U + tuple(W2))
     return U, tuple(W2)
 
 
@@ -461,15 +437,10 @@ def _check_adapted(corr: Correspondence):
     gm, gp = corr.g_minus, corr.g_plus
     rows = corr.adapted
     dual = corr.adapted_dual
-    n = len(rows)
-    assert n == gm + gp and len(dual) == n
-    for i in range(n):
-        for j in range(n):
-            assert boundary_intersection(rows[i], rows[j], gm, gp) == 0
-            assert boundary_intersection(dual[i], dual[j], gm, gp) == 0
-            expected = 1 if i == j else 0
-            assert boundary_intersection(rows[i], dual[j], gm, gp) == expected
-    assert abs(_det(tuple(rows) + tuple(dual))) == 1
+    assert len(rows) == gm + gp
+    assert _is_symplectic_basis(
+        tuple(rows) + tuple(dual),
+        form=lambda x, y: boundary_intersection(x, y, gm, gp))
     for idx in corr.plus_block:
         assert not any(dual[idx][: 2 * gm])
 
@@ -571,14 +542,6 @@ def index1_correspondence(L_rows, Ldual_rows, position=None):
     )
     _check_adapted(corr)
     return corr
-
-
-def _drop_handle(g, k):
-    """Coordinate projection deleting handle k (0-based) of genus g."""
-    keep = [i for i in range(g) if i != k]
-    def proj(v):
-        return tuple(v[i] for i in keep) + tuple(v[g + i] for i in keep)
-    return proj
 
 
 def index2_correspondence(g, k, alpha, beta, L_rows=None, Ldual_rows=None):

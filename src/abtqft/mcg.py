@@ -24,9 +24,15 @@ two.  Primed names are the inverse twists.
 
 from dataclasses import dataclass, field
 
-from .cyclotomic import exponent_sum, field_order, one, q_power
+from .cobordism import compose_maps
+from .cyclotomic import exponent_sum, field_order, one
 from .heisenberg import finite_inverse, monomial_of, to_finite
-from .homology import identity_matrix, intersection, is_symplectic, mat_mul
+from .homology import (
+    _is_symplectic_basis,
+    intersection,
+    is_symplectic,
+    mat_mul,
+)
 
 __all__ = [
     "FreeWord",
@@ -467,19 +473,6 @@ def _push(vec, F, mod=None):
 # -- Weil intertwiners -----------------------------------------------------
 
 
-def _symplectic_mod(F, p):
-    n = len(F)
-    if any(len(row) != n for row in F) or n % 2:
-        return False
-    basis = identity_matrix(n)
-    for i in range(n):
-        for j in range(n):
-            want = intersection(basis[i], basis[j])
-            if (intersection(F[i], F[j]) - want) % p:
-                return False
-    return True
-
-
 def weil_intertwiner(fsymp, ctx):
     """The Stone-von Neumann isomorphism for the symplectic twist.
 
@@ -497,7 +490,7 @@ def weil_intertwiner(fsymp, ctx):
     """
     p = ctx.p
     pp = ctx.p_prime
-    if len(fsymp) != 2 * ctx.g or not _symplectic_mod(fsymp, p):
+    if len(fsymp) != 2 * ctx.g or not _is_symplectic_basis(fsymp, p):
         raise ValueError("matrix must be symplectic mod %d" % p)
     M = field_order(p)
     unit = M // p
@@ -562,16 +555,6 @@ def weil_intertwiner(fsymp, ctx):
         "would not be irreducible")
 
 
-def _monomial_after(mono, m):
-    """Compose a monomial operator after a sparse matrix."""
-    md = mono.as_dict()
-    out = {}
-    for (z, w), v in m.items():
-        t, e = md[z]
-        out[(t, w)] = v * q_power(mono.p, e)
-    return out
-
-
 def weil_H(f, ctx):
     """The intertwiner for the full Heisenberg twist (odd order only).
 
@@ -592,7 +575,7 @@ def weil_H(f, ctx):
     t = t_dual(theta(f), ctx.p)
     ft = _push(t, f.matrix, ctx.p)
     mono = monomial_of(ctx, to_finite(ctx, 0, ft))
-    return _monomial_after(mono, S)
+    return compose_maps(mono.as_map(), S)
 
 
 def projective_defect(A, B, C):
@@ -602,16 +585,7 @@ def projective_defect(A, B, C):
     >>> projective_defect(I, I, I) == one(24)
     True
     """
-    rows = {}
-    for (y, w), v in B.items():
-        rows.setdefault(y, []).append((w, v))
-    prod = {}
-    for (z, y), u in A.items():
-        for w, v in rows.get(y, ()):
-            key = (z, w)
-            acc = prod.get(key)
-            prod[key] = u * v if acc is None else acc + u * v
-    prod = {k: v for k, v in prod.items() if v != 0}
+    prod = compose_maps(A, B)
     C = {k: v for k, v in C.items() if v != 0}
     if not C:
         raise ValueError("reference matrix is zero")

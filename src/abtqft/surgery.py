@@ -47,9 +47,7 @@ from .cyclotomic import (
     eta_kappa,
     exponent_sum,
     field_order,
-    one,
     p_prime,
-    q_power,
 )
 
 __all__ = [
@@ -122,42 +120,32 @@ def signature(B):
     return sig
 
 
-def bracket(p, B, colors):
-    """The phase q^(c^T B c) of one coloring."""
-    B = _check_symmetric(B)
-    e = 0
-    for i, ci in enumerate(colors):
-        for j, cj in enumerate(colors):
-            e += ci * B[i][j] * cj
-    return q_power(p, e)
-
-
-def _color_sum(p, B, fixed=None):
-    """sum over colors in (Z/p')^free of q^(c^T B c), with some
-    components held at fixed colors."""
-    B = _check_symmetric(B)
+def _phase_sum(p, B, ranges):
+    """sum of q^(c^T B c) over the colorings c in product(*ranges), one
+    range of colors per component of the symmetric matrix B.  This is
+    the one enumerator behind every colored sum in the module."""
     n = len(B)
-    fixed = dict(fixed or {})
-    free = [i for i in range(n) if i not in fixed]
-    pp = p_prime(p)
     M = field_order(p)
     step = M // p
     counts = {}
-    base = [0] * n
-    for i, v in fixed.items():
-        base[i] = int(v)
-    for assign in itertools.product(range(pp), repeat=len(free)):
-        for idx, v in zip(free, assign):
-            base[idx] = v
+    for colors in itertools.product(*ranges):
         e = 0
         for i in range(n):
-            bi = base[i]
-            if bi:
+            ci = colors[i]
+            if ci:
                 row = B[i]
-                e += bi * sum(row[j] * base[j] for j in range(n))
+                e += ci * sum(row[j] * colors[j] for j in range(n))
         key = (e % p) * step
         counts[key] = counts.get(key, 0) + 1
     return exponent_sum(M, counts)
+
+
+def bracket(p, B, colors):
+    """The phase q^(c^T B c) of one coloring."""
+    B = _check_symmetric(B)
+    if len(colors) != len(B):
+        raise ValueError("need one color per component")
+    return _phase_sum(p, B, [(c,) for c in colors])
 
 
 @lru_cache(maxsize=None)
@@ -180,7 +168,7 @@ def z_invariant(p, B):
     """
     B = _check_symmetric(B)
     norm = _normalisation(p, signature(B) % 8, len(B) + 1)
-    return norm * _color_sum(p, B)
+    return norm * _phase_sum(p, B, [range(p_prime(p))] * len(B))
 
 
 def matrix_element(p, B_full, fixed, g_plus):
@@ -190,10 +178,14 @@ def matrix_element(p, B_full, fixed, g_plus):
     by one eta per surgered component plus one per outgoing handle."""
     B_full = _check_symmetric(B_full)
     n = len(B_full)
+    if any(not 0 <= i < n for i in fixed):
+        raise ValueError("fixed component index out of range")
     free = [i for i in range(n) if i not in fixed]
     sub = tuple(tuple(B_full[i][j] for j in free) for i in free)
     norm = _normalisation(p, signature(sub) % 8, g_plus + len(free))
-    return norm * _color_sum(p, B_full, fixed)
+    ranges = [(int(fixed[i]),) if i in fixed else range(p_prime(p))
+              for i in range(n)]
+    return norm * _phase_sum(p, B_full, ranges)
 
 
 # -- lens spaces ----------------------------------------------------------
@@ -352,21 +344,8 @@ def refined_invariant(p, B, cls):
         shift = _characteristic_shift(B)
         parities = [(v + s) % 2 for v, s in zip(cls, shift)]
     pp = p_prime(p)
-    M = field_order(p)
-    step = M // p
-    counts = {}
-    ranges = [range(par, pp, 2) for par in parities]
-    for colors in itertools.product(*ranges):
-        e = 0
-        for i in range(n):
-            ci = colors[i]
-            if ci:
-                row = B[i]
-                e += ci * sum(row[j] * colors[j] for j in range(n))
-        key = (e % p) * step
-        counts[key] = counts.get(key, 0) + 1
     norm = _normalisation(p, signature(B) % 8, n + 1)
-    return norm * exponent_sum(M, counts)
+    return norm * _phase_sum(p, B, [range(par, pp, 2) for par in parities])
 
 
 # -- Kirby moves ----------------------------------------------------------

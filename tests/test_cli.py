@@ -310,6 +310,94 @@ def test_program_numbers_must_be_integers(tmp_path, capsys, where, value):
     assert "expected an integer" in report["error"]
 
 
+# -- every node of one valid document per command, replaced by a wrong shape
+
+
+EXIT_CODES = {0, 2, 3, 4, 5}
+WRONG_SHAPES = (True, 1.5, None, "x", [], {}, [[1]], -1)
+VALID_DOCS = [
+    ("invariant", "3", {"B": [[2, 1], [1, 2]], "fixed_colors": {"0": 1}}),
+    ("refine", "4", {"B": [[1, 1], [1, 2]]}),
+    ("tqft", "3", {"source": {"g": 1, "L": [[1, 0]]},
+                   "steps": [{"kind": "cylinder",
+                              "matrix": [[1, 0], [1, 1]]},
+                             {"kind": "index1", "position": 1},
+                             {"kind": "index2", "handle": 0,
+                              "gamma": [0, 1]}],
+                   "target": {"g": 1, "L": [[1, 0]]}}),
+    ("heis", "3", {"op": "mul", "g": 1, "x": [1, [1], [0]],
+                   "y": [0, [0], [2]]}),
+    ("heis", "3", {"op": "act", "g": 1, "element": [0, [1], [1]],
+                   "vector": {"entries": [
+                       {"label": [1], "value": "1/2"},
+                       {"label": [2], "value": {
+                           "order": 24,
+                           "coeffs": ["1", "0", "0", "0", "0", "0", "0",
+                                      "0"]}}]}}),
+    ("heis", "3", {"op": "matrix", "g": 1, "element": [2, [0], [1]]}),
+    ("mcg", "3", {"op": "cocycle", "g": 1, "f": {"word": ["ta", "tb'"]},
+                  "h": {"images": [[1, -2], [2]]}}),
+    ("mcg", "3", {"op": "weil", "g": 1, "matrix": [[0, -1], [1, 0]]}),
+]
+
+
+def _node_paths(node, path=()):
+    if path:
+        yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _node_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _node_paths(value, path + (i,))
+
+
+def _replaced(doc, path, value):
+    out = json.loads(json.dumps(doc))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+SHAPE_CASES = [
+    pytest.param(command, p, _replaced(doc, path, value),
+                 id="%s-%s-%s=%s" % (command, doc.get("op", ""),
+                                     ".".join(map(str, path)),
+                                     json.dumps(value)))
+    for command, p, doc in VALID_DOCS
+    for path in _node_paths(doc)
+    for value in WRONG_SHAPES
+]
+
+
+def test_shape_sweep_documents_are_valid(monkeypatch, capsys):
+    for command, p, doc in VALID_DOCS:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        argv = [command, "-", "--p", p]
+        _run(capsys, argv + ["--verify"] if command == "mcg" else argv)
+
+
+@pytest.mark.parametrize("command, p, doc", SHAPE_CASES)
+def test_wrong_shapes_exit_with_a_documented_code(monkeypatch, capsys,
+                                                  command, p, doc):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    argv = [command, "-", "--p", p]
+    rc = cli.main(argv + ["--verify"] if command == "mcg" else argv)
+    capsys.readouterr()
+    assert rc in EXIT_CODES
+
+
+def test_vector_value_of_another_order_is_malformed(monkeypatch, capsys):
+    doc = {"op": "act", "g": 1, "element": [0, [1], [1]],
+           "vector": {"entries": [{"label": [2], "value": {
+               "order": 3, "coeffs": ["1", "0"]}}]}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    report = _run(capsys, ["heis", "-", "--p", "3"], expect=2)
+    assert "order 3" in report["error"]
+
+
 # -- serialization ---------------------------------------------------------
 
 

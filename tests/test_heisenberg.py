@@ -1,11 +1,21 @@
 import doctest
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from abtqft import heisenberg
-from abtqft.cobordism import CobObject, F_cylinder, F_index2, canonical_context
+from abtqft.cobordism import (
+    CobObject,
+    F_cylinder,
+    F_index2,
+    canonical_context,
+    compose_maps,
+)
 from abtqft.cyclotomic import CycNum, field_order, one, p_prime, q_power
 from abtqft.heisenberg import (
     HeisContext,
@@ -71,6 +81,43 @@ def test_context_validation():
         closed_context(6, 1)
     with pytest.raises(ValueError):
         closed_context(2, 1)
+
+
+# (g_plus, L, Ldual) frames that break one HeisContext condition each
+BAD_FRAMES = [
+    (1, ((1, 0),), ()),                              # row counts
+    (1, ((1, 0),), ((0, 2),)),                       # pairs to 2
+    (1, ((1, 0),), ((1, 0),)),                       # pairs to 0
+    (2, ((1, 0, 0, 0), (0, 1, 1, 0)),                # L not isotropic
+     ((0, 0, 1, 0), (0, 0, 0, 1))),
+    (2, ((1, 0, 0, 0), (0, 1, 0, 0)),                # Ldual not isotropic
+     ((0, 0, 1, 0), (1, 1, 0, 1))),
+]
+
+
+@pytest.mark.parametrize("g_plus, L, Ldual", BAD_FRAMES)
+def test_bad_frames_raise_value_error(g_plus, L, Ldual):
+    with pytest.raises(ValueError):
+        HeisContext(p=3, g_minus=0, g_plus=g_plus, L=L, Ldual=Ldual)
+
+
+def test_frame_guards_survive_optimised_mode():
+    code = (
+        "from abtqft.heisenberg import HeisContext\n"
+        "rejected = 0\n"
+        "for g, L, W in %r:\n"
+        "    try:\n"
+        "        HeisContext(p=3, g_minus=0, g_plus=g, L=L, Ldual=W)\n"
+        "    except ValueError:\n"
+        "        rejected += 1\n"
+        "print(__debug__, rejected)\n" % (BAD_FRAMES,)
+    )
+    src = str(Path(heisenberg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", str(len(BAD_FRAMES))]
 
 
 def test_split_coords():
@@ -153,6 +200,19 @@ def test_schrodinger_is_a_representation():
                 lhs = monomial_of(ctx, finite_mul(ctx, e1, e2))
                 rhs = monomial_of(ctx, e1).compose(monomial_of(ctx, e2))
                 assert lhs == rhs
+
+
+def test_monomial_as_map_multiplies_like_compose():
+    for p, g in ((3, 1), (4, 2), (5, 1)):
+        ctx = closed_context(p, g)
+        rng = random.Random(p + g)
+        for _ in range(5):
+            a = monomial_of(ctx, to_finite(ctx, *_random_integral(rng, g)))
+            b = monomial_of(ctx, to_finite(ctx, *_random_integral(rng, g)))
+            m = a.as_map()
+            assert m == {(t, c): q_power(p, e)
+                         for c, (t, e) in a.as_dict().items()}
+            assert compose_maps(m, b.as_map()) == a.compose(b).as_map()
 
 
 def test_central_scalar_and_action():

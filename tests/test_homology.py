@@ -166,6 +166,11 @@ def test_is_lagrangian():
 def test_symplectic_matrices():
     assert is_symplectic(identity_matrix(4))
     assert not is_symplectic(((1, 0), (0, 2)))
+    # exact and mod-p checks share one Gram-matrix test
+    assert not is_symplectic(((1, 0), (0, 4)))
+    assert homology._is_symplectic_basis(((1, 0), (0, 4)), 3)
+    assert not homology._is_symplectic_basis(((1, 0), (0, 4)), 5)
+    assert not homology._is_symplectic_basis(((1, 0, 0), (0, 1, 0)), 3)
     rng = random.Random(12)
     for _ in range(20):
         g = rng.randint(1, 3)

@@ -450,6 +450,64 @@ def test_cocycle_values():
     assert seen - {0}
 
 
+# -- the sparse products before they went through compose_maps, kept as
+# -- reference
+
+
+def _product_reference(A, B):
+    rows = {}
+    for (y, w), v in B.items():
+        rows.setdefault(y, []).append((w, v))
+    prod = {}
+    for (z, y), u in A.items():
+        for w, v in rows.get(y, ()):
+            key = (z, w)
+            acc = prod.get(key)
+            prod[key] = u * v if acc is None else acc + u * v
+    return {k: v for k, v in prod.items() if v != 0}
+
+
+def _monomial_after_reference(mono, m):
+    md = mono.as_dict()
+    out = {}
+    for (z, w), v in m.items():
+        t, e = md[z]
+        out[(t, w)] = v * q_power(mono.p, e)
+    return out
+
+
+def _same_map(x, y):
+    return list(x) == list(y) and all(
+        (x[k].order, x[k].num, x[k].den) == (y[k].order, y[k].num, y[k].den)
+        for k in x)
+
+
+@pytest.mark.parametrize("g, p", [(1, 3), (1, 5), (1, 7), (1, 9), (2, 3)])
+def test_weil_H_and_defect_match_reference_products(g, p):
+    rng = random.Random(90 + 10 * g + p)
+    lib = twist_generators(g)
+    ctx = closed_context(p, g)
+    for _ in range(4 if g == 1 else 2):
+        f = _random_word(rng, lib, g, rng.randrange(1, 4))
+        h = _random_word(rng, lib, g, rng.randrange(1, 4))
+        maps = []
+        for x in (f, h, f * h):
+            S = weil_intertwiner(x.matrix, ctx)
+            t = t_dual(theta(x), p)
+            ft = mcg._push(t, x.matrix, p)
+            mono = monomial_of(ctx, to_finite(ctx, 0, ft))
+            got = weil_H(x, ctx)
+            assert _same_map(got, _monomial_after_reference(mono, S))
+            maps.append(got)
+        A, B, C = maps
+        prod = _product_reference(A, B)
+        k0 = min(C)
+        lam = prod[k0] / C[k0]
+        assert all(prod[k] == lam * C[k] for k in C) and set(prod) == set(C)
+        got = projective_defect(A, B, C)
+        assert (got.num, got.den) == (lam.num, lam.den)
+
+
 def test_projective_defect_errors():
     unit = one(24)
     I = {((0,), (0,)): unit}

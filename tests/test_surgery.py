@@ -1,4 +1,5 @@
 import doctest
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ import pytest
 from abtqft import surgery
 from abtqft.cyclotomic import (
     eta_kappa,
+    exponent_sum,
+    field_order,
     make_root,
     one,
     p_prime,
@@ -269,6 +272,114 @@ def test_refined_invariant_frozen_p8():
     eta, _ = eta_kappa(8)
     assert refined_invariant(8, ((1,),), (0,)) == eta
     assert z_invariant(8, ((1,),)) == eta
+
+
+# -- the colour sums before they shared one enumerator, kept as reference
+
+
+def _color_sum_reference(p, B, fixed=None):
+    n = len(B)
+    fixed = dict(fixed or {})
+    free = [i for i in range(n) if i not in fixed]
+    pp = p_prime(p)
+    M = field_order(p)
+    step = M // p
+    counts = {}
+    base = [0] * n
+    for i, v in fixed.items():
+        base[i] = int(v)
+    for assign in itertools.product(range(pp), repeat=len(free)):
+        for idx, v in zip(free, assign):
+            base[idx] = v
+        e = 0
+        for i in range(n):
+            bi = base[i]
+            if bi:
+                row = B[i]
+                e += bi * sum(row[j] * base[j] for j in range(n))
+        key = (e % p) * step
+        counts[key] = counts.get(key, 0) + 1
+    return exponent_sum(M, counts)
+
+
+def _refined_sector_reference(p, B, parities):
+    n = len(B)
+    pp = p_prime(p)
+    M = field_order(p)
+    step = M // p
+    counts = {}
+    ranges = [range(par, pp, 2) for par in parities]
+    for colors in itertools.product(*ranges):
+        e = 0
+        for i in range(n):
+            ci = colors[i]
+            if ci:
+                row = B[i]
+                e += ci * sum(row[j] * colors[j] for j in range(n))
+        key = (e % p) * step
+        counts[key] = counts.get(key, 0) + 1
+    return exponent_sum(M, counts)
+
+
+def _bracket_reference(p, B, colors):
+    e = 0
+    for i, ci in enumerate(colors):
+        for j, cj in enumerate(colors):
+            e += ci * B[i][j] * cj
+    return q_power(p, e)
+
+
+def _same_storage(x, y):
+    return x.order == y.order and x.num == y.num and x.den == y.den
+
+
+ADMISSIBLE_P = [p for p in range(3, 17) if p % 4 != 2]
+
+
+@pytest.mark.parametrize("p", ADMISSIBLE_P)
+def test_colour_sums_match_reference(p):
+    rng = random.Random(800 + p)
+    pp = p_prime(p)
+    for n in range(5):
+        # fewer matrices at n = 4 and large p' (15^4 = 50,625 colourings)
+        for _ in range(3 if n < 4 else (2 if pp < 11 else 1)):
+            B = _random_symmetric(rng, n, span=3)
+            sig = signature(B)
+            norm = surgery._normalisation(p, sig % 8, n + 1)
+            want = norm * _color_sum_reference(p, B)
+            assert _same_storage(z_invariant(p, B), want), (p, B)
+            colors = tuple(rng.randrange(-pp, 2 * pp) for _ in range(n))
+            assert _same_storage(bracket(p, B, colors),
+                                 _bracket_reference(p, B, colors))
+            if n:
+                fixed = {i: rng.randrange(pp)
+                         for i in rng.sample(range(n), rng.randint(1, n))}
+                free = [i for i in range(n) if i not in fixed]
+                sub = tuple(tuple(B[i][j] for j in free) for i in free)
+                norm = surgery._normalisation(
+                    p, signature(sub) % 8, len(fixed) + len(free))
+                want = norm * _color_sum_reference(p, B, fixed)
+                got = matrix_element(p, B, fixed, len(fixed))
+                assert _same_storage(got, want), (p, B, fixed)
+            if p % 4 == 0:
+                kind = refinement_kind(p)
+                for cls in refinement_classes(p, B):
+                    if kind == "spin" or p % 16 == 0:
+                        parities = [v % 2 for v in cls]
+                    else:
+                        shift = surgery._characteristic_shift(B)
+                        parities = [(v + s) % 2 for v, s in zip(cls, shift)]
+                    norm = surgery._normalisation(p, sig % 8, n + 1)
+                    want = norm * _refined_sector_reference(p, B, parities)
+                    assert _same_storage(refined_invariant(p, B, cls),
+                                         want), (p, B, cls)
+
+
+def test_bracket_and_matrix_element_reject_bad_components():
+    with pytest.raises(ValueError):
+        bracket(3, ((1, 0), (0, 1)), (1,))
+    with pytest.raises(ValueError):
+        matrix_element(3, ((1, 0), (0, 1)), {2: 1}, 1)
 
 
 def test_kirby_move_shapes():
