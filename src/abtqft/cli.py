@@ -3,38 +3,59 @@
 Every command reads at most one JSON document (a file path or ``-`` for
 standard input), runs one computation, and prints a single JSON report
 to standard output.  Exact scalars are printed as coefficient vectors
-over the cyclotomic power basis together with a float approximation of
-at most 12 digits, flagged as approximate; reports are self-describing
-and round-trip through the parsers in this module.
+over the cyclotomic power basis together with an ``approx`` block: the
+real and imaginary parts correctly rounded, half-up, to ``--digits``
+significant digits (at least 1, at most 12), an exactly zero part as
+``0.0``, flagged as approximate.  The block is display only and needs
+no third-party module.  Reports are self-describing and round-trip
+through the parsers in this module.
+
+Before it enumerates anything, a command estimates its work: p'^n
+colourings for a colour sum over n surgered components (``invariant``,
+``refine``, ``lens``, the closing factor of ``tqft --normalized``) and
+the tensor pairs of every run of the bimodule oracle in ``tqft``
+(``--mode oracle``, ``auto`` at even p, ``--verify``).  A job over
+``MAX_COLORINGS`` or ``MAX_TENSOR_PAIRS`` is refused.
 
 Exit codes are stable:
 
 * 0 - success
 * 2 - malformed input (bad JSON, a top-level value that is not an
   object, bad matrices, bad words, bad domain, a boolean or float where
-  an integer is documented)
+  an integer is documented, bad arguments such as ``--digits`` below 1)
 * 3 - unsupported order p for the requested computation
 * 4 - program validation or frame errors in ``tqft``
 * 5 - normalized map of a composite program without a closure matrix
+* 6 - the job's estimated work exceeds a cap
 """
 
 import argparse
 import json
 import sys
 from fractions import Fraction
-
-import mpmath
+from itertools import islice
+from math import gcd
 
 from .cobordism import (
     F_program,
+    Index1,
+    Index2,
     ProgramError,
     apply_map,
     canonical_context,
     json_int,
     load_program,
     normalized_map,
+    validate,
 )
-from .cyclotomic import CycNum, from_rational, field_order, q_power, to_complex
+from .cyclotomic import (
+    CycNum,
+    approx_parts,
+    field_order,
+    from_rational,
+    p_prime,
+    q_power,
+)
 from .heisenberg import (
     closed_context,
     commutant_dim,
@@ -56,6 +77,7 @@ from .mcg import (
     weil_intertwiner,
 )
 from .surgery import (
+    iter_continued_fraction,
     matrix_element,
     refined_invariant,
     refinement_classes,
@@ -66,6 +88,12 @@ from .surgery import (
 )
 
 MAX_DIGITS = 12
+
+# Work caps, checked before any enumeration.  The colour sums run at
+# about 0.3 M colourings/s; the oracle's elimination holds a few
+# relation rows of CycNums per tensor pair.
+MAX_COLORINGS = 10 ** 6
+MAX_TENSOR_PAIRS = 2 * 10 ** 4
 
 
 class CliError(Exception):
@@ -110,21 +138,75 @@ def _check_p(p):
                           "p != 2 mod 4)" % p)
 
 
+def _digits(text):
+    """The argparse type of ``--digits``: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "must be a positive integer, got %d" % value)
+    return value
+
+
+def _bounded_power(base, exponent, cap):
+    """base ** exponent for base >= 2, or cap + 1 when that exceeds
+    cap; no power much larger than cap is ever built."""
+    if exponent > cap.bit_length():
+        return cap + 1
+    return min(base ** exponent, cap + 1)
+
+
+def _check_colorings(p, n):
+    """Refuse a colour sum over p'^n colourings above the cap."""
+    if _bounded_power(p_prime(p), n, MAX_COLORINGS) > MAX_COLORINGS:
+        raise CliError(6, "a colour sum over %d components at p = %d "
+                          "enumerates %d^%d colourings, over the cap of %d"
+                       % (n, p, p_prime(p), n, MAX_COLORINGS))
+
+
+def _check_lens(p, beta, alpha):
+    """Refuse L(beta, alpha) when its chain of unknots is too long for
+    the colouring cap; invalid parameters are left to z_lens."""
+    if beta > 0 and gcd(alpha, beta) == 1:
+        longest = MAX_COLORINGS.bit_length()
+        chain = iter_continued_fraction(beta, alpha % beta)
+        n = sum(1 for _ in islice(chain, longest + 1))
+        if n > longest:
+            raise CliError(6, "L(%d, %d) is a chain of more than %d unknots, "
+                              "over the cap of %d colourings"
+                           % (beta, alpha, longest, MAX_COLORINGS))
+        _check_colorings(p, n)
+
+
+def _check_oracle(p, prog, runs):
+    """Refuse ``runs`` oracle evaluations of the program when their
+    tensor pairs exceed the cap.  An index-2 step at carried genus g
+    tensors p'^(2g-1) correspondence labels with p'^g incoming ones."""
+    pairs, g = 0, prog.source.g
+    for step in prog.steps:
+        if isinstance(step, Index1):
+            g += 1
+        elif isinstance(step, Index2) and g >= 1:
+            pairs += _bounded_power(p_prime(p), 3 * g - 1, MAX_TENSOR_PAIRS)
+            g -= 1
+    if runs * pairs > MAX_TENSOR_PAIRS:
+        try:
+            validate(prog)
+        except ProgramError as exc:
+            raise CliError(4, str(exc))
+        raise CliError(6, "%d run(s) of the tensor oracle at p = %d would "
+                          "enumerate more than the cap of %d tensor pairs"
+                       % (runs, p, MAX_TENSOR_PAIRS))
+
+
 def scalar_doc(x, digits):
     """Serialize an exact scalar with a flagged approximation."""
     digits = min(digits, MAX_DIGITS)
-    z = to_complex(x, digits)
-    with mpmath.workdps(digits):
-        approx = {
-            "re": mpmath.nstr(z.real, digits),
-            "im": mpmath.nstr(z.imag, digits),
-            "digits": digits,
-            "approximate": True,
-        }
+    re, im = approx_parts(x, digits)
     return {
         "order": x.order,
         "coeffs": [str(c) for c in x.coeffs],
-        "approx": approx,
+        "approx": {"re": re, "im": im, "digits": digits,
+                   "approximate": True},
     }
 
 
@@ -220,10 +302,12 @@ def cmd_invariant(args):
             raise CliError(2, "bad fixed_colors: %s" % (exc,))
         if any(not 0 <= i < len(B) for i in fixed):
             raise CliError(2, "fixed_colors index out of range")
+        _check_colorings(args.p, len(B) - len(fixed))
         value = matrix_element(args.p, B, fixed, len(fixed))
         report["fixed_colors"] = {str(k): v for k, v in sorted(fixed.items())}
         report["value"] = scalar_doc(value, args.digits)
         return report
+    _check_colorings(args.p, len(B))
     value = z_invariant(args.p, B)
     report["value"] = scalar_doc(value, args.digits)
     if args.p % 4 == 0:
@@ -254,6 +338,7 @@ def cmd_refine(args):
         raise CliError(3, "refinements need p = 0 mod 4, got %d" % args.p)
     doc = _read_doc(args.input)
     B = _matrix_from(doc)
+    _check_colorings(args.p, len(B))
     total = z_invariant(args.p, B)
     return {"command": "refine", "p": args.p, "size": len(B),
             "signature": signature(B),
@@ -263,6 +348,7 @@ def cmd_refine(args):
 
 def cmd_lens(args):
     _check_p(args.p)
+    _check_lens(args.p, args.beta, args.alpha)
     try:
         value = z_lens(args.p, args.beta, args.alpha)
     except ValueError as exc:
@@ -285,6 +371,17 @@ def cmd_tqft(args):
     closure = None
     if args.closure is not None:
         closure = _matrix_from(_read_doc(args.closure))
+    odd = args.p % 2 == 1
+    oracle_runs = ((args.mode == "oracle" or args.mode == "auto" and not odd)
+                   + (args.verify and odd))
+    _check_oracle(args.p, prog, oracle_runs)
+    if args.normalized and closure is not None:
+        _check_colorings(args.p, len(closure))
+    elif args.normalized and len(prog.steps) == 1 and isinstance(
+            prog.steps[0], Index2):
+        step = prog.steps[0]
+        sign = -1 if step.beta < 0 else 1
+        _check_lens(args.p, sign * step.beta, sign * step.alpha)
     try:
         if args.normalized:
             try:
@@ -487,9 +584,9 @@ def build_parser():
         sp.add_argument("--p", type=int, required=True,
                         help="order of the root of unity (p >= 3, "
                              "p != 2 mod 4)")
-        sp.add_argument("--digits", type=int, default=MAX_DIGITS,
-                        help="approximation digits (capped at %d)"
-                             % MAX_DIGITS)
+        sp.add_argument("--digits", type=_digits, default=MAX_DIGITS,
+                        help="approximation digits, at least 1 (capped "
+                             "at %d)" % MAX_DIGITS)
 
     sp = sub.add_parser("invariant", help="closed-manifold invariant of a "
                         "linking presentation")

@@ -13,16 +13,21 @@ coefficient equality; no floating point enters any decision.
 Sums are integer vector operations.  A product runs a schoolbook loop
 over the nonzero terms of its sparser operand and is folded back into
 the power basis with the integer rows of x^j mod Phi_M.
+
+:func:`approx_parts` is the only numerical surface the package uses: it
+prints the real and imaginary parts of an element correctly rounded,
+half-up, to a given number of significant digits, with the standard
+library alone.  :func:`to_complex` returns an mpmath number for library
+users and imports mpmath only when called.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import lru_cache
-
-import mpmath
 
 __all__ = [
     "CycNum",
@@ -39,6 +44,7 @@ __all__ = [
     "sqrt_p_prime",
     "eta_kappa",
     "p_prime",
+    "approx_parts",
     "to_complex",
 ]
 
@@ -503,11 +509,7 @@ class CycNum:
             "coeffs": [str(c) for c in self.coeffs],
         }
         if digits is not None:
-            z = to_complex(self, digits)
-            doc["approx"] = "%s + %si" % (
-                mpmath.nstr(z.real, digits),
-                mpmath.nstr(z.imag, digits),
-            )
+            doc["approx"] = "%s + %si" % approx_parts(self, digits)
         return doc
 
     @classmethod
@@ -699,15 +701,202 @@ def eta_kappa(p: int):
     return eta, kappa
 
 
+# -- approximate display --------------------------------------------------
+
+_GUARD = 10  # decimal digits the trigonometric table carries beyond its scale
+
+
+def _pi() -> Decimal:
+    """pi in the current decimal context, by the series in the recipes
+    of the ``decimal`` module's documentation."""
+    with localcontext() as ctx:
+        ctx.prec += 2
+        lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+    return +s
+
+
+def _cos_sin(y: Decimal) -> tuple:
+    """cos(y) and sin(y) for 0 <= y <= pi/4 by their Taylor series, in
+    the current decimal context."""
+    c = s = Decimal(0)
+    term, k = Decimal(1), 0
+    eps = Decimal(10) ** -(getcontext().prec + 2)
+    while term > eps:
+        if k % 4 == 0:
+            c += term
+        elif k % 4 == 1:
+            s += term
+        elif k % 4 == 2:
+            c -= term
+        else:
+            s -= term
+        k += 1
+        term = term * y / k
+    return c, s
+
+
+@lru_cache(maxsize=None)
+def _trig_table(M: int, scale: int) -> tuple:
+    """The pair (cos, sin) of integer tuples within 1 of
+    10^scale * cos(2 pi j / M) and 10^scale * sin(2 pi j / M), for the
+    power-basis exponents 0 <= j < phi(M).
+
+    Each angle is reduced exactly, as a fraction of a quarter turn, to
+    [0, pi/4]; the series run with ``_GUARD`` digits to spare.
+    """
+    cos_t, sin_t = [], []
+    with localcontext() as ctx:
+        ctx.prec = scale + _GUARD
+        half_pi = _pi() / 2
+        unit = Decimal(10) ** scale
+        for j in range(_field(M).phi):
+            quarter, b = divmod(Fraction(4 * j, M), 1)
+            if 2 * b <= 1:
+                c, s = _cos_sin(half_pi * b.numerator / b.denominator)
+            else:
+                b = 1 - b
+                s, c = _cos_sin(half_pi * b.numerator / b.denominator)
+            for _ in range(quarter):
+                c, s = -s, c
+            cos_t.append(int((c * unit).to_integral_value()))
+            sin_t.append(int((s * unit).to_integral_value()))
+    return tuple(cos_t), tuple(sin_t)
+
+
+def _round_half_up(n: int, d: int, digits: int) -> tuple:
+    """n/d (n nonzero, d positive) rounded half-up on its magnitude to
+    ``digits`` significant digits: (negative, m, e) with
+    10^(digits-1) <= m < 10^digits and |n/d| ~ m * 10^(e - digits + 1)."""
+    negative = n < 0
+    n = abs(n)
+    e = len(str(n)) - len(str(d))
+    if (n * 10 ** -e < d) if e < 0 else (n < d * 10 ** e):
+        e -= 1
+    k = digits - 1 - e
+    if k >= 0:
+        n *= 10 ** k
+    else:
+        d *= 10 ** -k
+    m = (2 * n + d) // (2 * d)
+    if m == 10 ** digits:
+        m //= 10
+        e += 1
+    return negative, m, e
+
+
+def _layout(negative: bool, m: int, e: int, digits: int) -> str:
+    """The layout of mpmath's ``nstr``: fixed notation when
+    min(-(digits // 3), -5) < e < digits, else ``m.mmme+x``; trailing
+    zeros stripped down to ``.0``."""
+    body = str(m)
+    if min(-(digits // 3), -5) < e < digits:
+        if e < 0:
+            body, split = "0" * -e + body, 1
+        else:
+            split = e + 1
+        suffix = ""
+    else:
+        split, suffix = 1, "e%+d" % e
+    body = (body[:split] + "." + body[split:]).rstrip("0")
+    if body.endswith("."):
+        body += "0"
+    return "-" * negative + body + suffix
+
+
+def _exact_parts(x: CycNum) -> list:
+    """[Re x, Im x], each a Fraction when it is rational, else None.
+
+    Decided in exact arithmetic: x + conj(x) = 2 Re x, and
+    -i (x - conj(x)) = 2 Im x.  Without i in the field (4 does not
+    divide M), a nonzero Im x is irrational."""
+    conj = x.conjugate()
+    twice_re = x + conj
+    twice_im = x - conj
+    parts = [None, None]
+    if twice_re.is_rational():
+        parts[0] = Fraction(twice_re.num[0], 2 * twice_re.den)
+    if not twice_im:
+        parts[1] = Fraction(0)
+    elif x.order % 4 == 0:
+        twice_im = twice_im * _field(x.order).root(3 * x.order // 4)
+        if twice_im.is_rational():
+            parts[1] = Fraction(twice_im.num[0], 2 * twice_im.den)
+    return parts
+
+
+def _certified(x: CycNum, table: tuple, scale: int, digits: int):
+    """The rounded string of sum_j x_j t_j / 10^scale, where t_j is
+    within 1 of 10^scale times the true value, or None when the values
+    that error allows do not all round alike."""
+    total = sum(c * t for c, t in zip(x.num, table))
+    err = sum(map(abs, x.num))
+    lo, hi = total - err, total + err
+    if lo <= 0 <= hi:
+        return None
+    den = x.den * 10 ** scale
+    rounded = _round_half_up(lo, den, digits)
+    if rounded != _round_half_up(hi, den, digits):
+        return None
+    return _layout(*rounded, digits)
+
+
+def approx_parts(x: CycNum, digits: int) -> tuple:
+    """The real and imaginary parts of x as decimal strings, each
+    correctly rounded half-up to ``digits`` significant digits, in the
+    layout of ``mpmath.nstr``.
+
+    An exactly zero part prints ``0.0`` and a rational part is rounded
+    from its Fraction.  Any other part is summed on integers from a
+    per-(M, scale) table of scaled cosines and sines, with a bound on
+    the error; while that interval meets a rounding boundary (or zero)
+    the scale doubles.  An irrational part lies on no boundary, so this
+    ends.  For display only: no identity depends on it.
+
+    >>> approx_parts(make_root(8, 1), 5)
+    ('0.70711', '0.70711')
+    >>> approx_parts(from_rational(8, Fraction(1, 8)), 2)
+    ('0.13', '0.0')
+    >>> approx_parts(make_root(40, 2) * 10 ** 6, 3)
+    ('9.51e+5', '3.09e+5')
+    """
+    if digits < 1:
+        raise ValueError("digits must be positive")
+    out = [
+        None if v is None else "0.0" if not v else
+        _layout(*_round_half_up(v.numerator, v.denominator, digits), digits)
+        for v in _exact_parts(x)
+    ]
+    scale = 24
+    while scale < digits + 12:
+        scale *= 2
+    while None in out:
+        tables = _trig_table(x.order, scale)
+        out = [
+            s if s is not None else _certified(x, table, scale, digits)
+            for s, table in zip(out, tables)
+        ]
+        scale *= 2
+    return tuple(out)
+
+
 def to_complex(x: CycNum, digits: int):
     """Floating approximation of x with error below 10^(-digits).
 
-    Returns an mpmath complex number; intended for display and
-    cross-checking only, never for equality decisions.
+    Returns an mpmath complex number (mpmath is imported on the first
+    call); intended for cross-checking only, never for equality
+    decisions.
 
     >>> abs(to_complex(make_root(8, 1), 10) - (0.7071067811865476+0.7071067811865476j)) < 1e-10
     True
     """
+    import mpmath
+
     if digits < 1:
         raise ValueError("digits must be positive")
     with mpmath.workdps(digits + 15):

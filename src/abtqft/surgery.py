@@ -56,6 +56,7 @@ __all__ = [
     "z_invariant",
     "matrix_element",
     "continued_fraction",
+    "iter_continued_fraction",
     "chain_matrix",
     "z_lens",
     "refinement_kind",
@@ -204,12 +205,16 @@ def continued_fraction(beta, alpha):
     """
     if alpha < 0 or (alpha == 0 and beta not in (1, -1)):
         raise ValueError("expect alpha >= 0 with gcd(alpha, beta) = 1")
-    ms = []
+    return tuple(iter_continued_fraction(beta, alpha))
+
+
+def iter_continued_fraction(beta, alpha):
+    """The terms of :func:`continued_fraction` one at a time, so a
+    caller can stop early on a long chain (alpha >= 0 assumed)."""
     while alpha:
         m = -((-beta) // alpha)  # ceiling
-        ms.append(m)
+        yield m
         beta, alpha = alpha, m * alpha - beta
-    return tuple(ms)
 
 
 def chain_matrix(ms):

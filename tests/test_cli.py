@@ -1,10 +1,20 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from abtqft import cli
-from abtqft.cyclotomic import eta_kappa, from_rational, gauss_sum, q_power
+from abtqft.cyclotomic import (
+    eta_kappa,
+    from_rational,
+    gauss_sum,
+    make_root,
+    q_power,
+)
 from abtqft.heisenberg import closed_context, finite_mul, to_finite
 from abtqft.mcg import twist_generators, weil_intertwiner
 from abtqft.surgery import matrix_element, refinement_classes, z_lens
@@ -414,6 +424,134 @@ def test_digits_are_capped(tmp_path, capsys):
     path = _doc(tmp_path, "empty.json", {"B": []})
     report = _run(capsys, ["invariant", path, "--p", "3", "--digits", "40"])
     assert report["value"]["approx"]["digits"] == cli.MAX_DIGITS
+
+
+def test_exact_zero_parts_print_zero():
+    # purely imaginary and purely real sums whose other part cancels
+    # exactly; floating evaluation leaves noise such as -2.0e-28 there
+    x = 2 - 4 * make_root(40, 4) + 2 * make_root(40, 8) - 2 * make_root(40, 12)
+    assert x == -x.conjugate()
+    assert cli.scalar_doc(x, 12)["approx"]["re"] == "0.0"
+    y = -make_root(72, 17) - make_root(72, 19)
+    assert y == -y.conjugate()
+    assert cli.scalar_doc(y, 6)["approx"]["re"] == "0.0"
+
+
+def test_real_gauss_sums_have_zero_imaginary_part():
+    # sqrt(p') at every tested order, and the real Gauss sums g(p)
+    for p in (3, 4, 5, 7, 8, 9, 11, 12, 13, 16):
+        eta, _ = eta_kappa(p)
+        for x in (eta, eta.inverse()):
+            assert cli.scalar_doc(x, 12)["approx"]["im"] == "0.0"
+        g = gauss_sum(p)[1]
+        if g == g.conjugate():
+            assert cli.scalar_doc(g, 12)["approx"]["im"] == "0.0"
+
+
+def _digits_commands(tmp_path):
+    matrix = _doc(tmp_path, "m.json", {"B": [[1]]})
+    return [
+        ["invariant", matrix, "--p", "5"],
+        ["refine", matrix, "--p", "8"],
+        ["lens", "5", "2", "--p", "5"],
+        ["tqft", _doc(tmp_path, "prog.json", _surgery_program([0, 1])),
+         "--p", "5"],
+        ["heis", _doc(tmp_path, "heis.json",
+                      {"op": "inverse", "g": 1, "x": [1, [1], [0]]}),
+         "--p", "5"],
+        ["mcg", _doc(tmp_path, "mcg.json",
+                     {"op": "theta", "g": 1, "f": {"word": ["ta"]}}),
+         "--p", "5"],
+    ]
+
+
+@pytest.mark.parametrize("digits", ["0", "-1"])
+def test_digits_below_one_are_usage_errors(tmp_path, capsys, digits):
+    for argv in _digits_commands(tmp_path):
+        assert cli.main(argv + ["--digits", digits]) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "--digits" in err and "Traceback" not in err
+        assert cli.main(argv + ["--digits", "1"]) == 0, argv
+        capsys.readouterr()
+
+
+def test_cli_never_imports_mpmath(tmp_path):
+    inv = _doc(tmp_path, "inv.json", {"B": [[2, 1], [1, 2]]})
+    prog = _doc(tmp_path, "prog.json", _surgery_program([0, 1]))
+    code = (
+        "import contextlib, io, sys\n"
+        "import abtqft.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['invariant', %r, '--p', '5']),\n"
+        "             cli.main(['tqft', %r, '--p', '5'])]\n"
+        "print(codes, 'mpmath' in sys.modules)\n" % (inv, prog))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0]", "False"]
+
+
+# -- work caps -------------------------------------------------------------
+
+
+def test_colour_sums_over_the_cap_are_refused(tmp_path, capsys):
+    eye = [[int(i == j) for j in range(8)] for i in range(8)]
+    big = _doc(tmp_path, "big.json", {"B": eye})
+    for argv in (["invariant", big, "--p", "13"],
+                 ["refine", big, "--p", "12"],
+                 ["lens", "30", "29", "--p", "13"],
+                 ["lens", "1000000000000", "999999999999", "--p", "5"]):
+        report = _run(capsys, argv, expect=6)
+        assert "cap" in report["error"]
+    fixed = _doc(tmp_path, "fixed.json",
+                 {"B": eye, "fixed_colors": {"0": 1, "1": 2}})
+    _run(capsys, ["invariant", fixed, "--p", "13"], expect=6)
+    prog = _doc(tmp_path, "prog.json", _surgery_program([0, 1]))
+    _run(capsys, ["tqft", prog, "--p", "13", "--normalized", "--closure",
+                  big], expect=6)
+    long_gamma = _doc(tmp_path, "gamma.json",
+                      _surgery_program([999999999999, 1000000000000]))
+    _run(capsys, ["tqft", long_gamma, "--p", "5", "--normalized"], expect=6)
+
+
+def _genus_two_surgery(handle=1):
+    return {"source": {"g": 1, "L": [[1, 0]]},
+            "steps": [{"kind": "index1"},
+                      {"kind": "index2", "handle": handle, "gamma": [0, 1]}],
+            "target": {"g": 1, "L": [[1, 0]]}}
+
+
+def test_oracle_over_the_cap_is_refused(tmp_path, capsys):
+    # an index-2 step at genus 2 tensors p'^5 pairs: 13^5 = 371,293
+    prog = _doc(tmp_path, "prog.json", _genus_two_surgery())
+    report = _run(capsys, ["tqft", prog, "--p", "13", "--mode", "oracle"],
+                  expect=6)
+    assert "tensor pairs" in report["error"]
+    _run(capsys, ["tqft", prog, "--p", "13", "--verify"], expect=6)
+    # 7^5 = 16,807 pairs pass once, not twice (main run plus --verify)
+    _run(capsys, ["tqft", prog, "--p", "7", "--mode", "oracle", "--verify"],
+         expect=6)
+    # the closed route enumerates no tensor pairs
+    _run(capsys, ["tqft", prog, "--p", "13"])
+    # an invalid program is reported as such, not as too large
+    bad = _genus_two_surgery(handle=0)
+    bad["target"] = {"g": 2, "L": [[1, 0, 0, 0], [0, 1, 0, 0]]}
+    _run(capsys, ["tqft", _doc(tmp_path, "bad.json", bad), "--p", "13",
+                  "--mode", "oracle"], expect=4)
+
+
+def test_caps_admit_the_largest_benchmark_jobs(tmp_path, capsys):
+    # 4^5 = 1,024 tensor pairs (p = 8, genus 2) and 10^5 colourings
+    prog = _doc(tmp_path, "prog.json", _genus_two_surgery())
+    _run(capsys, ["tqft", prog, "--p", "8"])
+    assert 2 * 4 ** 5 <= cli.MAX_TENSOR_PAIRS
+    assert 10 ** 5 <= cli.MAX_COLORINGS
+    chain = _doc(tmp_path, "chain.json", {"B": [[2, 1], [1, 2]]})
+    _run(capsys, ["invariant", chain, "--p", "13"])
 
 
 def test_unknown_command_is_a_usage_error(capsys):

@@ -1,12 +1,15 @@
 import doctest
 import random
+from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import abtqft.cyclotomic as cyclotomic
 from abtqft.cyclotomic import (
     CycNum,
+    approx_parts,
     cyclotomic_polynomial,
     eta_kappa,
     exponent_sum,
@@ -444,6 +447,166 @@ def test_storage_is_canonical():
     y = x * 3 - make_root(24, 1) * 4
     assert (y.num, y.den) == ((1,) + (0,) * 7, 1)
     assert (zero(24) * x).den == 1
+
+
+# -- approximate display, with the earlier mpmath route as reference -----
+
+DISPLAY_ORDERS = sorted({field_order(p) for p in
+                         (3, 4, 5, 7, 8, 9, 11, 12, 13, 16)})
+DISPLAY_COEFFS = (1, -1, 2, Fraction(1, 5), Fraction(3, 7), Fraction(-1, 8),
+                  Fraction(5, 2))
+
+
+def _mpmath_parts(x, digits):
+    """The earlier display route: to_complex, then mpmath.nstr."""
+    z = to_complex(x, digits)
+    with mpmath.workdps(digits):
+        return mpmath.nstr(z.real, digits), mpmath.nstr(z.imag, digits)
+
+
+def _true_parts(x):
+    """[Re x, Im x] as Fractions where rational, else None (exact; the
+    test orders all contain i = zeta^(M/4))."""
+    M = x.order
+    conj = x.conjugate()
+    twice = (x + conj, (x - conj) * make_root(M, 3 * M // 4))
+    return [v.coeffs[0] / 2 if v.is_rational() else None for v in twice]
+
+
+def _is_decimal_tie(v, digits):
+    """Whether |v| lies half-way between two numbers of ``digits``
+    significant digits."""
+    v = abs(v)
+    e = 0
+    while v >= Fraction(10) ** (e + 1):
+        e += 1
+    while v < Fraction(10) ** e:
+        e -= 1
+    t = v * Fraction(10) ** (digits - 1 - e)
+    return t - t.numerator // t.denominator == Fraction(1, 2)
+
+
+def _half_up(v, digits):
+    """v rounded half away from zero to ``digits`` significant digits."""
+    exact = Context(prec=200).divide(Decimal(v.numerator),
+                                     Decimal(v.denominator))
+    return Context(prec=digits, rounding=ROUND_HALF_UP).plus(exact)
+
+
+def _display_corpus():
+    rng = random.Random(2024)
+    roots = [make_root(M, j) for M in DISPLAY_ORDERS for j in range(M)]
+    sparse = []
+    for _ in range(150):
+        M = rng.choice(DISPLAY_ORDERS)
+        x = zero(M)
+        for _ in range(rng.randint(1, 4)):
+            x = x + rng.choice(DISPLAY_COEFFS) * make_root(M, rng.randrange(M))
+        sparse.append(x)
+    scaled = [x * Fraction(10) ** rng.choice((-30, -13, -8, -4, -2, 3, 5, 9,
+                                              14))
+              for x in rng.sample(sparse, 60)]
+    i40 = make_root(40, 10)
+    near_ten = [from_rational(40, Fraction(9999, 1000)),
+                from_rational(40, Fraction(-99995, 10000)),
+                10 - (make_root(40, 1) + make_root(40, 39)) / 10 ** 5,
+                1 - make_root(40, 1) / 10 ** 7,
+                (make_root(24, 1) + make_root(24, 23)) * 99999 / 100000]
+    ties = [from_rational(M, r) for M in (8, 40) for r in (
+        Fraction(1, 8), Fraction(3, 8), Fraction(-1, 8), Fraction(5, 2),
+        Fraction(-5, 2), Fraction(5, 32), Fraction(3, 40), Fraction(-3, 40),
+        Fraction(1, 400000000), Fraction(7, 2000))]
+    ties += [Fraction(1, 8) * i40, Fraction(3, 40) * i40 - Fraction(5, 2)]
+    zeros = [zero(M) for M in DISPLAY_ORDERS]
+    zeros += [2 - 4 * make_root(40, 4) + 2 * make_root(40, 8)
+              - 2 * make_root(40, 12),
+              -make_root(72, 17) - make_root(72, 19)]
+    return roots + sparse + scaled + near_ten + ties + zeros
+
+
+def test_approx_parts_match_mpmath_route():
+    """Byte-identical to the mpmath route except in two classes, listed
+    and counted: exactly zero parts print 0.0 (mpmath prints its
+    cancellation noise), and at exact decimal ties that are not dyadic
+    mpmath rounds its binary value, so these are checked against the
+    exact half-up rule instead."""
+    same, zero_parts, ties, wrong = 0, [], [], []
+    for x in _display_corpus():
+        exact = _true_parts(x)
+        for digits in range(1, 13):
+            got = approx_parts(x, digits)
+            want = _mpmath_parts(x, digits)
+            for part in (0, 1):
+                v = exact[part]
+                case = (x, digits, part, got[part], want[part])
+                if v == 0:
+                    assert got[part] == "0.0", case
+                elif v is not None and _is_decimal_tie(v, digits):
+                    assert Decimal(got[part]) == _half_up(v, digits), case
+                if got[part] == want[part]:
+                    same += 1
+                elif v == 0:
+                    zero_parts.append(case)
+                elif v is not None and _is_decimal_tie(v, digits):
+                    ties.append(case)
+                else:
+                    wrong.append(case)
+    assert wrong == []
+    assert zero_parts and ties
+    assert same > 20 * (len(zero_parts) + len(ties))
+
+
+def test_approx_parts_pinned_examples():
+    def real(r, digits):
+        return approx_parts(from_rational(40, r), digits)[0]
+
+    # dyadic ties agree with mpmath; 3/40 = 0.075 does not
+    assert real(Fraction(1, 8), 2) == "0.13" == _mpmath_parts(
+        from_rational(40, Fraction(1, 8)), 2)[0]
+    assert real(Fraction(5, 2), 1) == "3.0"
+    assert real(Fraction(-5, 2), 1) == "-3.0"
+    assert real(Fraction(3, 40), 1) == "0.08"
+    assert _mpmath_parts(from_rational(40, Fraction(3, 40)), 1)[0] == "0.07"
+    # carries, fixed and exponent layout
+    assert real(Fraction(9999, 1000), 2) == "10.0"
+    assert real(Fraction(1, 10 ** 5), 3) == "1.0e-5"
+    assert real(Fraction(1, 10 ** 4), 3) == "0.0001"
+    assert real(Fraction(1, 10 ** 6), 21) == "0.000001"
+    assert real(Fraction(123456), 3) == "1.23e+5"
+    assert real(Fraction(123), 3) == "123.0"
+    assert approx_parts(zero(8), 1) == ("0.0", "0.0")
+    # far below the first table's resolution: the scale doubles
+    tiny = make_root(40, 1) / 10 ** 30
+    assert approx_parts(tiny, 12) == _mpmath_parts(tiny, 12)
+    with pytest.raises(ValueError):
+        approx_parts(one(8), 0)
+
+
+def test_trig_table_is_within_one_unit():
+    # odd orders reach the third and fourth quarter turns
+    with mpmath.workdps(80):
+        for M in DISPLAY_ORDERS + [9, 15]:
+            for scale in (24, 48):
+                cos_t, sin_t = cyclotomic._trig_table(M, scale)
+                for j, (c, s) in enumerate(zip(cos_t, sin_t)):
+                    turn = mpmath.mpf(2 * j) / M
+                    assert abs(c - mpmath.cospi(turn) * 10 ** scale) < 1
+                    assert abs(s - mpmath.sinpi(turn) * 10 ** scale) < 1
+
+
+def test_certified_sum_refuses_an_interval_across_a_boundary():
+    # 1 * 250/10^3 with table error 1: [0.249, 0.251] spans the 1-digit
+    # boundary 0.25 but rounds to 0.25 at 2 digits
+    table = (250, 0, 0, 0)
+    assert cyclotomic._certified(one(8), table, 3, 1) is None
+    assert cyclotomic._certified(one(8), table, 3, 2) == "0.25"
+    # [-0.002, 0] meets zero, so not even the sign is certain
+    assert cyclotomic._certified(-one(8), (1, 0, 0, 0), 3, 3) is None
+
+
+def test_to_json_approx_uses_the_display_parts():
+    x = eta_kappa(5)[0]
+    assert x.to_json(digits=7)["approx"] == "%s + %si" % approx_parts(x, 7)
 
 
 def test_doctests():
