@@ -14,8 +14,13 @@ Before it enumerates anything, a command estimates its work: p'^n
 colourings for a colour sum over n surgered components (``invariant``,
 ``refine``, ``lens``, the closing factor of ``tqft --normalized``) and
 the tensor pairs of every run of the bimodule oracle in ``tqft``
-(``--mode oracle``, ``auto`` at even p, ``--verify``).  A job over
-``MAX_COLORINGS`` or ``MAX_TENSOR_PAIRS`` is refused.
+(``--mode oracle``, ``auto`` at even p, ``--verify``), the p'^g labels
+of the Schrodinger module in ``heis`` (``act``, ``matrix``,
+``commutant``) and the p'^(2g) unknowns of a ``commutant`` system, and
+the p'^(4g) Schur-averaging terms of every Weil intertwiner in ``mcg``
+(one for ``weil``, six for ``cocycle --verify``).  A job over
+``MAX_COLORINGS``, ``MAX_TENSOR_PAIRS``, ``MAX_LABELS``,
+``MAX_COMMUTANT_UNKNOWNS`` or ``MAX_AVERAGING_TERMS`` is refused.
 
 Exit codes are stable:
 
@@ -91,9 +96,14 @@ MAX_DIGITS = 12
 
 # Work caps, checked before any enumeration.  The colour sums run at
 # about 0.3 M colourings/s; the oracle's elimination holds a few
-# relation rows of CycNums per tensor pair.
+# relation rows of CycNums per tensor pair, and a commutant system 2g
+# rows per unknown; a ``heis matrix`` report takes about 1 KB per label;
+# Schur averaging runs at about 1.3 M terms/s.
 MAX_COLORINGS = 10 ** 6
 MAX_TENSOR_PAIRS = 2 * 10 ** 4
+MAX_LABELS = 10 ** 4
+MAX_COMMUTANT_UNKNOWNS = 10 ** 4
+MAX_AVERAGING_TERMS = 10 ** 6
 
 
 class CliError(Exception):
@@ -196,6 +206,36 @@ def _check_oracle(p, prog, runs):
         raise CliError(6, "%d run(s) of the tensor oracle at p = %d would "
                           "enumerate more than the cap of %d tensor pairs"
                        % (runs, p, MAX_TENSOR_PAIRS))
+
+
+def _check_heis(p, g, op):
+    """Refuse a Schrodinger-module job over more than ``MAX_LABELS``
+    labels, or a commutant system over more than
+    ``MAX_COMMUTANT_UNKNOWNS`` unknowns; ``mul`` and ``inverse``
+    enumerate nothing."""
+    pp = p_prime(p)
+    if op in ("act", "matrix", "commutant") and _bounded_power(
+            pp, g, MAX_LABELS) > MAX_LABELS:
+        raise CliError(6, "the genus-%d Schrodinger module at p = %d has "
+                          "%d^%d labels, over the cap of %d"
+                       % (g, p, pp, g, MAX_LABELS))
+    if op == "commutant" and _bounded_power(
+            pp, 2 * g, MAX_COMMUTANT_UNKNOWNS) > MAX_COMMUTANT_UNKNOWNS:
+        raise CliError(6, "the genus-%d commutant system at p = %d has "
+                          "%d^%d unknowns, over the cap of %d"
+                       % (g, p, pp, 2 * g, MAX_COMMUTANT_UNKNOWNS))
+
+
+def _check_weil(p, g, runs):
+    """Refuse ``runs`` genus-g Weil intertwiners when their Schur
+    averaging, p'^(4g) terms each, exceeds the cap."""
+    pp = p_prime(p)
+    if runs * _bounded_power(pp, 4 * g, MAX_AVERAGING_TERMS) > (
+            MAX_AVERAGING_TERMS):
+        raise CliError(6, "%d Weil intertwiner(s) of genus %d at p = %d "
+                          "average %d^%d terms each, over the cap of %d "
+                          "in total"
+                       % (runs, g, p, pp, 4 * g, MAX_AVERAGING_TERMS))
 
 
 def scalar_doc(x, digits):
@@ -444,6 +484,7 @@ def cmd_heis(args):
     doc = _read_doc(args.input)
     op = doc.get("op")
     g = _genus(doc)
+    _check_heis(args.p, g, op)
     ctx = closed_context(args.p, g)
     if op == "mul":
         x = _parse_triple(doc, "x", ctx)
@@ -535,6 +576,8 @@ def cmd_mcg(args):
         report = {"command": "mcg", "op": "cocycle", "p": args.p,
                   "g": genus, "c": c}
         if args.verify:
+            # weil_H runs one intertwiner inside each of its three calls
+            _check_weil(args.p, genus, 6)
             ctx = closed_context(args.p, genus)
             lam_H = projective_defect(weil_H(f, ctx), weil_H(h, ctx),
                                       weil_H(f * h, ctx))
@@ -556,6 +599,7 @@ def cmd_mcg(args):
                 raise CliError(2, "bad matrix: %s" % (exc,))
         else:
             fs = _class_from(doc, "f", genus).matrix
+        _check_weil(args.p, genus, 1)
         ctx = closed_context(args.p, genus)
         try:
             S = weil_intertwiner(fs, ctx)

@@ -35,7 +35,6 @@ supplied as a surgery presentation otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .cyclotomic import field_order, one, p_prime, q_power
@@ -54,6 +53,7 @@ from .homology import (
     symplectic_dual_basis,
 )
 from .surgery import z_invariant, z_lens
+from .value import Value, set_field
 
 __all__ = [
     "CobObject",
@@ -84,50 +84,51 @@ class ProgramError(ValueError):
     objects."""
 
 
-@dataclass(frozen=True)
-class CobObject:
-    g: int
-    L: tuple
+class CobObject(Value):
+    __slots__ = ("g", "L")
 
-    def __post_init__(self):
-        object.__setattr__(self, "L", hnf(self.L))
-        if not is_lagrangian(self.L, self.g):
+    def __init__(self, g, L):
+        set_field(self, "g", g)
+        set_field(self, "L", hnf(L))
+        if not is_lagrangian(self.L, g):
             raise ValueError("object Lagrangian must be a Lagrangian")
 
 
-@dataclass(frozen=True)
-class MappingCylinder:
-    matrix: tuple
+class MappingCylinder(Value):
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "matrix", tuple(tuple(int(v) for v in r) for r in self.matrix)
-        )
-        if not is_symplectic(self.matrix):
+    def __init__(self, matrix):
+        matrix = tuple(tuple(int(v) for v in r) for r in matrix)
+        set_field(self, "matrix", matrix)
+        if not is_symplectic(matrix):
             raise ValueError("cylinder matrix must preserve the form")
 
 
-@dataclass(frozen=True)
-class Index1:
-    position: int | None = None
+class Index1(Value):
+    __slots__ = ("position",)
+
+    def __init__(self, position=None):
+        set_field(self, "position", position)
 
 
-@dataclass(frozen=True)
-class Index2:
-    handle: int
-    alpha: int
-    beta: int
+class Index2(Value):
+    __slots__ = ("handle", "alpha", "beta")
 
-    def __post_init__(self):
-        if gcd(self.alpha, self.beta) != 1:
+    def __init__(self, handle, alpha, beta):
+        set_field(self, "handle", handle)
+        set_field(self, "alpha", alpha)
+        set_field(self, "beta", beta)
+        if gcd(alpha, beta) != 1:
             raise ValueError("surgery class must be primitive")
 
 
-@dataclass(frozen=True)
-class CobordismProgram:
-    source: CobObject
-    steps: tuple
-    target: CobObject
+class CobordismProgram(Value):
+    __slots__ = ("source", "steps", "target")
+
+    def __init__(self, source, steps, target):
+        set_field(self, "source", source)
+        set_field(self, "steps", steps)
+        set_field(self, "target", target)
 
 
 def _ambient_correspondence(step, g):
@@ -245,7 +246,8 @@ def context_transfer(ctx_from, ctx_to):
         k, _, beta = to_finite(ctx_to, 0, tuple(x))
         out[(beta, c)] = q_power(ctx_from.p, k)
         seen.add(beta)
-    assert len(seen) == len(out), "transfer must be a relabeling"
+    if len(seen) != len(out):
+        raise ArithmeticError("transfer must be a relabeling")
     return out
 
 
@@ -351,9 +353,12 @@ def _project_off(vec, gamma, g, slot, alpha, beta):
         t, r = divmod(vec[slot], alpha)
     else:
         t, r = divmod(vec[g + slot], beta)
-    assert r == 0, "class is not orthogonal to the surgery curve"
+    if r:
+        raise ArithmeticError("class is not orthogonal to the surgery curve")
     y = tuple(a - t * b for a, b in zip(vec, gamma))
-    assert y[slot] == 0 and y[g + slot] == 0
+    if y[slot] or y[g + slot]:
+        raise ArithmeticError("projected class keeps a part in the "
+                              "surgered slot")
     keep = [i for i in range(g) if i != slot]
     return tuple(y[i] for i in keep) + tuple(y[g + i] for i in keep)
 

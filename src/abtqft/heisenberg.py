@@ -21,7 +21,6 @@ checked against each other.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .cyclotomic import field_order, one, p_prime, q_power
 from .homology import (
@@ -31,6 +30,7 @@ from .homology import (
     standard_dual,
     standard_lagrangian,
 )
+from .value import Value, set_field
 
 __all__ = [
     "HeisContext",
@@ -56,8 +56,7 @@ def labels(p_pr, g):
     return list(itertools.product(range(p_pr), repeat=g))
 
 
-@dataclass(frozen=True)
-class HeisContext:
+class HeisContext(Value):
     """A surface (or cobordism boundary) with a split Heisenberg group.
 
     ``g_minus`` leading handles carry the reversed orientation; closed
@@ -65,13 +64,14 @@ class HeisContext:
     bases with ``form(L[i], Ldual[j]) = delta_ij``.
     """
 
-    p: int
-    g_minus: int
-    g_plus: int
-    L: tuple
-    Ldual: tuple
+    __slots__ = ("p", "g_minus", "g_plus", "L", "Ldual")
 
-    def __post_init__(self):
+    def __init__(self, p, g_minus, g_plus, L, Ldual):
+        set_field(self, "p", p)
+        set_field(self, "g_minus", g_minus)
+        set_field(self, "g_plus", g_plus)
+        set_field(self, "L", L)
+        set_field(self, "Ldual", Ldual)
         if self.p < 3 or self.p % 4 == 2:
             raise ValueError("order must be odd or divisible by 4")
         if len(self.L) != self.g or not _is_symplectic_basis(
@@ -195,12 +195,17 @@ def finite_inverse(ctx, e):
 # -- the Schrodinger module ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonomialOp:
-    """An operator b_c -> q^e(c) b_pi(c), stored as c -> (pi(c), e(c))."""
+class MonomialOp(Value):
+    """An operator b_c -> q^e(c) b_pi(c), stored as c -> (pi(c), e(c)).
 
-    p: int
-    entries: tuple  # sorted tuple of (label, target, exponent mod p)
+    ``entries`` is a sorted tuple of (label, target, exponent mod p).
+    """
+
+    __slots__ = ("p", "entries")
+
+    def __init__(self, p, entries):
+        set_field(self, "p", p)
+        set_field(self, "entries", entries)
 
     @classmethod
     def from_dict(cls, p, mapping):

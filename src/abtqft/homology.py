@@ -18,8 +18,9 @@ with the others), which is exactly what a Heisenberg context needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+
+from .value import Value, set_field
 
 __all__ = [
     "intersection",
@@ -358,7 +359,9 @@ def symplectic_dual_basis(L_rows, g):
                 for k in range(2 * g):
                     row[k] += c * U[j][k]
         W2.append(tuple(row))
-    assert _is_symplectic_basis(U + tuple(W2))
+    if not _is_symplectic_basis(U + tuple(W2)):
+        raise ArithmeticError("dual basis does not complete a symplectic "
+                              "basis")
     return U, tuple(W2)
 
 
@@ -398,7 +401,8 @@ def symplectic_complete(gamma):
         k = (v - r) // beta
     u -= k * alpha
     v -= k * beta
-    assert alpha * v - beta * u == 1
+    if alpha * v - beta * u != 1:
+        raise ArithmeticError("completion is not unimodular")
     delta = (u, v)
     change = ((alpha, u), (beta, v))
     return delta, change
@@ -407,8 +411,7 @@ def symplectic_complete(gamma):
 # -- correspondences ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Correspondence:
+class Correspondence(Value):
     """A Lagrangian correspondence with a chosen complementary basis.
 
     ``adapted`` and ``adapted_dual`` are ordered bases of L_C and of a
@@ -418,16 +421,23 @@ class Correspondence:
     only the canonical lattice basis.
     """
 
-    g_minus: int
-    g_plus: int
-    basis: tuple
-    adapted: tuple | None = None
-    adapted_dual: tuple | None = None
-    plus_block: tuple | None = None
-    source_L: tuple | None = None
-    source_Ldual: tuple | None = None
-    target_L: tuple | None = None
-    target_Ldual: tuple | None = None
+    __slots__ = ("g_minus", "g_plus", "basis", "adapted", "adapted_dual",
+                 "plus_block", "source_L", "source_Ldual", "target_L",
+                 "target_Ldual")
+
+    def __init__(self, g_minus, g_plus, basis, adapted=None,
+                 adapted_dual=None, plus_block=None, source_L=None,
+                 source_Ldual=None, target_L=None, target_Ldual=None):
+        set_field(self, "g_minus", g_minus)
+        set_field(self, "g_plus", g_plus)
+        set_field(self, "basis", basis)
+        set_field(self, "adapted", adapted)
+        set_field(self, "adapted_dual", adapted_dual)
+        set_field(self, "plus_block", plus_block)
+        set_field(self, "source_L", source_L)
+        set_field(self, "source_Ldual", source_Ldual)
+        set_field(self, "target_L", target_L)
+        set_field(self, "target_Ldual", target_Ldual)
 
     def width(self):
         return 2 * self.g_minus + 2 * self.g_plus
@@ -437,12 +447,18 @@ def _check_adapted(corr: Correspondence):
     gm, gp = corr.g_minus, corr.g_plus
     rows = corr.adapted
     dual = corr.adapted_dual
-    assert len(rows) == gm + gp
-    assert _is_symplectic_basis(
-        tuple(rows) + tuple(dual),
-        form=lambda x, y: boundary_intersection(x, y, gm, gp))
+    if len(rows) != gm + gp:
+        raise ArithmeticError("adapted basis has %d rows, expected %d"
+                              % (len(rows), gm + gp))
+    if not _is_symplectic_basis(
+            tuple(rows) + tuple(dual),
+            form=lambda x, y: boundary_intersection(x, y, gm, gp)):
+        raise ArithmeticError("adapted bases are not a symplectic basis "
+                              "of the boundary")
     for idx in corr.plus_block:
-        assert not any(dual[idx][: 2 * gm])
+        if any(dual[idx][: 2 * gm]):
+            raise ArithmeticError("plus-block dual row %d has a minus part"
+                                  % idx)
 
 
 def _pad(minus_part, plus_part, g_minus, g_plus):

@@ -22,8 +22,6 @@ twists, a handle swap and a chain twist mixing the two handles in genus
 two.  Primed names are the inverse twists.
 """
 
-from dataclasses import dataclass, field
-
 from .cobordism import compose_maps
 from .cyclotomic import exponent_sum, field_order, one
 from .heisenberg import finite_inverse, monomial_of, to_finite
@@ -33,6 +31,7 @@ from .homology import (
     is_symplectic,
     mat_mul,
 )
+from .value import Value, set_field
 
 __all__ = [
     "FreeWord",
@@ -70,8 +69,7 @@ def _letter_name(x):
     return "%s%d%s" % (kind, handle, "" if x > 0 else "'")
 
 
-@dataclass(frozen=True)
-class FreeWord:
+class FreeWord(Value):
     """A freely reduced word in the surface generators.
 
     >>> w = FreeWord((1, 2, -2, 2))
@@ -85,12 +83,12 @@ class FreeWord:
     FreeWord((-3, -3))
     """
 
-    letters: tuple = ()
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        if any(not isinstance(x, int) or x == 0 for x in self.letters):
+    def __init__(self, letters=()):
+        if any(not isinstance(x, int) or x == 0 for x in letters):
             raise ValueError("letters must be nonzero integers")
-        object.__setattr__(self, "letters", _reduce(self.letters))
+        set_field(self, "letters", _reduce(letters))
 
     @staticmethod
     def alpha(i):
@@ -179,8 +177,7 @@ def boundary_word(g):
 # -- mapping classes -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MappingClass:
+class MappingClass(Value):
     """A boundary-fixing substitution together with its homology matrix.
 
     ``images[k - 1]`` is the image word of letter k (interleaved order
@@ -195,30 +192,29 @@ class MappingClass:
     ((1, 0), (1, 1))
     """
 
-    g: int
-    images: tuple
-    matrix: tuple = field(init=False)
+    __slots__ = ("g", "images", "matrix")
 
-    def __post_init__(self):
-        if len(self.images) != 2 * self.g:
+    def __init__(self, g, images):
+        if len(images) != 2 * g:
             raise ValueError("need one image word per generator")
         images = tuple(
             w if isinstance(w, FreeWord) else FreeWord(tuple(w))
-            for w in self.images
+            for w in images
         )
-        object.__setattr__(self, "images", images)
-        bnd = boundary_word(self.g)
+        bnd = boundary_word(g)
         if bnd.substituted(images) != bnd:
             raise ValueError("substitution does not fix the boundary word")
         rows = []
-        for i in range(1, self.g + 1):
-            rows.append(images[2 * i - 2].homology(self.g))
-        for i in range(1, self.g + 1):
-            rows.append(images[2 * i - 1].homology(self.g))
+        for i in range(1, g + 1):
+            rows.append(images[2 * i - 2].homology(g))
+        for i in range(1, g + 1):
+            rows.append(images[2 * i - 1].homology(g))
         matrix = tuple(rows)
         if not is_symplectic(matrix):
             raise ValueError("substitution breaks the intersection form")
-        object.__setattr__(self, "matrix", matrix)
+        set_field(self, "g", g)
+        set_field(self, "images", images)
+        set_field(self, "matrix", matrix)
 
     @classmethod
     def identity(cls, g):
@@ -305,19 +301,19 @@ def twist_generators(g):
 # -- the braid-group quotient ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Value):
     """A word in surface braid letters s<i>, a<r>, b<r> ('-' inverts).
 
     >>> BraidWord(("s1", "-a2")).letters
     ('s1', '-a2')
     """
 
-    letters: tuple = ()
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for tok in self.letters:
+    def __init__(self, letters=()):
+        letters = tuple(letters)
+        set_field(self, "letters", letters)
+        for tok in letters:
             body = tok[1:] if tok.startswith("-") else tok
             if (len(body) < 2 or body[0] not in "sab"
                     or not body[1:].isdigit() or int(body[1:]) < 1):
@@ -625,5 +621,6 @@ def cocycle_c(f, g, p):
     c2 = intersection(t_f, _push(t_g, g.matrix, p)) % p
     t_g_inv = tuple(-x % p for x in _push(t_g, g.matrix, p))
     c3 = -intersection(t_f, t_g_inv) % p
-    assert c1 == c2 == c3, "closed forms of the cocycle disagree"
+    if not c1 == c2 == c3:
+        raise ArithmeticError("closed forms of the cocycle disagree")
     return c1

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -542,6 +543,65 @@ def test_oracle_over_the_cap_is_refused(tmp_path, capsys):
     bad["target"] = {"g": 2, "L": [[1, 0, 0, 0], [0, 1, 0, 0]]}
     _run(capsys, ["tqft", _doc(tmp_path, "bad.json", bad), "--p", "13",
                   "--mode", "oracle"], expect=4)
+
+
+def _refused_quickly(capsys, argv):
+    start = time.perf_counter()
+    report = _run(capsys, argv, expect=6)
+    assert time.perf_counter() - start < 1.0
+    assert "cap" in report["error"]
+    return report
+
+
+def test_heis_and_mcg_over_the_cap_are_refused(tmp_path, capsys):
+    # 13^8 unknowns (and 13^4 labels) for a genus-4 commutant system
+    commutant = _doc(tmp_path, "c.json", {"op": "commutant", "g": 4})
+    _refused_quickly(capsys, ["heis", commutant, "--p", "13"])
+    # 13^4 = 28,561 unknowns pass the label cap but not the unknowns cap
+    small = _doc(tmp_path, "s.json", {"op": "commutant", "g": 2})
+    report = _refused_quickly(capsys, ["heis", small, "--p", "13"])
+    assert "unknowns" in report["error"]
+    matrix = _doc(tmp_path, "m.json", {
+        "op": "matrix", "g": 4, "element": [0, [0] * 4, [0] * 4]})
+    report = _refused_quickly(capsys, ["heis", matrix, "--p", "13"])
+    assert "labels" in report["error"]
+    # 13^8 averaging terms for one genus-2 intertwiner
+    weil = _doc(tmp_path, "w.json",
+                {"op": "weil", "g": 2, "f": {"word": ["ta1"]}})
+    _refused_quickly(capsys, ["mcg", weil, "--p", "13"])
+    # --verify runs six intertwiners of 5^8 = 390,625 terms each
+    cocycle = _doc(tmp_path, "k.json", {"op": "cocycle", "g": 2,
+                                        "f": {"word": ["ta1"]},
+                                        "h": {"word": ["tb2"]}})
+    _refused_quickly(capsys, ["mcg", cocycle, "--p", "5", "--verify"])
+    # mul and inverse enumerate no labels
+    mul = _doc(tmp_path, "x.json", {"op": "mul", "g": 4,
+                                    "x": [1, [1] * 4, [2] * 4],
+                                    "y": [2, [0] * 4, [1] * 4]})
+    _run(capsys, ["heis", mul, "--p", "13"])
+
+
+def test_heis_and_mcg_caps_admit_jobs_below_them(tmp_path, capsys):
+    # 3^4 = 81 unknowns; 13^2 = 169 labels
+    commutant = _doc(tmp_path, "c.json", {"op": "commutant", "g": 2})
+    assert _run(capsys, ["heis", commutant, "--p", "3"])["dimension"] == 1
+    matrix = _doc(tmp_path, "m.json", {
+        "op": "matrix", "g": 2, "element": [1, [1, 2], [3, 4]]})
+    assert len(_run(capsys, ["heis", matrix, "--p", "13"])["map"][
+        "entries"]) == 13 ** 2
+    # 5^8 = 390,625 averaging terms in one intertwiner
+    weil = _doc(tmp_path, "w.json",
+                {"op": "weil", "g": 2, "f": {"word": ["ta1"]}})
+    _run(capsys, ["mcg", weil, "--p", "5"])
+    # six intertwiners of 3^8 = 6,561 terms each
+    cocycle = _doc(tmp_path, "k.json", {"op": "cocycle", "g": 2,
+                                        "f": {"word": ["ta1"]},
+                                        "h": {"word": ["tb2"]}})
+    _run(capsys, ["mcg", cocycle, "--p", "3", "--verify"])
+    # the benchmark's heis and mcg documents: genus 1 at p' <= 7
+    assert 7 ** 2 <= cli.MAX_COMMUTANT_UNKNOWNS
+    assert 7 <= cli.MAX_LABELS
+    assert 6 * 7 ** 4 <= cli.MAX_AVERAGING_TERMS
 
 
 def test_caps_admit_the_largest_benchmark_jobs(tmp_path, capsys):
