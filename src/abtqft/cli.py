@@ -18,9 +18,11 @@ the tensor pairs of every run of the bimodule oracle in ``tqft``
 of the Schrodinger module in ``heis`` (``act``, ``matrix``,
 ``commutant``) and the p'^(2g) unknowns of a ``commutant`` system, and
 the p'^(4g) Schur-averaging terms of every Weil intertwiner in ``mcg``
-(one for ``weil``, six for ``cocycle --verify``).  A job over
-``MAX_COLORINGS``, ``MAX_TENSOR_PAIRS``, ``MAX_LABELS``,
-``MAX_COMMUTANT_UNKNOWNS`` or ``MAX_AVERAGING_TERMS`` is refused.
+(one for ``weil``, three for ``cocycle --verify``).  ``heis mul`` and
+``inverse`` enumerate nothing, but build a genus-g frame whose check
+grows as g^3.  A job over ``MAX_COLORINGS``, ``MAX_TENSOR_PAIRS``,
+``MAX_LABELS``, ``MAX_COMMUTANT_UNKNOWNS``, ``MAX_AVERAGING_TERMS`` or
+``MAX_GENUS`` is refused.
 
 Exit codes are stable:
 
@@ -36,6 +38,7 @@ Exit codes are stable:
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -48,6 +51,7 @@ from .cobordism import (
     ProgramError,
     apply_map,
     canonical_context,
+    compose_maps,
     json_int,
     load_program,
     normalized_map,
@@ -74,11 +78,11 @@ from .mcg import (
     FreeWord,
     MappingClass,
     cocycle_c,
+    heisenberg_twist,
     projective_defect,
     t_dual,
     theta,
     twist_generators,
-    weil_H,
     weil_intertwiner,
 )
 from .surgery import (
@@ -98,12 +102,14 @@ MAX_DIGITS = 12
 # about 0.3 M colourings/s; the oracle's elimination holds a few
 # relation rows of CycNums per tensor pair, and a commutant system 2g
 # rows per unknown; a ``heis matrix`` report takes about 1 KB per label;
-# Schur averaging runs at about 1.3 M terms/s.
+# Schur averaging runs at about 1.3 M terms/s; the frame check of
+# ``heis mul`` and ``inverse`` takes about 0.2 s at genus 100.
 MAX_COLORINGS = 10 ** 6
 MAX_TENSOR_PAIRS = 2 * 10 ** 4
 MAX_LABELS = 10 ** 4
 MAX_COMMUTANT_UNKNOWNS = 10 ** 4
 MAX_AVERAGING_TERMS = 10 ** 6
+MAX_GENUS = 100
 
 
 class CliError(Exception):
@@ -210,10 +216,13 @@ def _check_oracle(p, prog, runs):
 
 def _check_heis(p, g, op):
     """Refuse a Schrodinger-module job over more than ``MAX_LABELS``
-    labels, or a commutant system over more than
-    ``MAX_COMMUTANT_UNKNOWNS`` unknowns; ``mul`` and ``inverse``
-    enumerate nothing."""
+    labels, a commutant system over more than ``MAX_COMMUTANT_UNKNOWNS``
+    unknowns, or a ``mul`` or ``inverse`` over more than ``MAX_GENUS``
+    handles; those two enumerate nothing, but check a genus-g frame."""
     pp = p_prime(p)
+    if op in ("mul", "inverse") and g > MAX_GENUS:
+        raise CliError(6, "a genus-%d frame is over the cap of %d handles"
+                       % (g, MAX_GENUS))
     if op in ("act", "matrix", "commutant") and _bounded_power(
             pp, g, MAX_LABELS) > MAX_LABELS:
         raise CliError(6, "the genus-%d Schrodinger module at p = %d has "
@@ -464,7 +473,9 @@ def cmd_tqft(args):
 # -- heis ------------------------------------------------------------------
 
 
-def _parse_triple(doc, key, ctx):
+def _parse_triple(doc, key, p, g):
+    """A group element (k, a, b) of the genus-g finite Heisenberg group
+    at order p, checked against g before any frame is built."""
     raw = doc.get(key)
     try:
         k = json_int(raw[0])
@@ -472,11 +483,11 @@ def _parse_triple(doc, key, ctx):
         b = tuple(json_int(x) for x in raw[2])
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CliError(2, "bad group element %r: %s" % (key, exc))
-    if len(a) != ctx.g or len(b) != ctx.g:
+    if len(a) != g or len(b) != g:
         raise CliError(2, "group element %r does not match genus %d"
-                       % (key, ctx.g))
-    return (k % ctx.p, tuple(x % ctx.p_prime for x in a),
-            tuple(x % ctx.p_prime for x in b))
+                       % (key, g))
+    pp = p_prime(p)
+    return k % p, tuple(x % pp for x in a), tuple(x % pp for x in b)
 
 
 def cmd_heis(args):
@@ -485,30 +496,31 @@ def cmd_heis(args):
     op = doc.get("op")
     g = _genus(doc)
     _check_heis(args.p, g, op)
-    ctx = closed_context(args.p, g)
     if op == "mul":
-        x = _parse_triple(doc, "x", ctx)
-        y = _parse_triple(doc, "y", ctx)
-        k, a, b = finite_mul(ctx, x, y)
+        x = _parse_triple(doc, "x", args.p, g)
+        y = _parse_triple(doc, "y", args.p, g)
+        k, a, b = finite_mul(closed_context(args.p, g), x, y)
         return {"command": "heis", "op": "mul", "p": args.p, "g": g,
                 "result": [k, list(a), list(b)]}
     if op == "inverse":
-        x = _parse_triple(doc, "x", ctx)
-        k, a, b = finite_inverse(ctx, x)
+        x = _parse_triple(doc, "x", args.p, g)
+        k, a, b = finite_inverse(closed_context(args.p, g), x)
         return {"command": "heis", "op": "inverse", "p": args.p, "g": g,
                 "result": [k, list(a), list(b)]}
     if op == "act":
-        h = _parse_triple(doc, "element", ctx)
+        h = _parse_triple(doc, "element", args.p, g)
+        ctx = closed_context(args.p, g)
         vec = _parse_vector(doc.get("vector", {}), ctx)
         out = schrodinger_act(ctx, h, vec)
         return {"command": "heis", "op": "act", "p": args.p, "g": g,
                 "vector": _vector_doc(out, args.digits)}
     if op == "matrix":
-        h = _parse_triple(doc, "element", ctx)
-        m = monomial_of(ctx, h).as_map()
+        h = _parse_triple(doc, "element", args.p, g)
+        m = monomial_of(closed_context(args.p, g), h).as_map()
         return {"command": "heis", "op": "matrix", "p": args.p, "g": g,
                 "map": _map_doc(m, args.digits)}
     if op == "commutant":
+        ctx = closed_context(args.p, g)
         basis = []
         for i in range(2 * g):
             e = tuple(1 if j == i else 0 for j in range(2 * g))
@@ -576,15 +588,15 @@ def cmd_mcg(args):
         report = {"command": "mcg", "op": "cocycle", "p": args.p,
                   "g": genus, "c": c}
         if args.verify:
-            # weil_H runs one intertwiner inside each of its three calls
-            _check_weil(args.p, genus, 6)
+            _check_weil(args.p, genus, 3)
             ctx = closed_context(args.p, genus)
-            lam_H = projective_defect(weil_H(f, ctx), weil_H(h, ctx),
-                                      weil_H(f * h, ctx))
-            lam_S = projective_defect(
-                weil_intertwiner(f.matrix, ctx),
-                weil_intertwiner(h.matrix, ctx),
-                weil_intertwiner((f * h).matrix, ctx))
+            classes = (f, h, f * h)
+            S = [weil_intertwiner(x.matrix, ctx) for x in classes]
+            # weil_H(x) is the Heisenberg twist of x after S(x)
+            H = [compose_maps(heisenberg_twist(x, ctx).as_map(), s)
+                 for x, s in zip(classes, S)]
+            lam_H = projective_defect(*H)
+            lam_S = projective_defect(*S)
             if lam_H != lam_S * q_power(args.p, c):
                 raise CliError(4, "measured defect ratio disagrees with "
                                   "the cocycle")
@@ -691,5 +703,26 @@ def main(argv=None):
     return 0
 
 
+def run(argv=None):
+    """The ``abtqft`` program: run :func:`main`, flush its report and end
+    the process at once with ``os._exit``, skipping module teardown, the
+    freeing of every object and the exit-time collections.
+
+    The interpreter's normal exit stays, and the exit code is returned,
+    when a profiler or tracer is installed (``cProfile``, ``coverage``,
+    ``pdb`` report or stop at exit) or when a flush fails.  An exception
+    out of ``main`` propagates with its traceback and exit code 1.
+    """
+    code = main(argv)
+    if sys.getprofile() is None and sys.gettrace() is None:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except (OSError, ValueError):
+            return code
+        os._exit(code)
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

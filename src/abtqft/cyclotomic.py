@@ -512,10 +512,6 @@ class CycNum:
             doc["approx"] = "%s + %si" % approx_parts(self, digits)
         return doc
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "CycNum":
-        return cls(int(doc["order"]), [Fraction(s) for s in doc["coeffs"]])
-
 
 def _new(order: int, num: tuple, den: int) -> CycNum:
     """A CycNum from integer numerators over a positive denominator,
@@ -689,7 +685,8 @@ def eta_kappa(p: int):
     if p % 4 == 2:
         raise ValueError("unsupported order: p = 2 mod 4 has vanishing Gauss sum")
     _, g = gauss_sum(p)
-    eta = sqrt_p_prime(p).inverse()
+    # sqrt(p') * sqrt(p') = p', so no field inversion is needed
+    eta = sqrt_p_prime(p) * Fraction(1, p_prime(p))
     kappa = g * eta
     unit = one(field_order(p))
     if kappa ** 8 != unit:

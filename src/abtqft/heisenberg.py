@@ -222,15 +222,6 @@ class MonomialOp(Value):
         form ``cobordism.compose_maps`` multiplies."""
         return {(t, c): q_power(self.p, e) for c, t, e in self.entries}
 
-    def compose(self, other):
-        """self after other (matrix product self @ other)."""
-        mine = self.as_dict()
-        out = {}
-        for c, t, e in other.entries:
-            t2, e2 = mine[t]
-            out[c] = (t2, (e + e2) % self.p)
-        return MonomialOp.from_dict(self.p, out)
-
     def apply(self, vec):
         """Apply to {label: CycNum} (missing labels are zero)."""
         out = {}

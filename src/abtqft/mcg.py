@@ -13,8 +13,9 @@ group beyond its symplectic matrix; ``t_dual`` converts theta into the
 homology class pairing with it.  ``weil_intertwiner`` produces the
 Stone-von Neumann isomorphism between a Schrodinger module and its
 twist by a symplectic matrix, ``weil_H`` the variant twisted by the
-full Heisenberg action, and ``cocycle_c`` the mod-p 2-cocycle by which
-the two projective actions differ.
+full Heisenberg action (the monomial ``heisenberg_twist`` after it),
+and ``cocycle_c`` the mod-p 2-cocycle by which the two projective
+actions differ.
 
 A validated library of Dehn twist substitutions ships with the module
 (`twist_generators`): the two standard twists in genus one; per-handle
@@ -44,6 +45,7 @@ __all__ = [
     "theta",
     "t_dual",
     "weil_intertwiner",
+    "heisenberg_twist",
     "weil_H",
     "projective_defect",
     "cocycle_c",
@@ -551,11 +553,30 @@ def weil_intertwiner(fsymp, ctx):
         "would not be irreducible")
 
 
+def heisenberg_twist(f, ctx):
+    """The monomial operator rho(0, f_*(t_f)) by which the full
+    Heisenberg twist of f differs from the symplectic one (odd order
+    only); t_f is the dual class of theta(f).
+
+    >>> from .heisenberg import closed_context
+    >>> ctx = closed_context(3, 1)
+    >>> heisenberg_twist(MappingClass.identity(1), ctx).entries
+    (((0,), (0,), 0), ((1,), (1,), 0), ((2,), (2,), 0))
+    """
+    if ctx.p % 2 == 0:
+        raise ValueError("the Heisenberg twist needs odd order")
+    if f.g != ctx.g:
+        raise ValueError("genus mismatch")
+    t = t_dual(theta(f), ctx.p)
+    ft = _push(t, f.matrix, ctx.p)
+    return monomial_of(ctx, to_finite(ctx, 0, ft))
+
+
 def weil_H(f, ctx):
     """The intertwiner for the full Heisenberg twist (odd order only).
 
     S_H(f) = rho(0, f_*(t_f)) o S(f), with S the normalized symplectic
-    intertwiner and t_f the dual class of theta(f).
+    intertwiner and rho(0, f_*(t_f)) the :func:`heisenberg_twist`.
 
     >>> from .heisenberg import closed_context
     >>> ctx = closed_context(3, 1)
@@ -563,15 +584,8 @@ def weil_H(f, ctx):
     ...     ((1, 0), (0, 1)), ctx)
     True
     """
-    if ctx.p % 2 == 0:
-        raise ValueError("the Heisenberg twist needs odd order")
-    if f.g != ctx.g:
-        raise ValueError("genus mismatch")
-    S = weil_intertwiner(f.matrix, ctx)
-    t = t_dual(theta(f), ctx.p)
-    ft = _push(t, f.matrix, ctx.p)
-    mono = monomial_of(ctx, to_finite(ctx, 0, ft))
-    return compose_maps(mono.as_map(), S)
+    twist = heisenberg_twist(f, ctx)
+    return compose_maps(twist.as_map(), weil_intertwiner(f.matrix, ctx))
 
 
 def projective_defect(A, B, C):

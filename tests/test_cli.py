@@ -4,11 +4,12 @@ import os
 import subprocess
 import sys
 import time
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
-from abtqft import cli
+from abtqft import cli, mcg
 from abtqft.cyclotomic import (
     eta_kappa,
     from_rational,
@@ -17,7 +18,13 @@ from abtqft.cyclotomic import (
     q_power,
 )
 from abtqft.heisenberg import closed_context, finite_mul, to_finite
-from abtqft.mcg import twist_generators, weil_intertwiner
+from abtqft.mcg import (
+    cocycle_c,
+    projective_defect,
+    twist_generators,
+    weil_H,
+    weil_intertwiner,
+)
 from abtqft.surgery import matrix_element, refinement_classes, z_lens
 
 
@@ -249,6 +256,40 @@ def test_mcg_cocycle_with_measurement(tmp_path, capsys):
     assert report["c"] == 2
     assert "q^c" in report["verified"]
     _run(capsys, ["mcg", path, "--p", "4"], expect=3)
+
+
+@pytest.mark.parametrize("g, f, h", [
+    (1, ["ta", "tb'"], ["tb"]),
+    (2, ["chain", "ta2"], ["swap", "tb1"]),
+])
+def test_mcg_cocycle_verify_builds_three_intertwiners(monkeypatch, capsys,
+                                                      g, f, h):
+    doc = {"op": "cocycle", "g": g, "f": {"word": f}, "h": {"word": h}}
+    cf, ch = (cli._class_from(doc, key, g) for key in ("f", "h"))
+    # the reference route: weil_H and a second intertwiner per class
+    ctx = closed_context(3, g)
+    classes = (cf, ch, cf * ch)
+    c = cocycle_c(cf, ch, 3)
+    lam_H = projective_defect(*(weil_H(x, ctx) for x in classes))
+    lam_S = projective_defect(*(weil_intertwiner(x.matrix, ctx)
+                                for x in classes))
+    assert lam_H == lam_S * q_power(3, c)
+    expected = {"command": "mcg", "op": "cocycle", "p": 3, "g": g, "c": c,
+                "verified": "defect ratio matches q^c"}
+    calls = []
+
+    def counting(fsymp, ctx):
+        calls.append(fsymp)
+        return weil_intertwiner(fsymp, ctx)
+
+    monkeypatch.setattr(cli, "weil_intertwiner", counting)
+    monkeypatch.setattr(mcg, "weil_intertwiner", counting)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert cli.main(["mcg", "-", "--p", "3", "--verify"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    assert calls == [x.matrix for x in classes]
 
 
 def test_mcg_weil_report(tmp_path, capsys):
@@ -486,14 +527,147 @@ def test_cli_never_imports_mpmath(tmp_path):
         "    codes = [cli.main(['invariant', %r, '--p', '5']),\n"
         "             cli.main(['tqft', %r, '--p', '5'])]\n"
         "print(codes, 'mpmath' in sys.modules)\n" % (inv, prog))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_cli_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0]", "False"]
+
+
+# -- the process -----------------------------------------------------------
+
+
+def _cli_env():
+    """The environment of a child interpreter that imports this tree's
+    package, with its assertions on."""
     env = dict(os.environ)
+    env.pop("PYTHONOPTIMIZE", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cli.__file__).resolve().parents[1])]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
+    return env
+
+
+def _process(argv, doc=None, runner=("-m", "abtqft.cli")):
+    return subprocess.run(
+        [sys.executable, *runner, *argv], capture_output=True, text=True,
+        input="" if doc is None else json.dumps(doc), env=_cli_env(),
+        timeout=120)
+
+
+_COMPOSITE = {"source": {"g": 1, "L": [[1, 0]]},
+              "steps": [{"kind": "index1"},
+                        {"kind": "index2", "handle": 1, "gamma": [0, 1]}],
+              "target": {"g": 1, "L": [[1, 0]]}}
+
+
+@pytest.mark.parametrize("argv, doc, code", [
+    (["lens", "7", "3", "--p", "5"], None, 0),
+    (["invariant", "-", "--p", "5"], {"B": [[0, 1]]}, 2),
+    (["frobnicate"], None, 2),
+    (["invariant", "-", "--p", "6"], {"B": []}, 3),
+    (["tqft", "-", "--p", "3"], {"source": {"g": 1, "L": [[1, 0]]},
+                                 "steps": [], "target": {"g": 0, "L": []}},
+     4),
+    (["tqft", "-", "--p", "3", "--normalized"], _COMPOSITE, 5),
+    (["heis", "-", "--p", "13"], {"op": "commutant", "g": 4}, 6),
+])
+def test_process_reports_like_main(monkeypatch, capsys, argv, doc, code):
+    proc = _process(argv, doc)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_process_crash_keeps_its_traceback():
+    # the even-order oracle's designated-class assertion, a known defect
+    proc = _process(["tqft", "-", "--p", "4"], _surgery_program([1, 2]))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("Traceback")
+    assert "induced_map_oracle" in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("AssertionError")
+
+
+def test_process_report_larger_than_a_pipe_buffer_arrives_whole(monkeypatch,
+                                                               capsys):
+    doc = {"op": "matrix", "g": 2, "element": [1, [1, 2], [3, 4]]}
+    proc = _process(["heis", "-", "--p", "13"], doc)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert cli.main(["heis", "-", "--p", "13"]) == 0
+    out = capsys.readouterr().out
+    assert len(out) > 1 << 16
+    assert (proc.returncode, proc.stdout) == (0, out)
+
+
+def test_profiler_still_reports_at_exit():
+    proc = _process(["lens", "7", "3", "--p", "5"],
+                    runner=("-m", "cProfile", "-m", "abtqft.cli"))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[0,", "0]", "False"]
+    report, _, stats = proc.stdout.partition("\n}\n")
+    assert json.loads(report + "}")["command"] == "lens"
+    assert "function calls" in stats and "Ordered by" in stats
+
+
+class _Exited(Exception):
+    """What the stand-in for ``os._exit`` raises."""
+
+
+def _no_hooks(monkeypatch):
+    def fake_exit(code):
+        raise _Exited(code)
+
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(sys, "getprofile", lambda: None)
+
+
+def test_run_ends_the_process_after_the_flush(monkeypatch, capsys):
+    _no_hooks(monkeypatch)
+    with pytest.raises(_Exited) as exited:
+        cli.run(["lens", "7", "3", "--p", "5"])
+    assert exited.value.args == (0,)
+    assert json.loads(capsys.readouterr().out)["command"] == "lens"
+    with pytest.raises(_Exited) as exited:
+        cli.run(["lens", "4", "2", "--p", "3"])
+    assert exited.value.args == (2,)
+
+
+@pytest.mark.parametrize("hook", ["gettrace", "getprofile"])
+def test_run_exits_normally_under_a_tracer_or_profiler(monkeypatch, capsys,
+                                                        hook):
+    _no_hooks(monkeypatch)
+    monkeypatch.setattr(sys, hook, lambda: print)
+    assert cli.run(["lens", "7", "3", "--p", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "lens"
+
+
+def test_run_exits_normally_when_a_flush_fails(monkeypatch):
+    class BrokenPipe(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    _no_hooks(monkeypatch)
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    assert cli.run(["lens", "7", "3", "--p", "5"]) == 0
+
+
+def test_run_lets_an_exception_out_of_main_through(monkeypatch):
+    def crash(argv=None):
+        raise AssertionError("designated class")
+
+    _no_hooks(monkeypatch)
+    monkeypatch.setattr(cli, "main", crash)
+    with pytest.raises(AssertionError, match="designated class"):
+        cli.run([])
+
+
+def test_console_script_is_run():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    module, _, attr = scripts["abtqft"].partition(":")
+    assert getattr(import_module(module), attr) is cli.run
 
 
 # -- work caps -------------------------------------------------------------
@@ -569,7 +743,7 @@ def test_heis_and_mcg_over_the_cap_are_refused(tmp_path, capsys):
     weil = _doc(tmp_path, "w.json",
                 {"op": "weil", "g": 2, "f": {"word": ["ta1"]}})
     _refused_quickly(capsys, ["mcg", weil, "--p", "13"])
-    # --verify runs six intertwiners of 5^8 = 390,625 terms each
+    # --verify runs three intertwiners of 5^8 = 390,625 terms each
     cocycle = _doc(tmp_path, "k.json", {"op": "cocycle", "g": 2,
                                         "f": {"word": ["ta1"]},
                                         "h": {"word": ["tb2"]}})
@@ -579,6 +753,39 @@ def test_heis_and_mcg_over_the_cap_are_refused(tmp_path, capsys):
                                     "x": [1, [1] * 4, [2] * 4],
                                     "y": [2, [0] * 4, [1] * 4]})
     _run(capsys, ["heis", mul, "--p", "13"])
+
+
+def _heis_elements(g, short=False):
+    n = 1 if short else g
+    return {"x": [1, [1] * n, [2] * n], "y": [2, [0] * n, [1] * n]}
+
+
+def test_heis_genus_is_bounded_before_the_frame(monkeypatch, tmp_path,
+                                                capsys):
+    # a genus-g frame costs O(g^3) to check; these ran past 5 s before
+    for op, g, short in (("mul", 100000, False), ("inverse", 3000, True),
+                         ("mul", 2000, False), ("inverse", 2000, False)):
+        doc = dict(_heis_elements(g, short), op=op, g=g)
+        report = _refused_quickly(
+            capsys, ["heis", _doc(tmp_path, "g.json", doc), "--p", "13"])
+        assert "genus-%d frame" % g in report["error"]
+    # the largest admitted genus
+    g = cli.MAX_GENUS
+    full = _doc(tmp_path, "f.json", dict(_heis_elements(g), op="mul", g=g))
+    assert _run(capsys, ["heis", full, "--p", "13"])["result"] == [
+        (3 + 2 * g) % 13, [1] * g, [3] * g]
+    # below the cap, a wrong length and an unknown op are reported
+    # before any frame is built
+    def no_frame(p, g):
+        raise AssertionError("frame built for a malformed document")
+
+    monkeypatch.setattr(cli, "closed_context", no_frame)
+    short = _doc(tmp_path, "s.json", dict(_heis_elements(g, True),
+                                          op="mul", g=g))
+    report = _run(capsys, ["heis", short, "--p", "13"], expect=2)
+    assert report["error"] == "group element 'x' does not match genus %d" % g
+    unknown = _doc(tmp_path, "u.json", {"op": "pow", "g": 10 ** 6})
+    _run(capsys, ["heis", unknown, "--p", "13"], expect=2)
 
 
 def test_heis_and_mcg_caps_admit_jobs_below_them(tmp_path, capsys):
@@ -593,7 +800,7 @@ def test_heis_and_mcg_caps_admit_jobs_below_them(tmp_path, capsys):
     weil = _doc(tmp_path, "w.json",
                 {"op": "weil", "g": 2, "f": {"word": ["ta1"]}})
     _run(capsys, ["mcg", weil, "--p", "5"])
-    # six intertwiners of 3^8 = 6,561 terms each
+    # three intertwiners of 3^8 = 6,561 terms each
     cocycle = _doc(tmp_path, "k.json", {"op": "cocycle", "g": 2,
                                         "f": {"word": ["ta1"]},
                                         "h": {"word": ["tb2"]}})
@@ -601,7 +808,7 @@ def test_heis_and_mcg_caps_admit_jobs_below_them(tmp_path, capsys):
     # the benchmark's heis and mcg documents: genus 1 at p' <= 7
     assert 7 ** 2 <= cli.MAX_COMMUTANT_UNKNOWNS
     assert 7 <= cli.MAX_LABELS
-    assert 6 * 7 ** 4 <= cli.MAX_AVERAGING_TERMS
+    assert 3 * 7 ** 4 <= cli.MAX_AVERAGING_TERMS
 
 
 def test_caps_admit_the_largest_benchmark_jobs(tmp_path, capsys):

@@ -273,6 +273,16 @@ def test_eta_kappa_memo_matches_direct_computation():
         assert [x.coeffs for x in memo] == [x.coeffs for x in direct]
 
 
+def test_eta_equals_the_euclid_inverse_of_sqrt_p_prime():
+    # eta = sqrt(p') / p' replaces the field inversion of sqrt(p')
+    admissible = [p for p in range(3, 65) if p % 4 != 2]
+    assert len(admissible) == 47
+    for p in admissible:
+        eta = eta_kappa(p)[0]
+        reference = sqrt_p_prime(p).euclid_inverse()
+        assert (eta.num, eta.den) == (reference.num, reference.den), p
+
+
 def test_eta_kappa_guard_raises_without_assert(monkeypatch):
     # a Gauss sum off by a factor 2 makes kappa no root of unity; the
     # guard is an exception, so ``python -O`` keeps it
@@ -312,15 +322,20 @@ def test_exponent_sum_matches_naive_sum():
         assert exponent_sum(M, counts) == naive
 
 
+def _from_json(doc):
+    """The inverse of ``CycNum.to_json`` on the exact part."""
+    return CycNum(int(doc["order"]), [Fraction(s) for s in doc["coeffs"]])
+
+
 def test_json_round_trip():
     rng = random.Random(13)
     for _ in range(5):
         x = _random_element(rng, 40)
         doc = x.to_json()
-        assert CycNum.from_json(doc) == x
+        assert _from_json(doc) == x
     doc = eta_kappa(3)[0].to_json(digits=12)
     assert "approx" in doc
-    assert CycNum.from_json(doc) == eta_kappa(3)[0]
+    assert _from_json(doc) == eta_kappa(3)[0]
 
 
 # -- the Fraction reference for the integer arithmetic --------------------

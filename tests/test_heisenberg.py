@@ -19,6 +19,7 @@ from abtqft.cobordism import (
 from abtqft.cyclotomic import CycNum, field_order, one, p_prime, q_power
 from abtqft.heisenberg import (
     HeisContext,
+    MonomialOp,
     closed_context,
     commutant_dim,
     correspondence_context,
@@ -178,6 +179,17 @@ def test_finite_group_structure():
                 finite_mul(ctx, e1, finite_mul(ctx, e2, e3))
 
 
+def _compose(left, right):
+    """The monomial operator left after right (the matrix product
+    left @ right), composed on labels and exponents."""
+    mine = left.as_dict()
+    out = {}
+    for c, t, e in right.entries:
+        t2, e2 = mine[t]
+        out[c] = (t2, (e + e2) % left.p)
+    return MonomialOp.from_dict(left.p, out)
+
+
 def test_schrodinger_is_a_representation():
     # exhaustive at p=3, genus 1
     ctx = closed_context(3, 1)
@@ -187,7 +199,7 @@ def test_schrodinger_is_a_representation():
     for e1 in elems:
         for e2 in elems:
             lhs = monomial_of(ctx, finite_mul(ctx, e1, e2))
-            rhs = monomial_of(ctx, e1).compose(monomial_of(ctx, e2))
+            rhs = _compose(monomial_of(ctx, e1), monomial_of(ctx, e2))
             assert lhs == rhs
     rng = random.Random(24)
     for p in (4, 5):
@@ -198,7 +210,7 @@ def test_schrodinger_is_a_representation():
                 e1 = to_finite(ctx, *_random_integral(rng, g))
                 e2 = to_finite(ctx, *_random_integral(rng, g))
                 lhs = monomial_of(ctx, finite_mul(ctx, e1, e2))
-                rhs = monomial_of(ctx, e1).compose(monomial_of(ctx, e2))
+                rhs = _compose(monomial_of(ctx, e1), monomial_of(ctx, e2))
                 assert lhs == rhs
 
 
@@ -212,7 +224,7 @@ def test_monomial_as_map_multiplies_like_compose():
             m = a.as_map()
             assert m == {(t, c): q_power(p, e)
                          for c, (t, e) in a.as_dict().items()}
-            assert compose_maps(m, b.as_map()) == a.compose(b).as_map()
+            assert compose_maps(m, b.as_map()) == _compose(a, b).as_map()
 
 
 def test_central_scalar_and_action():
