@@ -16,9 +16,10 @@ colourings for a colour sum over n surgered components (``invariant``,
 the tensor pairs of every run of the bimodule oracle in ``tqft``
 (``--mode oracle``, ``auto`` at even p, ``--verify``), the p'^g labels
 of the Schrodinger module in ``heis`` (``act``, ``matrix``,
-``commutant``) and the p'^(2g) unknowns of a ``commutant`` system, and
-the p'^(4g) Schur-averaging terms of every Weil intertwiner in ``mcg``
-(one for ``weil``, three for ``cocycle --verify``).  ``heis mul`` and
+``commutant``) and at the largest genus a ``tqft`` program carries,
+the p'^(2g) unknowns of a ``commutant`` system, and the p'^(4g)
+Schur-averaging terms of every Weil intertwiner in ``mcg`` (one for
+``weil``, three for ``cocycle --verify``).  ``heis mul`` and
 ``inverse`` enumerate nothing, but build a genus-g frame whose check
 grows as g^3.  A job over ``MAX_COLORINGS``, ``MAX_TENSOR_PAIRS``,
 ``MAX_LABELS``, ``MAX_COMMUTANT_UNKNOWNS``, ``MAX_AVERAGING_TERMS`` or
@@ -37,6 +38,7 @@ Exit codes are stable:
 """
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -49,9 +51,7 @@ from .cobordism import (
     Index1,
     Index2,
     ProgramError,
-    apply_map,
     canonical_context,
-    compose_maps,
     json_int,
     load_program,
     normalized_map,
@@ -66,8 +66,10 @@ from .cyclotomic import (
     q_power,
 )
 from .heisenberg import (
+    apply_map,
     closed_context,
     commutant_dim,
+    compose_maps,
     finite_inverse,
     finite_mul,
     monomial_of,
@@ -193,25 +195,37 @@ def _check_lens(p, beta, alpha):
         _check_colorings(p, n)
 
 
-def _check_oracle(p, prog, runs):
+def _check_program(p, prog, runs):
     """Refuse ``runs`` oracle evaluations of the program when their
-    tensor pairs exceed the cap.  An index-2 step at carried genus g
-    tensors p'^(2g-1) correspondence labels with p'^g incoming ones."""
+    tensor pairs exceed the cap, then a program whose Schrodinger
+    modules have more than ``MAX_LABELS`` labels at the largest genus
+    it carries (its source, or the genus after a step).  An index-2 step
+    at carried genus g tensors p'^(2g-1) correspondence labels with p'^g
+    incoming ones.  An invalid program is reported as such, not as too
+    large."""
+    pp = p_prime(p)
     pairs, g = 0, prog.source.g
+    top = g
     for step in prog.steps:
         if isinstance(step, Index1):
             g += 1
         elif isinstance(step, Index2) and g >= 1:
-            pairs += _bounded_power(p_prime(p), 3 * g - 1, MAX_TENSOR_PAIRS)
+            pairs += _bounded_power(pp, 3 * g - 1, MAX_TENSOR_PAIRS)
             g -= 1
-    if runs * pairs > MAX_TENSOR_PAIRS:
+        top = max(top, g)
+    too_many_pairs = runs * pairs > MAX_TENSOR_PAIRS
+    if too_many_pairs or _bounded_power(pp, top, MAX_LABELS) > MAX_LABELS:
         try:
             validate(prog)
         except ProgramError as exc:
             raise CliError(4, str(exc))
-        raise CliError(6, "%d run(s) of the tensor oracle at p = %d would "
-                          "enumerate more than the cap of %d tensor pairs"
-                       % (runs, p, MAX_TENSOR_PAIRS))
+        if too_many_pairs:
+            raise CliError(6, "%d run(s) of the tensor oracle at p = %d "
+                              "would enumerate more than the cap of %d "
+                              "tensor pairs" % (runs, p, MAX_TENSOR_PAIRS))
+        raise CliError(6, "the genus-%d Schrodinger module at p = %d has "
+                          "%d^%d labels, over the cap of %d"
+                       % (top, p, pp, top, MAX_LABELS))
 
 
 def _check_heis(p, g, op):
@@ -317,10 +331,16 @@ def _parse_vector(doc, ctx):
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(2, "bad vector entry: %s" % (exc,))
         if isinstance(raw, dict):
-            value = parse_scalar(raw)
-            if value.order != field_order(ctx.p):
+            # compare the order before parse_scalar builds its field
+            order = field_order(ctx.p)
+            try:
+                given = json_int(raw.get("order"))
+            except TypeError:
+                given = order  # left to parse_scalar, which reports it
+            if given != order:
                 raise CliError(2, "vector value of order %d, expected %d"
-                               % (value.order, field_order(ctx.p)))
+                               % (given, order))
+            value = parse_scalar(raw)
         else:
             try:
                 frac = Fraction(raw) if isinstance(raw, str) else Fraction(
@@ -342,8 +362,6 @@ def cmd_invariant(args):
     doc = _read_doc(args.input)
     B = _matrix_from(doc)
     fixed = doc.get("fixed_colors") or {}
-    report = {"command": "invariant", "p": args.p,
-              "size": len(B), "signature": signature(B)}
     if fixed:
         try:
             fixed = {int(k): json_int(v) for k, v in fixed.items()}
@@ -351,12 +369,15 @@ def cmd_invariant(args):
             raise CliError(2, "bad fixed_colors: %s" % (exc,))
         if any(not 0 <= i < len(B) for i in fixed):
             raise CliError(2, "fixed_colors index out of range")
-        _check_colorings(args.p, len(B) - len(fixed))
+    # the cap goes before the O(n^3) signature
+    _check_colorings(args.p, len(B) - len(fixed))
+    report = {"command": "invariant", "p": args.p,
+              "size": len(B), "signature": signature(B)}
+    if fixed:
         value = matrix_element(args.p, B, fixed, len(fixed))
         report["fixed_colors"] = {str(k): v for k, v in sorted(fixed.items())}
         report["value"] = scalar_doc(value, args.digits)
         return report
-    _check_colorings(args.p, len(B))
     value = z_invariant(args.p, B)
     report["value"] = scalar_doc(value, args.digits)
     if args.p % 4 == 0:
@@ -423,7 +444,7 @@ def cmd_tqft(args):
     odd = args.p % 2 == 1
     oracle_runs = ((args.mode == "oracle" or args.mode == "auto" and not odd)
                    + (args.verify and odd))
-    _check_oracle(args.p, prog, oracle_runs)
+    _check_program(args.p, prog, oracle_runs)
     if args.normalized and closure is not None:
         _check_colorings(args.p, len(closure))
     elif args.normalized and len(prog.steps) == 1 and isinstance(
@@ -685,6 +706,16 @@ def build_parser():
     return parser
 
 
+def _write_json(stream, doc, sort_keys=False):
+    """Write ``doc`` as indented JSON and a newline in a single write:
+    ``json.dump`` hands a stream one small chunk at a time, and on an
+    unbuffered stream each chunk is a system call."""
+    buf = io.StringIO()
+    json.dump(doc, buf, indent=2, sort_keys=sort_keys)
+    buf.write("\n")
+    stream.write(buf.getvalue())
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -694,12 +725,9 @@ def main(argv=None):
     try:
         report = args.func(args)
     except CliError as exc:
-        json.dump({"error": str(exc), "exit_code": exc.code},
-                  sys.stderr, indent=2)
-        sys.stderr.write("\n")
+        _write_json(sys.stderr, {"error": str(exc), "exit_code": exc.code})
         return exc.code
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    _write_json(sys.stdout, report, sort_keys=True)
     return 0
 
 

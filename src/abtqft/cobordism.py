@@ -38,8 +38,16 @@ from __future__ import annotations
 from math import gcd
 
 from .cyclotomic import field_order, one, p_prime, q_power
-from .heisenberg import HeisContext, induced_map_oracle, to_finite
+from .heisenberg import (
+    HeisContext,
+    apply_map,
+    compose_maps,
+    identity_map,
+    induced_map_oracle,
+    to_finite,
+)
 from .homology import (
+    combine,
     cylinder_correspondence,
     hnf,
     index1_correspondence,
@@ -69,6 +77,7 @@ __all__ = [
     "F_index1",
     "F_index2",
     "F_program",
+    # the sparse maps of heisenberg, re-exported
     "identity_map",
     "compose_maps",
     "apply_map",
@@ -185,46 +194,6 @@ def canonical_context(p, obj: CobObject):
     return HeisContext(p=p, g_minus=0, g_plus=obj.g, L=U, Ldual=W)
 
 
-# -- maps as sparse matrices over the cyclotomic field --------------------
-
-
-def identity_map(ctx):
-    unit = one(field_order(ctx.p))
-    return {(c, c): unit for c in ctx.labels()}
-
-
-def compose_maps(m2, m1):
-    """Matrix product m2 @ m1 of sparse label-indexed maps."""
-    by_in = {}
-    for (out, mid), v in m2.items():
-        by_in.setdefault(mid, []).append((out, v))
-    result = {}
-    for (mid, inp), v1 in m1.items():
-        for out, v2 in by_in.get(mid, ()):
-            key = (out, inp)
-            term = v2 * v1
-            if key in result:
-                result[key] = result[key] + term
-            else:
-                result[key] = term
-    return {k: v for k, v in result.items() if v != 0}
-
-
-def apply_map(m, vec):
-    """Apply a sparse map to a vector {label: CycNum}."""
-    out = {}
-    for (z, w), coeff in m.items():
-        v = vec.get(w)
-        if v is None:
-            continue
-        term = coeff * v
-        if z in out:
-            out[z] = out[z] + term
-        else:
-            out[z] = term
-    return {k: v for k, v in out.items() if v != 0}
-
-
 def context_transfer(ctx_from, ctx_to):
     """Monomial change of frame between two contexts with the same
     Lagrangian: each label rewrites through the integral class
@@ -239,11 +208,7 @@ def context_transfer(ctx_from, ctx_to):
     out = {}
     seen = set()
     for c in ctx_from.labels():
-        x = [0] * (2 * ctx_from.g)
-        for coeff, row in zip(c, ctx_from.Ldual):
-            for j in range(len(x)):
-                x[j] += coeff * row[j]
-        k, _, beta = to_finite(ctx_to, 0, tuple(x))
+        k, _, beta = to_finite(ctx_to, 0, combine(c, ctx_from.Ldual))
         out[(beta, c)] = q_power(ctx_from.p, k)
         seen.add(beta)
     if len(seen) != len(out):

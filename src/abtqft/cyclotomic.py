@@ -66,15 +66,6 @@ def _mobius(n: int) -> int:
     return mu
 
 
-def _poly_mul(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
 def _poly_divexact(num: list, den: list) -> list:
     """Exact long division of integer polynomials (raises if inexact)."""
     num = list(num)
@@ -114,9 +105,9 @@ def cyclotomic_polynomial(M: int) -> tuple:
             mu = _mobius(M // d)
             factor = [-1] + [0] * (d - 1) + [1]
             if mu == 1:
-                num = _poly_mul(num, factor)
+                num = _schoolbook(factor, num)
             elif mu == -1:
-                den = _poly_mul(den, factor)
+                den = _schoolbook(factor, den)
     return tuple(_poly_divexact(num, den))
 
 
@@ -203,8 +194,8 @@ def _fold(field: _Field, vec: list) -> list:
 
 
 def _schoolbook(sparse, dense) -> list:
-    """Integer polynomial product by a loop over the nonzero terms of
-    ``sparse``."""
+    """Polynomial product by a loop over the nonzero terms of
+    ``sparse``; the coefficients may be integers or Fractions."""
     out = [0] * (len(sparse) + len(dense) - 1)
     for i, c in enumerate(sparse):
         if c:
@@ -411,7 +402,7 @@ class CycNum:
         while any(r1):
             q, r = _frac_poly_divmod(r0, r1)
             r0, r1 = r1, r
-            qs1 = _poly_mul(q, s1)
+            qs1 = _schoolbook(q, s1)
             new_s = [
                 (s0[i] if i < len(s0) else _ZERO)
                 - (qs1[i] if i < len(qs1) else _ZERO)
@@ -602,6 +593,17 @@ def q_power(p: int, e: int) -> CycNum:
     return make_root(M, (M // p) * (e % p))
 
 
+def _square_counts(M: int, m: int, n: int) -> dict:
+    """Multiplicities of the exponents (M/m) k^2 mod M over 0 <= k < n,
+    the terms of a quadratic Gauss sum at the m-th root zeta_M^(M/m)."""
+    step = M // m
+    counts: dict = {}
+    for k in range(n):
+        e = (step * k * k) % M
+        counts[e] = counts.get(e, 0) + 1
+    return counts
+
+
 def gauss_sum(p: int):
     """The pair (G, g) of quadratic Gauss sums at the p-th root q.
 
@@ -616,16 +618,8 @@ def gauss_sum(p: int):
     if p < 3:
         raise ValueError("p must be at least 3")
     M = field_order(p)
-    step = M // p
-    pp = p_prime(p)
-    counts_G: dict = {}
-    counts_g: dict = {}
-    for k in range(p):
-        e = (step * k * k) % M
-        counts_G[e] = counts_G.get(e, 0) + 1
-        if k < pp:
-            counts_g[e] = counts_g.get(e, 0) + 1
-    return exponent_sum(M, counts_G), exponent_sum(M, counts_g)
+    return (exponent_sum(M, _square_counts(M, p, p)),
+            exponent_sum(M, _square_counts(M, p, p_prime(p))))
 
 
 def _odd_sqrt(M: int, m: int) -> CycNum:
@@ -638,12 +632,7 @@ def _odd_sqrt(M: int, m: int) -> CycNum:
         return one(M)
     if M % m:
         raise ValueError("%d-th roots of unity unavailable at order %d" % (m, M))
-    step = M // m
-    counts: dict = {}
-    for k in range(m):
-        e = (step * k * k) % M
-        counts[e] = counts.get(e, 0) + 1
-    G = exponent_sum(M, counts)
+    G = exponent_sum(M, _square_counts(M, m, m))
     if m % 4 == 3:
         G = -make_root(M, M // 4) * G
     return G

@@ -6,7 +6,10 @@ intersection cocycle; a choice of transverse Lagrangian pair (L, Ldual)
 splits every class as a + b and identifies the quotient by the
 depth-(p, p') congruence subgroup with a finite group on triples
 (k mod p, a mod p', b mod p').  The Schrodinger module W_q(L) has basis
-b_c indexed by c in (Z/p')^g, acted on by monomial matrices.
+b_c indexed by c in (Z/p')^g, acted on by monomial matrices.  Linear
+maps between such modules are sparse matrices {(target, source):
+CycNum}; ``compose_maps`` and ``apply_map`` are their only product and
+action.
 
 A correspondence context puts the same structure on a cobordism
 boundary -Sigma_- + Sigma_+ using the pairing-identity bases carried by
@@ -27,6 +30,7 @@ from .homology import (
     Correspondence,
     _is_symplectic_basis,
     boundary_intersection,
+    combine,
     standard_dual,
     standard_lagrangian,
 )
@@ -45,6 +49,9 @@ __all__ = [
     "MonomialOp",
     "monomial_of",
     "schrodinger_act",
+    "identity_map",
+    "compose_maps",
+    "apply_map",
     "right_act_boundary",
     "induced_map_oracle",
     "commutant_dim",
@@ -129,14 +136,7 @@ def split_coords(ctx, x):
     x = sum alpha_i L[i] + sum beta_i Ldual[i]."""
     alpha = tuple(ctx.form(x, w) for w in ctx.Ldual)
     beta = tuple(ctx.form(u, x) for u in ctx.L)
-    recomposed = [0] * len(x)
-    for c, row in zip(alpha, ctx.L):
-        for j in range(len(x)):
-            recomposed[j] += c * row[j]
-    for c, row in zip(beta, ctx.Ldual):
-        for j in range(len(x)):
-            recomposed[j] += c * row[j]
-    if tuple(recomposed) != tuple(x):
+    if combine(alpha + beta, tuple(ctx.L) + tuple(ctx.Ldual)) != tuple(x):
         raise ValueError("class does not lie in the split lattice")
     return alpha, beta
 
@@ -219,22 +219,8 @@ class MonomialOp(Value):
 
     def as_map(self):
         """The operator as a sparse matrix {(target, source): q^e}, the
-        form ``cobordism.compose_maps`` multiplies."""
+        form :func:`compose_maps` multiplies."""
         return {(t, c): q_power(self.p, e) for c, t, e in self.entries}
-
-    def apply(self, vec):
-        """Apply to {label: CycNum} (missing labels are zero)."""
-        out = {}
-        for c, t, e in self.entries:
-            coeff = vec.get(c)
-            if coeff is None:
-                continue
-            term = coeff * q_power(self.p, e)
-            if t in out:
-                out[t] = out[t] + term
-            else:
-                out[t] = term
-        return {c: v for c, v in out.items() if v != 0}
 
 
 def monomial_of(ctx, fin):
@@ -251,7 +237,49 @@ def monomial_of(ctx, fin):
 
 
 def schrodinger_act(ctx, fin, vec):
-    return monomial_of(ctx, fin).apply(vec)
+    """Apply a finite element to {label: CycNum} (missing labels are
+    zero)."""
+    return apply_map(monomial_of(ctx, fin).as_map(), vec)
+
+
+# -- maps as sparse matrices over the cyclotomic field --------------------
+
+
+def identity_map(ctx):
+    unit = one(field_order(ctx.p))
+    return {(c, c): unit for c in ctx.labels()}
+
+
+def compose_maps(m2, m1):
+    """Matrix product m2 @ m1 of sparse label-indexed maps."""
+    by_in = {}
+    for (out, mid), v in m2.items():
+        by_in.setdefault(mid, []).append((out, v))
+    result = {}
+    for (mid, inp), v1 in m1.items():
+        for out, v2 in by_in.get(mid, ()):
+            key = (out, inp)
+            term = v2 * v1
+            if key in result:
+                result[key] = result[key] + term
+            else:
+                result[key] = term
+    return {k: v for k, v in result.items() if v != 0}
+
+
+def apply_map(m, vec):
+    """Apply a sparse map to a vector {label: CycNum}."""
+    out = {}
+    for (z, w), coeff in m.items():
+        v = vec.get(w)
+        if v is None:
+            continue
+        term = coeff * v
+        if z in out:
+            out[z] = out[z] + term
+        else:
+            out[z] = term
+    return {k: v for k, v in out.items() if v != 0}
 
 
 def right_act_boundary(corr_ctx, minus_elem):

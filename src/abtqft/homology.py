@@ -29,6 +29,7 @@ __all__ = [
     "standard_dual",
     "mat_mul",
     "mat_transpose",
+    "combine",
     "identity_matrix",
     "hnf",
     "left_kernel",
@@ -68,6 +69,23 @@ def mat_mul(A, B):
     return tuple(
         tuple(sum(a * b for a, b in zip(row, col)) for col in B_t) for row in A
     )
+
+
+def combine(coeffs, rows):
+    """The integer row sum_i coeffs[i] * rows[i]; a row vector times a
+    matrix is ``combine(v, F)``.
+
+    >>> combine((2, -1), ((1, 0, 3), (0, 1, 1)))
+    (2, -1, 5)
+    >>> combine((), ())
+    ()
+    """
+    out = [0] * (len(rows[0]) if rows else 0)
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, r in enumerate(row):
+                out[j] += c * r
+    return tuple(out)
 
 
 def identity_matrix(n):
@@ -213,13 +231,7 @@ def solve_left(A, b):
                 res[j] -= q * H[i][j]
     if any(res):
         return None
-    n = len(A)
-    x = [0] * n
-    for i in range(rank):
-        if y[i]:
-            for j in range(n):
-                x[j] += y[i] * U[i][j]
-    return tuple(x)
+    return combine(y, U)
 
 
 def lattice_intersect(A, B):
@@ -232,18 +244,8 @@ def lattice_intersect(A, B):
     B = _freeze(B)
     if not A or not B:
         return ()
-    stacked = A + B
-    kernel = left_kernel(stacked)
-    na = len(A)
-    vecs = []
-    for row in kernel:
-        v = [0] * len(A[0])
-        for i in range(na):
-            if row[i]:
-                for j in range(len(v)):
-                    v[j] += row[i] * A[i][j]
-        vecs.append(tuple(v))
-    return hnf(vecs)
+    kernel = left_kernel(A + B)
+    return hnf([combine(row[:len(A)], A) for row in kernel])
 
 
 def saturate(A):
@@ -349,20 +351,15 @@ def symplectic_dual_basis(L_rows, g):
             raise ArithmeticError("no integral dual vector; lattice not primitive")
         W.append(x)
     # isotropy correction W' = W + C.U with C - C^T = -S, S = pairwise form
-    S = [[intersection(W[i], W[j]) for j in range(g)] for i in range(g)]
-    W2 = []
-    for i in range(g):
-        row = list(W[i])
-        for j in range(i + 1, g):
-            c = -S[i][j]
-            if c:
-                for k in range(2 * g):
-                    row[k] += c * U[j][k]
-        W2.append(tuple(row))
-    if not _is_symplectic_basis(U + tuple(W2)):
+    W2 = tuple(
+        combine((1,) + tuple(-intersection(W[i], W[j])
+                             for j in range(i + 1, g)), (W[i],) + U[i + 1:])
+        for i in range(g)
+    )
+    if not _is_symplectic_basis(U + W2):
         raise ArithmeticError("dual basis does not complete a symplectic "
                               "basis")
-    return U, tuple(W2)
+    return U, W2
 
 
 def symplectic_complete(gamma):
@@ -467,6 +464,44 @@ def _pad(minus_part, plus_part, g_minus, g_plus):
     return minus_part + plus_part
 
 
+def _neg(v):
+    return tuple(-c for c in v)
+
+
+def _frame_correspondence(U, W, g_plus, graph, extra, plus_block, target):
+    """The correspondence of a simple cobordism from the source frame
+    (U, W) that carries each frame pair (u, w) of ``graph`` to (u', w'),
+    listed as (u, w, u', w').
+
+    L_C holds the graph rows (w, -w') and then (-u, u'); the complement
+    holds (u, 0) and then (0, w').  ``extra`` appends at most one padded
+    (row, dual row) pair, ``plus_block`` lists the dual rows of the form
+    (0, y) and ``target`` is the target frame (L, Ldual)."""
+    g = len(U)
+    graph = list(graph)
+    rows = [_pad(w, _neg(w2), g, g_plus) for _, w, _, w2 in graph] + [
+        _pad(_neg(u), u2, g, g_plus) for u, _, u2, _ in graph]
+    dual = [_pad(u, None, g, g_plus) for u, _, _, _ in graph] + [
+        _pad(None, w2, g, g_plus) for _, _, _, w2 in graph]
+    if extra is not None:
+        rows.append(extra[0])
+        dual.append(extra[1])
+    corr = Correspondence(
+        g_minus=g,
+        g_plus=g_plus,
+        basis=hnf(rows),
+        adapted=_freeze(rows),
+        adapted_dual=_freeze(dual),
+        plus_block=tuple(plus_block),
+        source_L=U,
+        source_Ldual=W,
+        target_L=tuple(target[0]),
+        target_Ldual=tuple(target[1]),
+    )
+    _check_adapted(corr)
+    return corr
+
+
 def cylinder_correspondence(F, L_rows, Ldual_rows):
     """Correspondence of the mapping cylinder of the symplectic matrix F,
     adapted to the source pair (L, Ldual):
@@ -476,31 +511,10 @@ def cylinder_correspondence(F, L_rows, Ldual_rows):
     if not is_symplectic(F):
         raise ValueError("cylinder matrix does not preserve the form")
     U, W = _freeze(L_rows), _freeze(Ldual_rows)
-    apply = lambda v: tuple(mat_mul((v,), F)[0])
-    rows = [
-        _pad(W[i], tuple(-c for c in apply(W[i])), g, g) for i in range(g)
-    ] + [
-        _pad(tuple(-c for c in U[i]), apply(U[i]), g, g) for i in range(g)
-    ]
-    dual = [
-        _pad(U[i], None, g, g) for i in range(g)
-    ] + [
-        _pad(None, apply(W[i]), g, g) for i in range(g)
-    ]
-    corr = Correspondence(
-        g_minus=g,
-        g_plus=g,
-        basis=hnf(rows),
-        adapted=_freeze(rows),
-        adapted_dual=_freeze(dual),
-        plus_block=tuple(range(g, 2 * g)),
-        source_L=U,
-        source_Ldual=W,
-        target_L=tuple(apply(U[i]) for i in range(g)),
-        target_Ldual=tuple(apply(W[i]) for i in range(g)),
-    )
-    _check_adapted(corr)
-    return corr
+    fU = tuple(combine(u, F) for u in U)
+    fW = tuple(combine(w, F) for w in W)
+    return _frame_correspondence(U, W, g, zip(U, W, fU, fW), None,
+                                 range(g, 2 * g), (fU, fW))
 
 
 def _embed_handle(v, g, pos):
@@ -523,41 +537,16 @@ def index1_correspondence(L_rows, Ldual_rows, position=None):
         raise ValueError("insertion position out of range")
     mu = tuple(1 if k == pos else 0 for k in range(2 * gp))
     lam = tuple(1 if k == gp + pos else 0 for k in range(2 * gp))
-    emb = lambda v: _embed_handle(v, g, pos)
-    rows = [
-        _pad(W[i], tuple(-c for c in emb(W[i])), g, gp) for i in range(g)
-    ] + [
-        _pad(tuple(-c for c in U[i]), emb(U[i]), g, gp) for i in range(g)
-    ] + [_pad(None, mu, g, gp)]
-    dual = [
-        _pad(U[i], None, g, gp) for i in range(g)
-    ] + [
-        _pad(None, emb(W[i]), g, gp) for i in range(g)
-    ] + [_pad(None, lam, g, gp)]
+    eU = [_embed_handle(u, g, pos) for u in U]
+    eW = [_embed_handle(w, g, pos) for w in W]
     # dual rows of plus type, listed in target handle-slot order
     slot_rows = [g + j for j in range(pos)] + [2 * g] + [
         g + j for j in range(pos, g)
     ]
-    slot_L = [emb(U[j]) for j in range(pos)] + [mu] + [
-        emb(U[j]) for j in range(pos, g)
-    ]
-    slot_W = [emb(W[j]) for j in range(pos)] + [lam] + [
-        emb(W[j]) for j in range(pos, g)
-    ]
-    corr = Correspondence(
-        g_minus=g,
-        g_plus=gp,
-        basis=hnf(rows),
-        adapted=_freeze(rows),
-        adapted_dual=_freeze(dual),
-        plus_block=tuple(slot_rows),
-        source_L=U,
-        source_Ldual=W,
-        target_L=tuple(slot_L),
-        target_Ldual=tuple(slot_W),
-    )
-    _check_adapted(corr)
-    return corr
+    target = (eU[:pos] + [mu] + eU[pos:], eW[:pos] + [lam] + eW[pos:])
+    return _frame_correspondence(
+        U, W, gp, zip(U, W, eU, eW),
+        (_pad(None, mu, g, gp), _pad(None, lam, g, gp)), slot_rows, target)
 
 
 def index2_correspondence(g, k, alpha, beta, L_rows=None, Ldual_rows=None):
@@ -573,40 +562,14 @@ def index2_correspondence(g, k, alpha, beta, L_rows=None, Ldual_rows=None):
     U, W = _freeze(L_rows), _freeze(Ldual_rows)
     delta2, _ = symplectic_complete((alpha, beta))
     gp = g - 1
-    combine = lambda ca, cb: tuple(
-        ca * x + cb * y for x, y in zip(U[k], W[k])
-    )
-    gamma = combine(alpha, beta)
-    delta = combine(delta2[0], delta2[1])
+    gamma = combine((alpha, beta), (U[k], W[k]))
+    delta = combine(delta2, (U[k], W[k]))
     keep = [i for i in range(g) if i != k]
-    ta = lambda j: tuple(1 if c == j else 0 for c in range(2 * gp))
-    tb = lambda j: tuple(1 if c == gp + j else 0 for c in range(2 * gp))
-    rows = [
-        _pad(W[i], tuple(-c for c in tb(j)), g, gp)
-        for j, i in enumerate(keep)
-    ] + [
-        _pad(tuple(-c for c in U[i]), ta(j), g, gp)
-        for j, i in enumerate(keep)
-    ] + [_pad(gamma, None, g, gp)]
-    dual = [
-        _pad(U[i], None, g, gp) for i in keep
-    ] + [
-        _pad(None, tb(j), g, gp) for j in range(gp)
-    ] + [_pad(tuple(-c for c in delta), None, g, gp)]
-    corr = Correspondence(
-        g_minus=g,
-        g_plus=gp,
-        basis=hnf(rows),
-        adapted=_freeze(rows),
-        adapted_dual=_freeze(dual),
-        plus_block=tuple(range(gp, 2 * gp)),
-        source_L=U,
-        source_Ldual=W,
-        target_L=tuple(ta(j) for j in range(gp)),
-        target_Ldual=tuple(tb(j) for j in range(gp)),
-    )
-    _check_adapted(corr)
-    return corr
+    target = (standard_lagrangian(gp), standard_dual(gp))
+    graph = zip([U[i] for i in keep], [W[i] for i in keep], *target)
+    extra = (_pad(gamma, None, g, gp), _pad(_neg(delta), None, g, gp))
+    return _frame_correspondence(U, W, gp, graph, extra, range(gp, 2 * gp),
+                                 target)
 
 
 def lagrangian_compose(corr, L_rows):
@@ -651,25 +614,13 @@ def compose_correspondences(corr2, corr1):
     gm, gmid, gp = corr1.g_minus, corr1.g_plus, corr2.g_plus
     A = corr1.basis
     B = corr2.basis
-    A_mid = [row[2 * gm:] for row in A]
-    B_mid = [row[: 2 * gmid] for row in B]
-    stacked = [tuple(r) for r in A_mid] + [tuple(r) for r in B_mid]
-    kernel = left_kernel(stacked)
+    kernel = left_kernel([row[2 * gm:] for row in A]
+                         + [row[: 2 * gmid] for row in B])
+    A_minus = [row[: 2 * gm] for row in A]
+    B_plus = [row[2 * gmid:] for row in B]
     na = len(A)
-    out = []
-    width = 2 * gm + 2 * gp
-    for krow in kernel:
-        v = [0] * width
-        for i in range(na):
-            if krow[i]:
-                for j in range(2 * gm):
-                    v[j] += krow[i] * A[i][j]
-        for i in range(len(B)):
-            c = krow[na + i]
-            if c:
-                for j in range(2 * gp):
-                    v[2 * gm + j] += c * B[i][2 * gmid + j]
-        out.append(tuple(v))
+    out = [combine(krow[:na], A_minus) + combine(krow[na:], B_plus)
+           for krow in kernel]
     basis = saturate(hnf(out)) if out else ()
     return Correspondence(g_minus=gm, g_plus=gp, basis=basis)
 

@@ -23,11 +23,11 @@ twists, a handle swap and a chain twist mixing the two handles in genus
 two.  Primed names are the inverse twists.
 """
 
-from .cobordism import compose_maps
 from .cyclotomic import exponent_sum, field_order, one
-from .heisenberg import finite_inverse, monomial_of, to_finite
+from .heisenberg import compose_maps, finite_inverse, monomial_of, to_finite
 from .homology import (
     _is_symplectic_basis,
+    combine,
     intersection,
     is_symplectic,
     mat_mul,
@@ -459,15 +459,6 @@ def _symplectic_inverse(F):
     return mat_mul(mat_mul(J, Ft), Jneg)
 
 
-def _push(vec, F, mod=None):
-    out = tuple(
-        sum(v * F[j][k] for j, v in enumerate(vec)) for k in range(len(F))
-    )
-    if mod is None:
-        return out
-    return tuple(x % mod for x in out)
-
-
 # -- Weil intertwiners -----------------------------------------------------
 
 
@@ -494,18 +485,13 @@ def weil_intertwiner(fsymp, ctx):
     unit = M // p
     labs = ctx.labels()
     # precompute one monomial pair per central-free group element
+    frame = tuple(ctx.L) + tuple(ctx.Ldual)
     data = []
     for a in labs:
         for b in labs:
-            x = [0] * (2 * ctx.g)
-            for c, row in zip(a, ctx.L):
-                for j, r in enumerate(row):
-                    x[j] += c * r
-            for c, row in zip(b, ctx.Ldual):
-                for j, r in enumerate(row):
-                    x[j] += c * r
+            x = combine(a + b, frame)
             k0 = -sum(u * v for u, v in zip(a, b))
-            hf = to_finite(ctx, k0, _push(tuple(x), fsymp))
+            hf = to_finite(ctx, k0, combine(x, fsymp))
             hi = finite_inverse(ctx, (0, a, b))
             data.append((hf, hi))
 
@@ -568,8 +554,7 @@ def heisenberg_twist(f, ctx):
     if f.g != ctx.g:
         raise ValueError("genus mismatch")
     t = t_dual(theta(f), ctx.p)
-    ft = _push(t, f.matrix, ctx.p)
-    return monomial_of(ctx, to_finite(ctx, 0, ft))
+    return monomial_of(ctx, to_finite(ctx, 0, combine(t, f.matrix)))
 
 
 def weil_H(f, ctx):
@@ -631,9 +616,9 @@ def cocycle_c(f, g, p):
     t_f = t_dual(theta(f), p)
     t_g = t_dual(theta(g), p)
     ginv = _symplectic_inverse(g.matrix)
-    c1 = intersection(_push(t_f, ginv, p), t_g) % p
-    c2 = intersection(t_f, _push(t_g, g.matrix, p)) % p
-    t_g_inv = tuple(-x % p for x in _push(t_g, g.matrix, p))
+    c1 = intersection(combine(t_f, ginv), t_g) % p
+    c2 = intersection(t_f, combine(t_g, g.matrix)) % p
+    t_g_inv = tuple(-x % p for x in combine(t_g, g.matrix))
     c3 = -intersection(t_f, t_g_inv) % p
     if not c1 == c2 == c3:
         raise ArithmeticError("closed forms of the cocycle disagree")

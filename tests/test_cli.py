@@ -727,6 +727,94 @@ def _refused_quickly(capsys, argv):
     return report
 
 
+def _standard_object(g):
+    return {"g": g, "L": [[int(j == i) for j in range(2 * g)]
+                          for i in range(g)]}
+
+
+def test_tqft_labels_over_the_cap_are_refused(tmp_path, capsys):
+    # 13^6 = 4.8 M labels at the source; this ran past 10 s before
+    six = _standard_object(6)
+    doc = _doc(tmp_path, "six.json",
+               {"source": six, "steps": [], "target": six})
+    report = _refused_quickly(capsys, ["tqft", doc, "--p", "13"])
+    assert "genus-6 Schrodinger module" in report["error"]
+    # the genus after a step counts too: 13^4 labels after an index-1 step
+    three, four = _standard_object(3), _standard_object(4)
+    grow = _doc(tmp_path, "grow.json", {"source": three,
+                                        "steps": [{"kind": "index1"}],
+                                        "target": four})
+    report = _refused_quickly(capsys, ["tqft", grow, "--p", "13"])
+    assert "genus-4 Schrodinger module" in report["error"]
+    # an invalid program is reported as such, not as too large
+    bad = _doc(tmp_path, "bad.json",
+               {"source": six, "steps": [], "target": three})
+    _run(capsys, ["tqft", bad, "--p", "13"], expect=4)
+    # genus 2 at p = 13 has 169 labels and still answers
+    two = _standard_object(2)
+    ok = _doc(tmp_path, "two.json",
+              {"source": two, "steps": [], "target": two})
+    report = _run(capsys, ["tqft", ok, "--p", "13"])
+    assert len(report["map"]["entries"]) == 13 ** 2
+
+
+def test_invariant_cap_goes_before_the_signature(monkeypatch, tmp_path,
+                                                 capsys):
+    # an exact signature of a 120 x 120 matrix took 13 s before the cap
+    n = 120
+    B = [[2 if i == j else int(abs(i - j) == 1) for j in range(n)]
+         for i in range(n)]
+    doc = _doc(tmp_path, "big.json", {"B": B})
+    _refused_quickly(capsys, ["invariant", doc, "--p", "5"])
+    fixed = _doc(tmp_path, "fixed.json", {"B": B, "fixed_colors": {"0": 1}})
+    _refused_quickly(capsys, ["invariant", fixed, "--p", "5"])
+
+    def no_signature(B):
+        raise AssertionError("signature computed for a refused job")
+
+    monkeypatch.setattr(cli, "signature", no_signature)
+    _run(capsys, ["invariant", doc, "--p", "5"], expect=6)
+
+
+def test_vector_order_is_checked_before_its_field(monkeypatch, capsys):
+    # building the field of order 10^8 ran past 10 s before
+    doc = {"op": "act", "g": 1, "element": [0, [1], [1]],
+           "vector": {"entries": [{"label": [0], "value": {
+               "order": 100000000, "coeffs": ["1"]}}]}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    start = time.perf_counter()
+    report = _run(capsys, ["heis", "-", "--p", "3"], expect=2)
+    assert time.perf_counter() - start < 1.0
+    assert report["error"] == "vector value of order 100000000, expected 24"
+
+
+class _CountingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv, stream", [
+    (["lens", "7", "3", "--p", "5"], "stdout"),
+    (["lens", "7", "3", "--p", "6"], "stderr"),
+])
+def test_each_report_is_one_write(monkeypatch, capsys, argv, stream):
+    code = cli.main(argv)
+    expected = getattr(capsys.readouterr(), stream[3:])
+    counting = _CountingStream()
+    monkeypatch.setattr(sys, stream, counting)
+    assert cli.main(argv) == code
+    assert counting.writes == 1
+    assert counting.getvalue() == expected
+    doc = json.loads(expected)
+    assert expected == json.dumps(doc, indent=2,
+                                  sort_keys=stream == "stdout") + "\n"
+
+
 def test_heis_and_mcg_over_the_cap_are_refused(tmp_path, capsys):
     # 13^8 unknowns (and 13^4 labels) for a genus-4 commutant system
     commutant = _doc(tmp_path, "c.json", {"op": "commutant", "g": 4})

@@ -36,6 +36,32 @@ def _random_element(rng, M, size=3):
     return CycNum(M, coeffs)
 
 
+def _poly_mul_reference(a, b):
+    """The polynomial product ``cyclotomic_polynomial`` and
+    ``euclid_inverse`` used before they shared ``_schoolbook``."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def test_schoolbook_matches_the_reference_on_fraction_polynomials():
+    rng = random.Random(41)
+    for _ in range(200):
+        a = [rng.choice((0, Fraction(rng.randint(-9, 9), rng.randint(1, 7))))
+             for _ in range(rng.randint(1, 8))]
+        b = [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+             for _ in range(rng.randint(1, 8))]
+        got = cyclotomic._schoolbook(a, b)
+        ref = _poly_mul_reference(a, b)
+        assert got == ref
+        assert [type(c) for c in got] == [type(c) for c in ref]
+        ints = [rng.randint(-3, 3) for _ in range(rng.randint(1, 6))]
+        assert cyclotomic._schoolbook(ints, b) == _poly_mul_reference(ints, b)
+
+
 def test_cyclotomic_polynomial_known_values():
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(2) == (1, 1)

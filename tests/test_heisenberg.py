@@ -242,6 +242,42 @@ def test_central_scalar_and_action():
         assert out == {(1,): q_power(p, 2)}
 
 
+def _apply_reference(op, vec):
+    """``MonomialOp.apply`` as it was before ``schrodinger_act`` went
+    through ``apply_map``."""
+    out = {}
+    for c, t, e in op.entries:
+        coeff = vec.get(c)
+        if coeff is None:
+            continue
+        term = coeff * q_power(op.p, e)
+        if t in out:
+            out[t] = out[t] + term
+        else:
+            out[t] = term
+    return {c: v for c, v in out.items() if v != 0}
+
+
+def test_schrodinger_act_matches_the_reference():
+    rng = random.Random(25)
+    for p in (3, 4, 5, 8, 12, 13):
+        M = field_order(p)
+        for g in (1, 2):
+            ctx = closed_context(p, g)
+            labs = ctx.labels()
+            for _ in range(6):
+                fin = to_finite(ctx, *_random_integral(rng, g))
+                vec = {c: q_power(p, rng.randrange(p)) * rng.randint(-2, 2)
+                       + CycNum(M, [rng.randint(-1, 1) for _ in range(
+                           len(one(M).num))])
+                       for c in rng.sample(labs, min(5, len(labs)))}
+                got = schrodinger_act(ctx, fin, vec)
+                ref = _apply_reference(monomial_of(ctx, fin), vec)
+                assert list(got) == list(ref)
+                assert all((got[c].num, got[c].den) == (ref[c].num, ref[c].den)
+                           for c in got)
+
+
 def test_right_action_is_antihomomorphism():
     rng = random.Random(25)
     for p in (3, 4):

@@ -5,7 +5,11 @@ from math import gcd
 from abtqft import homology
 from abtqft.homology import (
     Correspondence,
+    _check_adapted,
+    _freeze,
+    _pad,
     boundary_intersection,
+    combine,
     compose_correspondences,
     cylinder_correspondence,
     hnf,
@@ -315,6 +319,185 @@ def test_adapted_bases_pair_to_identity():
                     corr.g_minus, corr.g_plus,
                 )
                 assert got == (1 if i == j else 0)
+
+
+# -- references: the row combinations and the three constructors as they
+# -- were written before they shared ``combine`` and one builder
+
+
+def _combine_reference(coeffs, rows, width):
+    return tuple(sum(c * row[j] for c, row in zip(coeffs, rows))
+                 for j in range(width))
+
+
+def test_combine_matches_the_reference():
+    rng = random.Random(19)
+    for _ in range(300):
+        n, m = rng.randint(1, 5), rng.randint(0, 5)
+        rows = tuple(tuple(rng.randint(-4, 4) for _ in range(m))
+                     for _ in range(n))
+        coeffs = tuple(rng.choice((0, 0, rng.randint(-5, 5)))
+                       for _ in range(n))
+        got = combine(coeffs, rows)
+        assert got == _combine_reference(coeffs, rows, m)
+        assert all(type(c) is int for c in got)
+        assert got == mat_mul((coeffs,), rows)[0]
+    assert combine((0, 0), ((1, 2), (3, 4))) == (0, 0)
+    assert combine((), ()) == ()
+
+
+def test_solve_left_of_rank_zero():
+    assert solve_left(((0, 0, 0), (0, 0, 0)), (0, 0, 0)) == (0, 0)
+    assert solve_left(((0, 0),), (0, 1)) is None
+
+
+def _cylinder_reference(F, L_rows, Ldual_rows):
+    F = _freeze(F)
+    g = len(F) // 2
+    U, W = _freeze(L_rows), _freeze(Ldual_rows)
+    apply = lambda v: tuple(mat_mul((v,), F)[0])
+    rows = [
+        _pad(W[i], tuple(-c for c in apply(W[i])), g, g) for i in range(g)
+    ] + [
+        _pad(tuple(-c for c in U[i]), apply(U[i]), g, g) for i in range(g)
+    ]
+    dual = [
+        _pad(U[i], None, g, g) for i in range(g)
+    ] + [
+        _pad(None, apply(W[i]), g, g) for i in range(g)
+    ]
+    corr = Correspondence(
+        g_minus=g, g_plus=g, basis=hnf(rows), adapted=_freeze(rows),
+        adapted_dual=_freeze(dual), plus_block=tuple(range(g, 2 * g)),
+        source_L=U, source_Ldual=W,
+        target_L=tuple(apply(U[i]) for i in range(g)),
+        target_Ldual=tuple(apply(W[i]) for i in range(g)),
+    )
+    _check_adapted(corr)
+    return corr
+
+
+def _embed_reference(v, g, pos):
+    a, b = tuple(v[:g]), tuple(v[g:])
+    return a[:pos] + (0,) + a[pos:] + b[:pos] + (0,) + b[pos:]
+
+
+def _index1_reference(L_rows, Ldual_rows, position=None):
+    U, W = _freeze(L_rows), _freeze(Ldual_rows)
+    g = len(U)
+    gp = g + 1
+    pos = g if position is None else position
+    mu = tuple(1 if k == pos else 0 for k in range(2 * gp))
+    lam = tuple(1 if k == gp + pos else 0 for k in range(2 * gp))
+    emb = lambda v: _embed_reference(v, g, pos)
+    rows = [
+        _pad(W[i], tuple(-c for c in emb(W[i])), g, gp) for i in range(g)
+    ] + [
+        _pad(tuple(-c for c in U[i]), emb(U[i]), g, gp) for i in range(g)
+    ] + [_pad(None, mu, g, gp)]
+    dual = [
+        _pad(U[i], None, g, gp) for i in range(g)
+    ] + [
+        _pad(None, emb(W[i]), g, gp) for i in range(g)
+    ] + [_pad(None, lam, g, gp)]
+    slot_rows = [g + j for j in range(pos)] + [2 * g] + [
+        g + j for j in range(pos, g)
+    ]
+    slot_L = [emb(U[j]) for j in range(pos)] + [mu] + [
+        emb(U[j]) for j in range(pos, g)
+    ]
+    slot_W = [emb(W[j]) for j in range(pos)] + [lam] + [
+        emb(W[j]) for j in range(pos, g)
+    ]
+    corr = Correspondence(
+        g_minus=g, g_plus=gp, basis=hnf(rows), adapted=_freeze(rows),
+        adapted_dual=_freeze(dual), plus_block=tuple(slot_rows),
+        source_L=U, source_Ldual=W, target_L=tuple(slot_L),
+        target_Ldual=tuple(slot_W),
+    )
+    _check_adapted(corr)
+    return corr
+
+
+def _index2_reference(g, k, alpha, beta, L_rows=None, Ldual_rows=None):
+    if L_rows is None:
+        L_rows = standard_lagrangian(g)
+        Ldual_rows = standard_dual(g)
+    U, W = _freeze(L_rows), _freeze(Ldual_rows)
+    delta2, _ = symplectic_complete((alpha, beta))
+    gp = g - 1
+    comb = lambda ca, cb: tuple(
+        ca * x + cb * y for x, y in zip(U[k], W[k])
+    )
+    gamma = comb(alpha, beta)
+    delta = comb(delta2[0], delta2[1])
+    keep = [i for i in range(g) if i != k]
+    ta = lambda j: tuple(1 if c == j else 0 for c in range(2 * gp))
+    tb = lambda j: tuple(1 if c == gp + j else 0 for c in range(2 * gp))
+    rows = [
+        _pad(W[i], tuple(-c for c in tb(j)), g, gp)
+        for j, i in enumerate(keep)
+    ] + [
+        _pad(tuple(-c for c in U[i]), ta(j), g, gp)
+        for j, i in enumerate(keep)
+    ] + [_pad(gamma, None, g, gp)]
+    dual = [
+        _pad(U[i], None, g, gp) for i in keep
+    ] + [
+        _pad(None, tb(j), g, gp) for j in range(gp)
+    ] + [_pad(tuple(-c for c in delta), None, g, gp)]
+    corr = Correspondence(
+        g_minus=g, g_plus=gp, basis=hnf(rows), adapted=_freeze(rows),
+        adapted_dual=_freeze(dual), plus_block=tuple(range(gp, 2 * gp)),
+        source_L=U, source_Ldual=W,
+        target_L=tuple(ta(j) for j in range(gp)),
+        target_Ldual=tuple(tb(j) for j in range(gp)),
+    )
+    _check_adapted(corr)
+    return corr
+
+
+GAMMAS = ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 2), (-2, 5))
+
+
+def _same_fields(got, ref):
+    for name in Correspondence.__slots__:
+        assert getattr(got, name) == getattr(ref, name), name
+        assert repr(getattr(got, name)) == repr(getattr(ref, name)), name
+
+
+def test_constructors_match_the_references_field_by_field():
+    rng = random.Random(20)
+    count = 0
+    for g in range(4):
+        frames = [(standard_lagrangian(g), standard_dual(g))]
+        for _ in range(6 if g else 0):
+            F = _random_symplectic(rng, g)
+            frames.append((mat_mul(standard_lagrangian(g), F),
+                           mat_mul(standard_dual(g), F)))
+        twists = [identity_matrix(2 * g)] + [
+            _random_symplectic(rng, g, factors)
+            for factors in ((1, 2, 4) if g else ())]
+        for U, W in frames:
+            for F in twists if g else ():
+                _same_fields(cylinder_correspondence(F, U, W),
+                             _cylinder_reference(F, U, W))
+                count += 1
+            for pos in list(range(g + 1)) + [None]:
+                _same_fields(index1_correspondence(U, W, pos),
+                             _index1_reference(U, W, pos))
+                count += 1
+            for k in range(g):
+                for alpha, beta in GAMMAS:
+                    _same_fields(
+                        index2_correspondence(g, k, alpha, beta, U, W),
+                        _index2_reference(g, k, alpha, beta, U, W))
+                    count += 1
+            if g:
+                _same_fields(index2_correspondence(g, 0, 1, 0),
+                             _index2_reference(g, 0, 1, 0))
+                count += 1
+    assert count > 300
 
 
 def test_doctests():

@@ -7,7 +7,7 @@ from abtqft import mcg
 from abtqft.cobordism import F_cylinder, compose_maps
 from abtqft.cyclotomic import CycNum, field_order, one, q_power
 from abtqft.heisenberg import closed_context, monomial_of, to_finite
-from abtqft.homology import identity_matrix, intersection, mat_mul
+from abtqft.homology import combine, identity_matrix, intersection, mat_mul
 from abtqft.mcg import (
     BraidWord,
     FreeWord,
@@ -494,7 +494,7 @@ def test_weil_H_and_defect_match_reference_products(g, p):
         for x in (f, h, f * h):
             S = weil_intertwiner(x.matrix, ctx)
             t = t_dual(theta(x), p)
-            ft = mcg._push(t, x.matrix, p)
+            ft = tuple(c % p for c in combine(t, x.matrix))
             mono = monomial_of(ctx, to_finite(ctx, 0, ft))
             got = weil_H(x, ctx)
             assert _same_map(got, _monomial_after_reference(mono, S))
@@ -506,6 +506,37 @@ def test_weil_H_and_defect_match_reference_products(g, p):
         assert all(prod[k] == lam * C[k] for k in C) and set(prod) == set(C)
         got = projective_defect(A, B, C)
         assert (got.num, got.den) == (lam.num, lam.den)
+
+
+def _push_reference(vec, F, mod=None):
+    """``mcg._push`` as it was before ``homology.combine`` replaced it."""
+    out = tuple(
+        sum(v * F[j][k] for j, v in enumerate(vec)) for k in range(len(F))
+    )
+    if mod is None:
+        return out
+    return tuple(x % mod for x in out)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_twist_and_cocycle_match_the_push_reference(g):
+    rng = random.Random(110 + g)
+    lib = twist_generators(g)
+    for p in (3, 5, 7, 9, 11, 13):
+        ctx = closed_context(p, g)
+        for _ in range(5):
+            f = _random_word(rng, lib, g, rng.randrange(1, 5))
+            h = _random_word(rng, lib, g, rng.randrange(1, 5))
+            t_f = t_dual(theta(f), p)
+            t_h = t_dual(theta(h), p)
+            ft = _push_reference(t_f, f.matrix, p)
+            assert combine(t_f, f.matrix) == _push_reference(t_f, f.matrix)
+            assert mcg.heisenberg_twist(f, ctx) == monomial_of(
+                ctx, to_finite(ctx, 0, ft))
+            hinv = mcg._symplectic_inverse(h.matrix)
+            c1 = intersection(_push_reference(t_f, hinv, p), t_h) % p
+            c2 = intersection(t_f, _push_reference(t_h, h.matrix, p)) % p
+            assert c1 == c2 == cocycle_c(f, h, p)
 
 
 def test_projective_defect_errors():
