@@ -23,7 +23,22 @@ Schur-averaging terms of every Weil intertwiner in ``mcg`` (one for
 ``inverse`` enumerate nothing, but build a genus-g frame whose check
 grows as g^3.  A job over ``MAX_COLORINGS``, ``MAX_TENSOR_PAIRS``,
 ``MAX_LABELS``, ``MAX_COMMUTANT_UNKNOWNS``, ``MAX_AVERAGING_TERMS`` or
-``MAX_GENUS`` is refused.
+``MAX_GENUS`` is refused.  So is an order whose cyclotomic field
+Q(zeta_M), M = lcm(8, p), is over ``MAX_FIELD_ORDER``, on every path
+that builds the field, whose set-up grows as M^2: ``invariant``,
+``refine``, ``lens`` and ``tqft`` always build it; ``heis mul`` and
+``inverse``, and ``mcg theta`` and ``cocycle`` without ``--verify``,
+never do.
+
+The command line is ``abtqft COMMAND [ARGUMENTS]``.  Options and
+positionals mix in any order; an option takes its value as the next
+argument or after ``=`` (``--p 5``, ``--p=5``); a long option may be
+shortened to any prefix that names one option (``--dig 3``,
+``--norm``); a repeated option keeps its last value; a negative number
+such as ``-3`` is a positional; ``--`` makes every later argument a
+positional.  ``-h`` or ``--help``, before or after the command, prints
+the usage to standard output and exits 0.  A usage error prints the
+usage and the offending argument to standard error and exits 2.
 
 Exit codes are stable:
 
@@ -37,14 +52,15 @@ Exit codes are stable:
 * 6 - the job's estimated work exceeds a cap
 """
 
-import argparse
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from itertools import islice
 from math import gcd
+from types import SimpleNamespace
 
 from .cobordism import (
     F_program,
@@ -105,13 +121,16 @@ MAX_DIGITS = 12
 # relation rows of CycNums per tensor pair, and a commutant system 2g
 # rows per unknown; a ``heis matrix`` report takes about 1 KB per label;
 # Schur averaging runs at about 1.3 M terms/s; the frame check of
-# ``heis mul`` and ``inverse`` takes about 0.2 s at genus 100.
+# ``heis mul`` and ``inverse`` takes about 0.2 s at genus 100; a field
+# of order 4096 and its eta, kappa and display table take about 0.8 s
+# to set up, and 2.9 s at order 8072.
 MAX_COLORINGS = 10 ** 6
 MAX_TENSOR_PAIRS = 2 * 10 ** 4
 MAX_LABELS = 10 ** 4
 MAX_COMMUTANT_UNKNOWNS = 10 ** 4
 MAX_AVERAGING_TERMS = 10 ** 6
 MAX_GENUS = 100
+MAX_FIELD_ORDER = 4096
 
 
 class CliError(Exception):
@@ -156,13 +175,12 @@ def _check_p(p):
                           "p != 2 mod 4)" % p)
 
 
-def _digits(text):
-    """The argparse type of ``--digits``: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            "must be a positive integer, got %d" % value)
-    return value
+def _check_field(p):
+    """Refuse an order whose cyclotomic field is over the cap."""
+    if field_order(p) > MAX_FIELD_ORDER:
+        raise CliError(6, "the cyclotomic field of order %d at p = %d is "
+                          "over the cap of %d"
+                       % (field_order(p), p, MAX_FIELD_ORDER))
 
 
 def _bounded_power(base, exponent, cap):
@@ -230,18 +248,21 @@ def _check_program(p, prog, runs):
 
 def _check_heis(p, g, op):
     """Refuse a Schrodinger-module job over more than ``MAX_LABELS``
-    labels, a commutant system over more than ``MAX_COMMUTANT_UNKNOWNS``
-    unknowns, or a ``mul`` or ``inverse`` over more than ``MAX_GENUS``
-    handles; those two enumerate nothing, but check a genus-g frame."""
+    labels or over a field of order above ``MAX_FIELD_ORDER``, a
+    commutant system over more than ``MAX_COMMUTANT_UNKNOWNS`` unknowns,
+    or a ``mul`` or ``inverse`` over more than ``MAX_GENUS`` handles;
+    those two build no field and enumerate nothing, but check a genus-g
+    frame."""
     pp = p_prime(p)
     if op in ("mul", "inverse") and g > MAX_GENUS:
         raise CliError(6, "a genus-%d frame is over the cap of %d handles"
                        % (g, MAX_GENUS))
-    if op in ("act", "matrix", "commutant") and _bounded_power(
-            pp, g, MAX_LABELS) > MAX_LABELS:
-        raise CliError(6, "the genus-%d Schrodinger module at p = %d has "
-                          "%d^%d labels, over the cap of %d"
-                       % (g, p, pp, g, MAX_LABELS))
+    if op in ("act", "matrix", "commutant"):
+        _check_field(p)
+        if _bounded_power(pp, g, MAX_LABELS) > MAX_LABELS:
+            raise CliError(6, "the genus-%d Schrodinger module at p = %d "
+                              "has %d^%d labels, over the cap of %d"
+                           % (g, p, pp, g, MAX_LABELS))
     if op == "commutant" and _bounded_power(
             pp, 2 * g, MAX_COMMUTANT_UNKNOWNS) > MAX_COMMUTANT_UNKNOWNS:
         raise CliError(6, "the genus-%d commutant system at p = %d has "
@@ -250,8 +271,10 @@ def _check_heis(p, g, op):
 
 
 def _check_weil(p, g, runs):
-    """Refuse ``runs`` genus-g Weil intertwiners when their Schur
-    averaging, p'^(4g) terms each, exceeds the cap."""
+    """Refuse ``runs`` genus-g Weil intertwiners over a field of order
+    above ``MAX_FIELD_ORDER``, or when their Schur averaging, p'^(4g)
+    terms each, exceeds the cap."""
+    _check_field(p)
     pp = p_prime(p)
     if runs * _bounded_power(pp, 4 * g, MAX_AVERAGING_TERMS) > (
             MAX_AVERAGING_TERMS):
@@ -359,6 +382,7 @@ def _parse_vector(doc, ctx):
 
 def cmd_invariant(args):
     _check_p(args.p)
+    _check_field(args.p)
     doc = _read_doc(args.input)
     B = _matrix_from(doc)
     fixed = doc.get("fixed_colors") or {}
@@ -406,6 +430,7 @@ def cmd_refine(args):
     _check_p(args.p)
     if args.p % 4:
         raise CliError(3, "refinements need p = 0 mod 4, got %d" % args.p)
+    _check_field(args.p)
     doc = _read_doc(args.input)
     B = _matrix_from(doc)
     _check_colorings(args.p, len(B))
@@ -418,6 +443,7 @@ def cmd_refine(args):
 
 def cmd_lens(args):
     _check_p(args.p)
+    _check_field(args.p)
     _check_lens(args.p, args.beta, args.alpha)
     try:
         value = z_lens(args.p, args.beta, args.alpha)
@@ -433,6 +459,7 @@ def cmd_lens(args):
 
 def cmd_tqft(args):
     _check_p(args.p)
+    _check_field(args.p)
     doc = _read_doc(args.input)
     try:
         prog = load_program(doc)
@@ -645,65 +672,236 @@ def cmd_mcg(args):
     raise CliError(2, "unknown mcg op %r" % (op,))
 
 
+# -- argument parsing ------------------------------------------------------
+
+
+def _digits(text):
+    """The type of ``--digits``: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be a positive integer, got %d" % value)
+    return value
+
+
+def _mode(text):
+    if text not in ("auto", "closed", "oracle"):
+        raise ValueError("invalid choice: %r (choose from 'auto', 'closed', "
+                         "'oracle')" % (text,))
+    return text
+
+
+# The argument table: for each command its handler, a line of help, its
+# positionals as (name, type) and its options as name: (type, default,
+# help).  A flag has type None, a required option the default ``...``;
+# ``-h`` and ``--help`` (entry None) are options of every parser.
+_HELP = {"-h": None, "--help": None}
+_OPTIONS = {
+    **_HELP,
+    "--p": (int, ..., "order of the root of unity (p >= 3, p != 2 mod 4)"),
+    "--digits": (_digits, MAX_DIGITS, "approximation digits, at least 1 "
+                                      "(capped at %d)" % MAX_DIGITS),
+}
+_INPUT = (("input", str),)
+
+COMMANDS = {
+    "invariant": (cmd_invariant, "closed-manifold invariant of a linking "
+                                 "presentation", _INPUT, _OPTIONS),
+    "refine": (cmd_refine, "parity refinements at p = 0 mod 4", _INPUT,
+               _OPTIONS),
+    "lens": (cmd_lens, "lens space invariant",
+             (("beta", int), ("alpha", int)), _OPTIONS),
+    "tqft": (cmd_tqft, "map of a surgery program", _INPUT, {
+        **_OPTIONS,
+        "--mode": (_mode, "auto", "auto, closed or oracle (default auto)"),
+        "--vector": (str, None, "JSON vector document to apply"),
+        "--normalized": (None, False, "multiply by the closed-off "
+                                      "invariant"),
+        "--closure": (str, None, "linking matrix document for "
+                                 "--normalized on composite programs"),
+        "--verify": (None, False, "check closed form against the tensor "
+                                  "oracle"),
+    }),
+    "heis": (cmd_heis, "finite Heisenberg group utilities", _INPUT,
+             _OPTIONS),
+    "mcg": (cmd_mcg, "mapping class utilities", _INPUT, {
+        **_OPTIONS,
+        "--verify": (None, False, "measure the projective defect ratio"),
+    }),
+}
+
+
+def _usage(command):
+    if command is None:
+        return "usage: abtqft [-h] {%s} ...\n" % ",".join(COMMANDS)
+    _, _, positionals, options = COMMANDS[command]
+    words = ["usage: abtqft", command, "[-h]"]
+    for name, spec in options.items():
+        if spec:
+            word = name if spec[0] is None else name + " " + name[2:].upper()
+            words.append(word if spec[1] is ... else "[%s]" % word)
+    return " ".join(words + [name for name, _ in positionals]) + "\n"
+
+
+def _help(command):
+    if command is None:
+        text = ("Exact invariants of closed 3-manifolds and exact TQFT maps "
+                "at a root of unity of order p.\nThe input is a JSON "
+                "document, '-' for standard input; 'abtqft COMMAND -h' "
+                "lists the options of a command.")
+        rows = [(name, spec[1]) for name, spec in COMMANDS.items()]
+    else:
+        _, text, _, options = COMMANDS[command]
+        rows = [(name, spec[2]) for name, spec in options.items() if spec]
+    return "%s\n%s\n\n%s" % (_usage(command), text, "".join(
+        "  %-13s %s\n" % row for row in rows))
+
+
+def _classify(token, options):
+    """What an argument is before any is consumed, as argparse decides
+    it: None for a positional, else the pair (the option it names, or
+    None for an unknown option; the value joined to it, or None).  A
+    long option may be any prefix that names one option; ``-h`` takes
+    the rest of its argument as its value."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in options:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in options:
+        return name, value
+    if token[1] == "-":
+        found = [option for option in options if option.startswith(name)]
+        if len(found) > 1:
+            raise CliError(2, "ambiguous option: %s could match %s"
+                           % (token, ", ".join(found)))
+        if found:
+            return found[0], value if eq else None
+    elif token[1] == "h":
+        return "-h", token[2:]
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None
+    return None, None
+
+
+def _show_help(command, name, value):
+    """Print the help, or refuse a help option given a value; ``-hh``
+    is two help options."""
+    if value is None or name == "-h" and value and not value.strip("h"):
+        raise CliError(0, _help(command))
+    raise CliError(2, "argument -h/--help: ignored explicit argument %r"
+                   % value)
+
+
+def _parse_command(command, tokens):
+    """The namespace of one command and its unrecognized arguments.
+
+    Arguments are consumed left to right, as argparse consumes them: an
+    option takes the next argument unless that is an option or ``--``;
+    a run of arguments between options fills the positionals still
+    open, each with a ``--`` next to it, and the rest of the run is
+    unrecognized.  A value is converted when it is consumed, so a bad
+    value before a help option is an error and one after it is not.
+    Where argparse dropped the value ``--`` itself and left an empty
+    list, the argument counts as missing."""
+    handler, _, positionals, options = COMMANDS[command]
+    kinds, separated = [], False
+    for token in tokens:
+        kinds.append(None if separated else "--" if token == "--"
+                     else _classify(token, options))
+        separated = separated or token == "--"
+    args = SimpleNamespace(func=handler, **{
+        name[2:]: spec[1] for name, spec in options.items()
+        if spec and spec[1] is not ...})
+
+    def take(label, convert, strings):
+        if "--" in strings:
+            strings.remove("--")
+        try:
+            setattr(args, label.lstrip("-"),
+                    convert(*strings) if strings else [])
+        except ValueError as exc:
+            raise CliError(2, "argument %s: %s" % (label, exc))
+
+    todo, extras = list(positionals), []
+    i, n = 0, len(tokens)
+    while i < n:
+        if not isinstance(kinds[i], tuple):
+            end = i
+            while end < n and not isinstance(kinds[end], tuple):
+                end += 1
+            while todo and None in kinds[i:end]:
+                start = i
+                i += (kinds[i] == "--") + 1  # a -- before the value, the value
+                i += i < end and kinds[i] == "--"  # and a -- after it
+                take(*todo.pop(0), tokens[start:i])
+            extras += tokens[i:end]
+            i = end
+            continue
+        name, value = kinds[i]
+        i += 1
+        if name is None:
+            extras.append(tokens[i - 1])
+        elif options[name] is None:
+            _show_help(command, name, value)
+        elif options[name][0] is None:
+            if value is not None:
+                raise CliError(2, "argument %s: ignored explicit argument "
+                                  "%r" % (name, value))
+            setattr(args, name[2:], True)
+        else:
+            if value is None:
+                if i == n or kinds[i] is not None:
+                    raise CliError(2, "argument %s: expected one argument"
+                                   % name)
+                value = tokens[i]
+                i += 1
+            take(name, options[name][0], [value])
+    missing = [label for label in [name for name, _ in positionals] + [
+        name for name, spec in options.items() if spec]
+        if getattr(args, label.lstrip("-"), []) == []]
+    if missing:
+        raise CliError(2, "the following arguments are required: %s"
+                       % ", ".join(missing))
+    return args, extras
+
+
+def parse_args(argv):
+    """The namespace of a command line: the fields its handler reads and
+    the handler as ``func``.
+
+    The language is the one argparse accepted (see the module
+    docstring), read from the table without importing argparse, gettext
+    and locale.  Help raises ``CliError(0, text)`` and a usage error
+    ``CliError(2, text)``, the text to print as it is."""
+    command, extras, argv = None, [], list(argv)
+    try:
+        for i, token in enumerate(argv):
+            kind = None if token == "--" else _classify(token, _HELP)
+            if kind is None:
+                if token not in COMMANDS:
+                    raise CliError(2, "argument command: invalid choice: %r "
+                                      "(choose from %s)" % (token, ", ".join(
+                                          map(repr, COMMANDS))))
+                command = token
+                args, rest = _parse_command(command, argv[i + 1:])
+                if extras + rest:
+                    command = None
+                    raise CliError(2, "unrecognized arguments: %s"
+                                   % " ".join(extras + rest))
+                return args
+            if kind[0] is None:
+                extras.append(token)
+            else:
+                _show_help(None, *kind)
+        raise CliError(2, "the following arguments are required: command")
+    except CliError as exc:
+        if exc.code == 0:
+            raise
+        raise CliError(2, "%sabtqft%s: error: %s\n" % (
+            _usage(command), "" if command is None else " " + command, exc))
+
+
 # -- entry point -----------------------------------------------------------
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="abtqft",
-        description="Exact invariants of closed 3-manifolds and exact "
-                    "TQFT maps at a root of unity of order p.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, with_input=True):
-        if with_input:
-            sp.add_argument("input", help="JSON document ('-' for stdin)")
-        sp.add_argument("--p", type=int, required=True,
-                        help="order of the root of unity (p >= 3, "
-                             "p != 2 mod 4)")
-        sp.add_argument("--digits", type=_digits, default=MAX_DIGITS,
-                        help="approximation digits, at least 1 (capped "
-                             "at %d)" % MAX_DIGITS)
-
-    sp = sub.add_parser("invariant", help="closed-manifold invariant of a "
-                        "linking presentation")
-    common(sp)
-    sp.set_defaults(func=cmd_invariant)
-
-    sp = sub.add_parser("refine", help="parity refinements at p = 0 mod 4")
-    common(sp)
-    sp.set_defaults(func=cmd_refine)
-
-    sp = sub.add_parser("lens", help="lens space invariant")
-    sp.add_argument("beta", type=int)
-    sp.add_argument("alpha", type=int)
-    common(sp, with_input=False)
-    sp.set_defaults(func=cmd_lens)
-
-    sp = sub.add_parser("tqft", help="map of a surgery program")
-    common(sp)
-    sp.add_argument("--mode", choices=("auto", "closed", "oracle"),
-                    default="auto")
-    sp.add_argument("--vector", help="JSON vector document to apply")
-    sp.add_argument("--normalized", action="store_true",
-                    help="multiply by the closed-off invariant")
-    sp.add_argument("--closure",
-                    help="linking matrix document for --normalized on "
-                         "composite programs")
-    sp.add_argument("--verify", action="store_true",
-                    help="check closed form against the tensor oracle")
-    sp.set_defaults(func=cmd_tqft)
-
-    sp = sub.add_parser("heis", help="finite Heisenberg group utilities")
-    common(sp)
-    sp.set_defaults(func=cmd_heis)
-
-    sp = sub.add_parser("mcg", help="mapping class utilities")
-    common(sp)
-    sp.add_argument("--verify", action="store_true",
-                    help="measure the projective defect ratio")
-    sp.set_defaults(func=cmd_mcg)
-    return parser
 
 
 def _write_json(stream, doc, sort_keys=False):
@@ -717,11 +915,11 @@ def _write_json(stream, doc, sort_keys=False):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except CliError as exc:
+        (sys.stderr if exc.code else sys.stdout).write(str(exc))
+        return exc.code
     try:
         report = args.func(args)
     except CliError as exc:

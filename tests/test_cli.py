@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -8,16 +11,31 @@ from importlib import import_module
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, event, given
+from hypothesis import strategies as st
 
 from abtqft import cli, mcg
+from abtqft.cobordism import (
+    Index1,
+    MappingCylinder,
+    ProgramError,
+    canonical_context,
+    load_program,
+)
 from abtqft.cyclotomic import (
     eta_kappa,
+    field_order,
     from_rational,
     gauss_sum,
     make_root,
     q_power,
 )
 from abtqft.heisenberg import closed_context, finite_mul, to_finite
+from abtqft.homology import (
+    cylinder_correspondence,
+    index1_correspondence,
+    intersection,
+)
 from abtqft.mcg import (
     cocycle_c,
     projective_defect,
@@ -562,8 +580,10 @@ _COMPOSITE = {"source": {"g": 1, "L": [[1, 0]]},
 
 @pytest.mark.parametrize("argv, doc, code", [
     (["lens", "7", "3", "--p", "5"], None, 0),
+    (["lens", "-h"], None, 0),
     (["invariant", "-", "--p", "5"], {"B": [[0, 1]]}, 2),
     (["frobnicate"], None, 2),
+    (["lens", "7", "x", "--p", "5"], None, 2),
     (["invariant", "-", "--p", "6"], {"B": []}, 3),
     (["tqft", "-", "--p", "3"], {"source": {"g": 1, "L": [[1, 0]]},
                                  "steps": [], "target": {"g": 0, "L": []}},
@@ -912,3 +932,533 @@ def test_caps_admit_the_largest_benchmark_jobs(tmp_path, capsys):
 def test_unknown_command_is_a_usage_error(capsys):
     assert cli.main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+# -- argument parsing ------------------------------------------------------
+
+
+def _reference_digits(text):
+    """The argparse type of ``--digits``: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "must be a positive integer, got %d" % value)
+    return value
+
+
+def build_parser():
+    """The argparse parser the table-driven ``cli.parse_args`` replaced,
+    kept as the reference for the language it accepts."""
+    parser = argparse.ArgumentParser(
+        prog="abtqft",
+        description="Exact invariants of closed 3-manifolds and exact "
+                    "TQFT maps at a root of unity of order p.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(sp, with_input=True):
+        if with_input:
+            sp.add_argument("input", help="JSON document ('-' for stdin)")
+        sp.add_argument("--p", type=int, required=True,
+                        help="order of the root of unity (p >= 3, "
+                             "p != 2 mod 4)")
+        sp.add_argument("--digits", type=_reference_digits,
+                        default=cli.MAX_DIGITS,
+                        help="approximation digits, at least 1 (capped "
+                             "at %d)" % cli.MAX_DIGITS)
+
+    sp = sub.add_parser("invariant", help="closed-manifold invariant of a "
+                        "linking presentation")
+    common(sp)
+    sp.set_defaults(func=cli.cmd_invariant)
+
+    sp = sub.add_parser("refine", help="parity refinements at p = 0 mod 4")
+    common(sp)
+    sp.set_defaults(func=cli.cmd_refine)
+
+    sp = sub.add_parser("lens", help="lens space invariant")
+    sp.add_argument("beta", type=int)
+    sp.add_argument("alpha", type=int)
+    common(sp, with_input=False)
+    sp.set_defaults(func=cli.cmd_lens)
+
+    sp = sub.add_parser("tqft", help="map of a surgery program")
+    common(sp)
+    sp.add_argument("--mode", choices=("auto", "closed", "oracle"),
+                    default="auto")
+    sp.add_argument("--vector", help="JSON vector document to apply")
+    sp.add_argument("--normalized", action="store_true",
+                    help="multiply by the closed-off invariant")
+    sp.add_argument("--closure",
+                    help="linking matrix document for --normalized on "
+                         "composite programs")
+    sp.add_argument("--verify", action="store_true",
+                    help="check closed form against the tensor oracle")
+    sp.set_defaults(func=cli.cmd_tqft)
+
+    sp = sub.add_parser("heis", help="finite Heisenberg group utilities")
+    common(sp)
+    sp.set_defaults(func=cli.cmd_heis)
+
+    sp = sub.add_parser("mcg", help="mapping class utilities")
+    common(sp)
+    sp.add_argument("--verify", action="store_true",
+                    help="measure the projective defect ratio")
+    sp.set_defaults(func=cli.cmd_mcg)
+    return parser
+
+
+REFERENCE = build_parser()
+FIELDS = ("p", "digits", "input", "beta", "alpha", "mode", "vector",
+          "normalized", "closure", "verify")
+
+
+def _reference_outcome(argv):
+    """What argparse makes of argv: "help", "error", or the handler and
+    every field a handler reads.  Where argparse drops a value ``--``
+    and leaves an empty list, which no handler can take (a ``TypeError``
+    out of ``int`` comparisons or ``open``), the new parser refuses."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            ns = REFERENCE.parse_args(argv)
+        except SystemExit as exc:
+            return "error" if exc.code else "help"
+    fields = {f: getattr(ns, f) for f in FIELDS if hasattr(ns, f)}
+    if [] in fields.values():
+        return "error"
+    return ns.func, fields
+
+
+def _outcome(argv):
+    try:
+        ns = cli.parse_args(argv)
+    except cli.CliError as exc:
+        return "error" if exc.code else "help"
+    return ns.func, {f: getattr(ns, f) for f in FIELDS if hasattr(ns, f)}
+
+
+def _positionals(command):
+    return ["7", "3"] if command == "lens" else ["doc.json"]
+
+
+def _enumerated_corpus():
+    """Every argument form the language has, for all six commands."""
+    yield from ([], ["-h"], ["--help"], ["--he"], ["-hh"], ["-hx"],
+                ["--help=1"], ["frobnicate"], ["-5"], ["--"], ["--x"],
+                ["--x", "-h"], ["-h", "tqft", "--v"], ["--", "lens", "7",
+                                                      "3", "--p", "5"])
+    for command in cli.COMMANDS:
+        pos = _positionals(command)
+        p5 = ["--p", "5"]
+        yield from (
+            [command] + pos + p5,
+            [command] + pos + ["--p=5"],
+            [command] + p5 + pos,
+            [command, pos[0]] + p5 + pos[1:],
+            [command] + pos + ["--dig", "3"] + p5,
+            [command] + pos + ["--d=3", "--p=5"],
+            [command] + pos + ["--digits=", "--p=5"],
+            [command] + pos + p5 + ["--digits", "0"],
+            [command] + pos + p5 + ["--digits", "-1"],
+            [command] + pos + p5 + ["--digits", "x"],
+            [command] + pos + ["--p", "x"],
+            [command] + pos + ["--p", "5.0"],
+            [command] + pos + ["--p", "-5"],
+            [command] + pos + ["--p", " 5 "],
+            [command] + pos + ["--p", "3", "--p", "5"],
+            [command] + pos + ["--p=x", "--p", "5"],
+            [command] + pos + p5 + ["--digits", "2", "--digits", "4"],
+            [command] + pos,
+            [command] + p5,
+            [command] + pos + p5 + ["extra"],
+            [command] + pos + p5 + ["--x"],
+            [command] + pos + p5 + ["--x", "-h"],
+            [command] + pos + p5 + ["-x"],
+            [command] + pos + ["--p"],
+            [command] + pos + ["--p", "--digits", "3"],
+            [command] + pos + ["--p", "--", "5"],
+            [command, "-h"],
+            [command, "--help"],
+            [command, "--h"],
+            [command, "-hh"],
+            [command, "-h=h"],
+            [command, "-hx"],
+            [command, "--help=x"],
+            [command, "-h", "--p", "x"],
+            [command] + pos + ["--p", "x", "-h"],
+            [command] + pos + ["--bogus", "-h"],
+            [command] + p5 + ["--"] + pos,
+            [command] + pos + ["--", "--p", "5"],
+            [command] + p5 + ["--"] + pos + ["--"],
+            [command] + p5 + ["--", "--"] + pos[1:],
+            [command] + pos + p5 + ["--"],
+            [command] + pos + ["--p=--"],
+            [command] + pos + ["--p=--", "--p", "5"],
+            [command] + pos + ["--p=--", "-h"],
+            [command, "-"] + p5,
+            [command, "a b"] + p5,
+            [command, "--x y"] + p5,
+            [command, ""] + p5,
+            ["--x", command] + pos + p5,
+            ["--p", "5", command] + pos,
+            [command] + pos + p5 + [command],
+        )
+        for option in ("--p", "--digits", "--help"):
+            for k in range(3, len(option) + 1):
+                yield [command] + pos + p5 + [option[:k], "4"]
+                yield [command] + pos + p5 + [option[:k] + "=4"]
+    for alpha in ("-3", "-3.5", "-x", "-.5", "--3"):
+        yield ["lens", "7", alpha, "--p", "5"]
+    yield ["lens", "-7", "3", "--p", "5"]
+    yield ["lens", "--p", "5", "7", "3"]
+    yield ["lens", "x", "3", "--p", "5"]
+    yield ["lens", "7", "3", "9", "--p", "5"]
+    yield ["lens", "--p", "5", "7", "--", "--"]
+    for extra in (["--mode", "closed"], ["--mode", "oracle"], ["--mode=auto"],
+                  ["--mode", "fast"], ["--mo", "oracle"], ["--m=closed"],
+                  ["--v"], ["--ve"], ["--vec", "v.json"], ["--ver"],
+                  ["--vector=v.json"], ["--norm"], ["--normalized=1"],
+                  ["--normalized="], ["--n"], ["--c", "c.json"],
+                  ["--closure=c.json"], ["--closure"], ["--verify"],
+                  ["--verify", "--verify"], ["--vector", "-"],
+                  ["--mode", "closed", "--mode", "oracle"],
+                  ["--vector=--"], ["--mode=--"]):
+        yield ["tqft", "doc.json", "--p", "5"] + extra
+        yield ["tqft"] + extra + ["--p", "5", "doc.json"]
+    for extra in (["--verify"], ["--v"], ["--ve"], ["--verify=1"],
+                  ["--mode", "closed"]):
+        yield ["mcg", "doc.json", "--p", "5"] + extra
+
+
+def test_enumerated_corpus_parses_as_argparse_did():
+    corpus = [list(argv) for argv in _enumerated_corpus()]
+    kinds = set()
+    for argv in corpus:
+        want = _reference_outcome(argv)
+        assert _outcome(argv) == want, argv
+        kinds.add(want if isinstance(want, str) else "args")
+    assert kinds == {"help", "error", "args"} and len(corpus) > 500
+
+
+ALPHABET = ("5", "-3", "x", "--", "-h", "--p", "--p=--", "--v", "--x")
+
+
+def test_short_command_lines_parse_as_argparse_did():
+    # every command line of at most three arguments from ALPHABET
+    for command in [None] + list(cli.COMMANDS):
+        head = [] if command is None else [command]
+        for n in range(4):
+            for rest in itertools.product(ALPHABET, repeat=n):
+                argv = head + list(rest)
+                assert _outcome(argv) == _reference_outcome(argv), argv
+
+
+_OPTION_NAMES = ("--p", "--digits", "--mode", "--vector", "--normalized",
+                 "--closure", "--verify", "--help")
+_options = st.sampled_from(_OPTION_NAMES).flatmap(
+    lambda name: st.integers(2, len(name)).map(lambda k: name[:k]))
+_ODD_VALUES = ("6", "2", "0", "-1", "-3", "-5", "4001", "x", "1.5", "-1.5",
+               "1e3", "", " 5", "auto", "-", "--", "-h", "a b")
+_values = st.sampled_from(("3", "4", "5", "8", "12", "13") + _ODD_VALUES)
+# the options of each command beyond --p, and the values that fit them
+_MORE_OPTIONS = {"tqft": ("--digits", "--mode", "--vector", "--normalized",
+                          "--closure", "--verify"),
+                 "mcg": ("--digits", "--verify")}
+_FITTING = {"--digits": ("1", "3", "12", "40"),
+            "--mode": ("auto", "closed", "oracle")}
+
+
+def _tokens(names):
+    """Arguments from the grammar: commands, option names and their
+    prefixes, ``=``-joined values, values (non-integers and negative
+    numbers among them), documents, ``-``, ``--`` and ``-h``."""
+    return st.one_of(
+        st.sampled_from(list(cli.COMMANDS) + ["frobnicate"]),
+        _options,
+        st.tuples(_options, _values).map("=".join),
+        _values,
+        st.sampled_from(list(names) + ["-h", "-hh", "-x"]))
+
+
+@st.composite
+def _command_lines(draw, docs):
+    """A command; its positionals, ``--p`` and up to two more of its
+    options, mostly with values that fit, in any order and spelling; and
+    a little noise anywhere.  ``docs`` maps each command, "vector" and
+    "closure" to the documents that fit them, and None to all."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+
+    def value(fitting, odd=_ODD_VALUES):
+        return draw(st.sampled_from(fitting if draw(st.integers(0, 5))
+                                    else odd))
+
+    def spelled(name, text):
+        if draw(st.booleans()):
+            name = name[:draw(st.integers(3, len(name)))]
+        if text is None:
+            return [name]
+        return [name + "=" + text] if draw(st.booleans()) else [name, text]
+
+    if command == "lens":
+        items = [[value(("7", "5", "3", "2", "1", "0", "-3"))]
+                 for _ in range(2)]
+    else:
+        items = [[value(docs[command] + ("-",), docs[None])]]
+    orders = ("4", "8", "12") if command == "refine" else (
+        "3", "4", "5", "8", "12", "13")
+    items.append(spelled("--p", value(orders)))
+    more = _MORE_OPTIONS.get(command, ("--digits",))
+    for name in draw(st.lists(st.sampled_from(more), max_size=2)):
+        if name in ("--normalized", "--verify"):
+            items.append(spelled(name, None))
+        else:
+            items.append(spelled(name, value(
+                _FITTING.get(name) or docs[name[2:]])))
+    argv = [command] + [a for item in draw(st.permutations(items))
+                        for a in item]
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(_tokens(docs[None])))
+    return argv
+
+
+_ONE_DOC = dict.fromkeys(list(cli.COMMANDS) + ["vector", "closure", None],
+                         ("doc.json",))
+
+
+@given(st.one_of(_command_lines(_ONE_DOC),
+                 st.lists(_tokens(("doc.json",)), max_size=6)))
+def test_parsing_matches_argparse_on_drawn_command_lines(argv):
+    assert _outcome(argv) == _reference_outcome(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["--he"], ["--x", "-h"], ["lens", "-h"],
+    ["tqft", "--help"], ["mcg", "x", "--p", "5", "-hh"],
+    ["heis", "--bogus", "--h"], ["-h", "tqft", "--v"],
+])
+def test_help_goes_to_stdout_with_exit_0(capsys, argv):
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: abtqft") and err == ""
+    command = argv[0] if argv[0] in cli.COMMANDS else None
+    assert out.startswith("usage: abtqft " + (command or "[-h]"))
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["lens", "7", "x", "--p", "5"], "alpha"),
+    (["lens", "7", "--p", "5"], "alpha"),
+    (["tqft", "-", "--p", "5", "--v"], "--v"),
+    (["tqft", "-", "--p", "5", "--mode", "fast"], "--mode"),
+    (["tqft", "-", "--p", "5", "--normalized=1"], "--normalized"),
+    (["invariant", "-", "--p"], "--p"),
+    (["invariant", "-"], "--p"),
+    (["invariant", "-", "--p=--"], "--p"),
+    (["lens", "--p", "5", "7", "--", "--"], "alpha"),
+    (["heis", "-", "--p", "5", "--x"], "--x"),
+    (["heis", "-", "--p", "5", "again"], "again"),
+    (["frobnicate"], "frobnicate"),
+    (["--help=1"], "--help"),
+    ([], "command"),
+])
+def test_usage_errors_name_the_argument(capsys, argv, named):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: abtqft")
+    last = err.splitlines()[-1]
+    assert last.startswith("abtqft") and ": error: " in last
+    assert named in last and "Traceback" not in err
+
+
+def test_parsed_values_reach_the_handlers(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        {"op": "theta", "g": 1, "f": {"word": ["ta"]}})))
+    report = _run(capsys, ["mcg", "--p=5", "--dig", "3", "-"])
+    ta = twist_generators(1)["ta"]
+    assert report["p"] == 5
+    assert report["t"] == list(mcg.t_dual(mcg.theta(ta), 5))
+    report = _run(capsys, ("lens", "--p", "3", "--p", "5", "--digits=4",
+                           "7", "--", "-3"))
+    assert (report["beta"], report["alpha"], report["p"]) == (7, -3, 5)
+    assert cli.parse_scalar(report["value"]) == z_lens(5, 7, -3)
+    assert report["value"]["approx"]["digits"] == 4
+
+
+# -- work caps: the field ---------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["invariant", "-", "--p", "4001"], {"B": []}),
+    (["lens", "1", "0", "--p", "4001"], None),
+    (["heis", "-", "--p", "4001"],
+     {"op": "matrix", "g": 1, "element": [1, [1], [0]]}),
+    (["refine", "-", "--p", "8192"], {"B": [[1]]}),
+    (["tqft", "-", "--p", "4001"], _surgery_program([0, 1])),
+    (["heis", "-", "--p", "513"], {"op": "commutant", "g": 1}),
+    (["heis", "-", "--p", "1001"], {"op": "act", "g": 1,
+                                    "element": [0, [1], [1]]}),
+    (["mcg", "-", "--p", "4001"],
+     {"op": "weil", "g": 1, "f": {"word": ["ta"]}}),
+    (["mcg", "-", "--p", "4001", "--verify"],
+     {"op": "cocycle", "g": 1, "f": {"word": ["ta"]},
+      "h": {"word": ["tb"]}}),
+])
+def test_orders_over_the_field_cap_are_refused(monkeypatch, capsys, argv,
+                                               doc):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    start = time.perf_counter()
+    report = _run(capsys, argv, expect=6)
+    assert time.perf_counter() - start < 1
+    p = int(argv[-1] if argv[-1] != "--verify" else argv[-2])
+    assert "field of order %d" % field_order(p) in report["error"]
+    assert field_order(p) > cli.MAX_FIELD_ORDER
+
+
+@pytest.mark.parametrize("doc", [
+    {"op": "mul", "g": 1, "x": [1, [1], [0]], "y": [0, [0], [1]]},
+    {"op": "inverse", "g": 1, "x": [1, [1], [0]]},
+    {"op": "theta", "g": 1, "f": {"word": ["ta", "tb"]}},
+    {"op": "cocycle", "g": 1, "f": {"word": ["ta"]}, "h": {"word": ["tb"]}},
+])
+def test_jobs_without_a_field_ignore_the_field_cap(monkeypatch, capsys, doc):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    command = "heis" if doc["op"] in ("mul", "inverse") else "mcg"
+    start = time.perf_counter()
+    report = _run(capsys, [command, "-", "--p", "4001"])
+    assert time.perf_counter() - start < 1
+    assert report["op"] == doc["op"] and report["p"] == 4001
+
+
+def test_field_cap_admits_the_orders_in_use():
+    # cocycle --verify runs up to p = 23 in the tests, the benchmark up
+    # to p = 13; the cap sits between p = 511 and p = 513
+    assert max(field_order(p) for p in range(3, 24)) <= cli.MAX_FIELD_ORDER
+    assert field_order(511) <= cli.MAX_FIELD_ORDER < field_order(513)
+
+
+# -- the whole CLI under fuzzing --------------------------------------------
+
+
+def _two_adic(n):
+    return (n & -n).bit_length() - 1
+
+
+def _hits_oracle_assert(p, prog):
+    """Whether the tensor oracle meets its designated-class assertion,
+    a known defect at even p: an index-2 step whose class has a
+    coefficient beta in the carried frame with the 2-adic valuation of
+    p'.  The rule of ``hits_oracle_assert`` in the benchmark's jobs."""
+    if p % 2:
+        return False
+    ctx = canonical_context(p, prog.source)
+    L, Ldual = ctx.L, ctx.Ldual
+    for step in prog.steps:
+        if isinstance(step, MappingCylinder):
+            corr = cylinder_correspondence(step.matrix, L, Ldual)
+        elif isinstance(step, Index1):
+            corr = index1_correspondence(L, Ldual, step.position)
+        else:
+            g, k = len(L), step.handle
+            gamma = tuple(step.alpha * (i == k) + step.beta * (i == g + k)
+                          for i in range(2 * g))
+            betas = [intersection(u, gamma) for u in L]
+            alphas = [intersection(gamma, w) for w in Ldual]
+            support = [i for i in range(g) if alphas[i] or betas[i]]
+            beta = betas[support[0]] if len(support) == 1 else 0
+            pp = p // 2
+            return beta != 0 and _two_adic(beta) == _two_adic(pp)
+        L, Ldual = corr.target_L, corr.target_Ldual
+    return False
+
+
+FUZZ_DOCS = {
+    "inv.json": {"B": [[2, 1], [1, 2]]},
+    "fixed.json": {"B": [[0, 1], [1, 2]], "fixed_colors": {"0": 1}},
+    "prog.json": _surgery_program([0, 1]),
+    "meridian.json": _surgery_program([1, 0]),
+    "composite.json": {"source": {"g": 1, "L": [[1, 0]]},
+                       "steps": [{"kind": "cylinder",
+                                  "matrix": [[1, 1], [0, 1]]},
+                                 {"kind": "index2", "handle": 0,
+                                  "gamma": [0, 1]}],
+                       "target": {"g": 0, "L": []}},
+    "vector.json": {"entries": [{"label": [1], "value": "1/2"}]},
+    "mul.json": {"op": "mul", "g": 1, "x": [1, [1], [0]],
+                 "y": [0, [0], [2]]},
+    "matrix.json": {"op": "matrix", "g": 1, "element": [2, [0], [1]]},
+    "commutant.json": {"op": "commutant", "g": 1},
+    "theta.json": {"op": "theta", "g": 1, "f": {"word": ["ta", "tb"]}},
+    "cocycle.json": {"op": "cocycle", "g": 1, "f": {"word": ["ta"]},
+                     "h": {"word": ["tb"]}},
+    "weil.json": {"op": "weil", "g": 1, "f": {"word": ["tb"]}},
+    "array.json": [1, 2],
+    "bool.json": {"B": [[True]]},
+    "pow.json": {"op": "pow", "g": 1},
+}
+FUZZ_TEXTS = dict({name: json.dumps(doc) for name, doc in FUZZ_DOCS.items()},
+                  **{"truncated.json": '{"B": [[1', "empty.json": ""})
+DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    for name, text in FUZZ_TEXTS.items():
+        (folder / name).write_text(text)
+    return folder
+
+
+def _meets_oracle_assert(argv, stdin):
+    """Whether a command line runs the tensor oracle on a program that
+    meets the known designated-class assertion."""
+    try:
+        args = cli.parse_args(argv)
+    except cli.CliError:
+        return False
+    if args.func is not cli.cmd_tqft or args.p < 3 or args.p % 4 == 2:
+        return False
+    try:
+        if args.input == "-":
+            doc = json.loads(stdin)
+        else:
+            with open(args.input, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        prog = load_program(doc) if isinstance(doc, dict) else None
+    except (OSError, ValueError, ProgramError):
+        return False
+    return prog is not None and _hits_oracle_assert(args.p, prog)
+
+
+FUZZ_FITTING = {
+    "invariant": ("inv.json", "fixed.json"), "refine": ("inv.json",),
+    "lens": (), "tqft": ("prog.json", "meridian.json", "composite.json"),
+    "heis": ("mul.json", "matrix.json", "commutant.json"),
+    "mcg": ("theta.json", "cocycle.json", "weil.json"),
+    "vector": ("vector.json",), "closure": ("inv.json",),
+    None: tuple(sorted(FUZZ_TEXTS)) + ("missing.json",)}
+
+
+@given(st.data())
+def test_the_cli_exits_with_a_documented_code(fuzz_dir, data):
+    docs = {key: tuple(str(fuzz_dir / name) for name in names)
+            for key, names in FUZZ_FITTING.items()}
+    argv = data.draw(st.one_of(_command_lines(docs),
+                               st.lists(_tokens(docs[None]), max_size=6)))
+    command = argv[0] if argv and argv[0] in cli.COMMANDS else None
+    fitting = FUZZ_FITTING[command] if command else ()
+    stdin = FUZZ_TEXTS[data.draw(st.sampled_from(
+        fitting if fitting and data.draw(st.integers(0, 3))
+        else sorted(FUZZ_TEXTS)))]
+    assume(not _meets_oracle_assert(argv, stdin))
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    try:
+        sys.stdin = io.StringIO(stdin)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = saved
+    assert code in DOCUMENTED_EXITS, (argv, err.getvalue())
+    event("exit %d" % code)
+    if code == 0 and not out.getvalue().startswith("usage: abtqft"):
+        assert json.loads(out.getvalue())["command"] == command

@@ -398,20 +398,24 @@ def _imported_modules(argv, doc=None):
     return proc.returncode, names
 
 
-def test_cli_processes_load_no_dataclasses_inspect_or_ast():
+def test_cli_processes_load_no_argparse_dataclasses_inspect_or_ast():
     _, bare = _imported_modules(["-c", "pass"])
     program = ('{"source": {"g": 1, "L": [[1, 0]]}, "steps": [{"kind": '
                '"index2", "handle": 0, "gamma": [1, 2]}], '
                '"target": {"g": 0, "L": []}}')
     runs = [
-        (["invariant", "-", "--p", "5"], '{"B": [[2, 1], [1, 2]]}'),
-        (["tqft", "-", "--p", "5"], program),
-        (["heis", "-", "--p", "5"], '{"op": "commutant", "g": 1}'),
+        (["invariant", "-", "--p", "5"], '{"B": [[2, 1], [1, 2]]}', 0),
+        (["lens", "7", "3", "--p", "5"], None, 0),
+        (["tqft", "-", "--p", "5"], program, 0),
+        (["heis", "-", "--p", "5"], '{"op": "commutant", "g": 1}', 0),
         (["mcg", "-", "--p", "5"],
-         '{"op": "weil", "g": 1, "f": {"word": ["ta"]}}'),
+         '{"op": "weil", "g": 1, "f": {"word": ["ta"]}}', 0),
+        (["lens", "7", "x", "--p", "5"], None, 2),
     ]
-    for argv, doc in runs:
+    unwanted = {"dataclasses", "inspect", "ast", "argparse", "gettext",
+                "locale"}
+    for argv, doc, expect in runs:
         code, names = _imported_modules(["-m", "abtqft.cli"] + argv, doc)
-        assert code == 0, argv
+        assert code == expect, argv
         assert "abtqft.cobordism" in names
-        assert not {"dataclasses", "inspect", "ast"} & (names - bare), argv
+        assert not unwanted & (names - bare), argv
