@@ -296,12 +296,17 @@ def scalar_doc(x, digits):
     }
 
 
+def _json_rational(value):
+    """A JSON rational: a string such as "-3/4", or an integer."""
+    return Fraction(value) if isinstance(value, str) else json_int(value)
+
+
 def parse_scalar(doc):
     """Inverse of scalar_doc on the exact part."""
     try:
         return CycNum(json_int(doc["order"]),
-                      tuple(Fraction(c) for c in doc["coeffs"]))
-    except (KeyError, TypeError, ValueError) as exc:
+                      tuple(_json_rational(c) for c in doc["coeffs"]))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CliError(2, "bad scalar document: %s" % (exc,))
 
 
@@ -366,11 +371,9 @@ def _parse_vector(doc, ctx):
             value = parse_scalar(raw)
         else:
             try:
-                frac = Fraction(raw) if isinstance(raw, str) else Fraction(
-                    json_int(raw))
-            except (TypeError, ValueError) as exc:
+                value = from_rational(field_order(ctx.p), _json_rational(raw))
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise CliError(2, "bad vector value: %s" % (exc,))
-            value = from_rational(field_order(ctx.p), frac)
         out[label] = value
     if any(len(label) != ctx.g for label in out):
         raise CliError(2, "vector labels do not match genus %d" % ctx.g)

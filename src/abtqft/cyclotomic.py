@@ -12,7 +12,9 @@ coefficient equality; no floating point enters any decision.
 
 Sums are integer vector operations.  A product runs a schoolbook loop
 over the nonzero terms of its sparser operand and is folded back into
-the power basis with the integer rows of x^j mod Phi_M.
+the power basis with the integer rows of x^j mod Phi_M.  An inverse is
+a table lookup for a root of unity, else a fraction-free extended
+Euclid on the numerators: no Fraction enters any field operation.
 
 :func:`approx_parts` is the only numerical surface the package uses: it
 prints the real and imaginary parts of an element correctly rounded,
@@ -48,8 +50,6 @@ __all__ = [
     "to_complex",
 ]
 
-_ZERO = Fraction(0)
-
 
 def _mobius(n: int) -> int:
     mu = 1
@@ -66,30 +66,11 @@ def _mobius(n: int) -> int:
     return mu
 
 
-def _poly_divexact(num: list, den: list) -> list:
-    """Exact long division of integer polynomials (raises if inexact)."""
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c % lead:
-            raise ArithmeticError("inexact polynomial division")
-        q = c // lead
-        out[i - dd] = q
-        if q:
-            for j, dj in enumerate(den):
-                num[i - dd + j] -= q * dj
-    if any(num[:dd]):
-        raise ArithmeticError("inexact polynomial division")
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(M: int) -> tuple:
     """Integer coefficients (constant term first) of the M-th cyclotomic
-    polynomial, computed from the Moebius product of (x^d - 1) factors.
+    polynomial: the product of (x^d - 1)^mu(M/d) over the divisors d of
+    M, with every factor multiplied in before the exact divisions.
 
     >>> cyclotomic_polynomial(8)
     (1, 0, 0, 0, 1)
@@ -98,17 +79,20 @@ def cyclotomic_polynomial(M: int) -> tuple:
     """
     if M < 1:
         raise ValueError("order must be positive")
-    num = [1]
-    den = [1]
-    for d in range(1, M + 1):
-        if M % d == 0:
-            mu = _mobius(M // d)
-            factor = [-1] + [0] * (d - 1) + [1]
-            if mu == 1:
-                num = _schoolbook(factor, num)
-            elif mu == -1:
-                den = _schoolbook(factor, den)
-    return tuple(_poly_divexact(num, den))
+    divisors = [(d, _mobius(M // d)) for d in range(1, M + 1) if M % d == 0]
+    poly = [1]
+    for d, mu in divisors:
+        if mu == 1:
+            poly = _schoolbook([-1] + [0] * (d - 1) + [1], poly)
+    for d, mu in divisors:
+        if mu == -1:
+            # poly = q * (x^d - 1) means q[j - d] = poly[j] + q[j]
+            for j in range(len(poly) - 1, d - 1, -1):
+                poly[j - d] += poly[j]
+            if any(poly[:d]):
+                raise ArithmeticError("inexact polynomial division")
+            poly = poly[d:]
+    return tuple(poly)
 
 
 class _Field:
@@ -178,8 +162,8 @@ def _field(M: int) -> _Field:
 
 
 def _fold(field: _Field, vec: list) -> list:
-    """Fold a coefficient vector indexed by exponent (below M) into the
-    power basis; works for integer and for rational entries."""
+    """Fold an integer coefficient vector indexed by exponent (below M)
+    into the power basis."""
     phi = field.phi
     out = list(vec[:phi])
     if len(out) < phi:
@@ -195,7 +179,7 @@ def _fold(field: _Field, vec: list) -> list:
 
 def _schoolbook(sparse, dense) -> list:
     """Polynomial product by a loop over the nonzero terms of
-    ``sparse``; the coefficients may be integers or Fractions."""
+    ``sparse``; every caller passes integers."""
     out = [0] * (len(sparse) + len(dense) - 1)
     for i, c in enumerate(sparse):
         if c:
@@ -210,31 +194,6 @@ def _mul_numerators(field: _Field, a: tuple, b: tuple) -> tuple:
     if a.count(0) < b.count(0):
         a, b = b, a
     return tuple(_fold(field, _schoolbook(a, b)))
-
-
-def _frac_poly_divmod(a: list, b: list):
-    """Division with remainder for Fraction polynomials, b nonzero."""
-    r = list(a)
-    db = len(b) - 1
-    while len(b) > 1 and b[-1] == 0:
-        b = b[:-1]
-        db -= 1
-    inv_lead = 1 / b[-1]
-    q = [_ZERO] * max(1, len(r) - db)
-    while len(r) - 1 >= db and any(r):
-        while len(r) > 1 and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        c = r[-1] * inv_lead
-        k = len(r) - 1 - db
-        q[k] = c
-        for j, bj in enumerate(b):
-            r[k + j] -= c * bj
-        r.pop()
-    if not r:
-        r = [_ZERO]
-    return q, r
 
 
 class CycNum:
@@ -264,10 +223,7 @@ class CycNum:
     __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs):
-        coeffs = [
-            c if isinstance(c, (int, Fraction)) else Fraction(c)
-            for c in coeffs
-        ]
+        coeffs = [_rational(c) for c in coeffs]
         if len(coeffs) != _field(order).phi:
             raise ValueError(
                 "expected %d coefficients for order %d, got %d"
@@ -380,8 +336,8 @@ class CycNum:
 
         A root of unity zeta^j is found in the field's table of roots
         and inverts to zeta^(-j) without arithmetic; any other element
-        goes through :meth:`euclid_inverse`.  Both give the same
-        canonical coefficients."""
+        goes through :meth:`euclid_inverse`, on integers.  Both give the
+        same canonical coefficients."""
         field = _field(self.order)
         if self.den == 1:
             j = field.root_index().get(self.num)
@@ -390,32 +346,49 @@ class CycNum:
         return self.euclid_inverse()
 
     def euclid_inverse(self) -> "CycNum":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        over Fractions against Phi_M (which is irreducible over Q); the
-        reference for the root-of-unity fast path of :meth:`inverse`."""
+        """Multiplicative inverse by a fraction-free extended Euclidean
+        algorithm on the numerators against Phi_M (irreducible over Q),
+        the reference for the root-of-unity path of :meth:`inverse`.
+
+        Each row (r, s) keeps r = s * num mod Phi_M.  A step scales the
+        higher row by what the lower leading coefficient does not
+        divide, cancels its leading term and divides the row by the gcd
+        of its coefficients: the primitive remainder sequence (Collins
+        1967, Brown and Traub 1971).  It ends at r = c, a nonzero
+        integer, so num^(-1) = s / c."""
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero cyclotomic element")
         field = _field(self.order)
-        mod = [Fraction(c) for c in field.poly]
-        r0, r1 = list(self.coeffs), mod
-        s0, s1 = [Fraction(1)], [_ZERO]
-        while any(r1):
-            q, r = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            qs1 = _schoolbook(q, s1)
-            new_s = [
-                (s0[i] if i < len(s0) else _ZERO)
-                - (qs1[i] if i < len(qs1) else _ZERO)
-                for i in range(max(len(s0), len(qs1)))
-            ]
-            s0, s1 = s1, new_s
-        while len(r0) > 1 and r0[-1] == 0:
-            r0.pop()
-        if len(r0) != 1:
-            raise ArithmeticError("gcd with cyclotomic polynomial not constant")
-        scale = 1 / r0[0]
-        inv = [c * scale for c in s0]
-        return CycNum(self.order, _fold(field, inv))
+        r0, s0 = list(field.poly), []
+        r1, s1 = list(self.num), [1]
+        while not r1[-1]:
+            r1.pop()
+        while len(r1) > 1:
+            while len(r0) >= len(r1):
+                k = len(r0) - len(r1)
+                g = math.gcd(r0[-1], r1[-1])
+                m, q = r1[-1] // g, r0[-1] // g
+                if m != 1:
+                    r0 = [m * c for c in r0]
+                    s0 = [m * c for c in s0]
+                s0.extend([0] * (k + len(s1) - len(s0)))
+                for i, c in enumerate(r1, k):
+                    r0[i] -= q * c
+                for i, c in enumerate(s1, k):
+                    s0[i] -= q * c
+                while r0 and not r0[-1]:
+                    r0.pop()
+                if not r0:
+                    raise ArithmeticError(
+                        "gcd with cyclotomic polynomial not constant")
+                g = math.gcd(*r0, *s0)
+                if g != 1:
+                    r0 = [c // g for c in r0]
+                    s0 = [c // g for c in s0]
+            r0, s0, r1, s1 = r1, s1, r0, s0
+        den = self.den if r1[0] > 0 else -self.den
+        return _new(self.order, tuple(den * c for c in _fold(field, s1)),
+                    abs(r1[0]))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -504,6 +477,15 @@ class CycNum:
         return doc
 
 
+def _rational(c):
+    """``c`` as an int or a Fraction; a float raises ``TypeError``."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    if isinstance(c, float):
+        raise TypeError("expected an exact rational, got the float %r" % (c,))
+    return Fraction(c)
+
+
 def _new(order: int, num: tuple, den: int) -> CycNum:
     """A CycNum from integer numerators over a positive denominator,
     cancelling their common factor."""
@@ -531,8 +513,7 @@ def one(M: int) -> CycNum:
 
 
 def from_rational(M: int, r) -> CycNum:
-    if not isinstance(r, (int, Fraction)):
-        r = Fraction(r)
+    r = _rational(r)
     return _new(M, (r.numerator,) + (0,) * (_field(M).phi - 1),
                 r.denominator)
 

@@ -422,12 +422,16 @@ def induced_map_oracle(p, corr: Correspondence):
     The tensor of the correspondence module with the incoming module is
     cut down by the relations (B.h) x w = B x (h.w) over the incoming
     Heisenberg group; the surviving classes B_(0, z) x b_0 are
-    identified with the outgoing basis.
+    identified with the outgoing basis.  Its checks survive ``-O``.
     """
     pairs, designated, pivots, ctx_c = _tensor_quotient(p, corr)
     pp = ctx_c.p_prime
-    assert len(pivots) == len(pairs) - pp ** corr.g_plus
-    assert all(c not in designated for c in pivots)
+    where = "oracle at p=%d, g-=%d, g+=%d: " % (p, corr.g_minus, corr.g_plus)
+    if len(pivots) != len(pairs) - pp ** corr.g_plus:
+        raise AssertionError(where + "quotient dimension %d, expected %d" % (
+            len(pairs) - len(pivots), pp ** corr.g_plus))
+    if any(c in designated for c in pivots):
+        raise AssertionError(where + "a designated class is eliminated")
 
     labels_minus = labels(pp, corr.g_minus)
     matrix = {}
@@ -439,7 +443,9 @@ def induced_map_oracle(p, corr: Correspondence):
             expansion = dict(pivots[start])
         for col, coeff in expansion.items():
             z_plus = designated.get(col)
-            assert z_plus is not None, "class escaped the designated span"
+            if z_plus is None:
+                raise AssertionError(
+                    where + "class escaped the designated span")
             matrix[(z_plus, w)] = coeff
     return matrix
 

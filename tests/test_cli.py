@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
 
@@ -466,6 +467,46 @@ def test_vector_value_of_another_order_is_malformed(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     report = _run(capsys, ["heis", "-", "--p", "3"], expect=2)
     assert "order 3" in report["error"]
+
+
+def _scalar_vector(first):
+    """A vector document whose one value is a Q(zeta_40) scalar with
+    ``first`` as its constant coefficient."""
+    return {"entries": [{"label": [1], "value": {
+        "order": 40, "coeffs": [first] + [0] * 15}}]}
+
+
+@pytest.mark.parametrize("first", [0.1, 0.5, True, False, "1/0"])
+def test_tqft_vector_scalar_refuses_floats_and_booleans(tmp_path, capsys,
+                                                        first):
+    # 0.1 was read as 3602879701896397/36028797018963968, true as 1 and
+    # "1/0" ended in a ZeroDivisionError traceback
+    prog = _doc(tmp_path, "prog.json", _surgery_program([0, 1]))
+    vec = _doc(tmp_path, "vec.json", _scalar_vector(first))
+    report = _run(capsys, ["tqft", prog, "--p", "5", "--vector", vec],
+                  expect=2)
+    assert report["error"].startswith("bad scalar document")
+
+
+def test_tqft_vector_scalar_takes_integers_and_fraction_strings(tmp_path,
+                                                               capsys):
+    prog = _doc(tmp_path, "prog.json", _surgery_program([0, 1]))
+    for first, want in ((3, 3), ("-3/4", Fraction(-3, 4))):
+        vec = _doc(tmp_path, "vec.json", _scalar_vector(first))
+        report = _run(capsys, ["tqft", prog, "--p", "5", "--vector", vec])
+        value = report["vector"]["entries"][0]["value"]
+        assert cli.parse_scalar(value) == from_rational(40, want)
+
+
+@pytest.mark.parametrize("value", [0.5, True, "1/0"])
+def test_tqft_vector_bare_value_refuses_floats_booleans_and_zero_division(
+        tmp_path, capsys, value):
+    prog = _doc(tmp_path, "prog.json", _surgery_program([0, 1]))
+    vec = _doc(tmp_path, "vec.json",
+               {"entries": [{"label": [1], "value": value}]})
+    report = _run(capsys, ["tqft", prog, "--p", "5", "--vector", vec],
+                  expect=2)
+    assert report["error"].startswith("bad vector value")
 
 
 # -- serialization ---------------------------------------------------------

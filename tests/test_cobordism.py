@@ -4,6 +4,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import assume, event, given
+from hypothesis import strategies as st
 
 from abtqft import cobordism
 from abtqft.cyclotomic import field_order, one, q_power
@@ -28,14 +30,16 @@ from abtqft.cobordism import (
     normalized_map,
     validate,
 )
-from abtqft.heisenberg import HeisContext
+from abtqft.heisenberg import HeisContext, induced_map_oracle
 from abtqft.homology import (
+    cylinder_correspondence,
     hnf,
     identity_matrix,
     intersection,
     mat_mul,
     symplectic_dual_basis,
 )
+from abtqft.mcg import MappingClass, twist_generators
 from abtqft.surgery import z_invariant, z_lens
 
 TORUS = CobObject(g=1, L=((1, 0),))
@@ -372,6 +376,39 @@ def test_program_against_oracle_start_vector():
         col = {z: v for (z, w), v in closed.items() if w == (0,)}
         col_o = {z: v for (z, w), v in oracle.items() if w == (0,)}
         assert col == col_o and col
+
+
+_PRIMITIVE = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(
+    lambda gamma: gcd(*gamma) == 1)
+
+
+@given(p=st.sampled_from((3, 5, 7)),
+       word=st.lists(st.sampled_from(("ta", "ta'", "tb", "tb'")),
+                     max_size=3),
+       gamma=st.none() | _PRIMITIVE)
+def test_program_closed_route_equals_oracle(p, word, gamma):
+    """Genus-1 programs at odd order: an index-2 step on a primitive
+    class, a cylinder on a twist word of length at most 3, or the
+    cylinder then the step.  A program's modes differ only at index-2
+    steps, so a lone cylinder is checked against the oracle on its
+    correspondence instead."""
+    assume(word or gamma)
+    event("p=%d %s" % (p, "cylinder" if gamma is None else
+                       "cylinder, index-2" if word else "index-2"))
+    lib = twist_generators(1)
+    f = MappingClass.identity(1)
+    for name in word:
+        f = f * lib[name]
+    if gamma is None:
+        ctx = canonical_context(p, TORUS)
+        corr = cylinder_correspondence(f.matrix, ctx.L, ctx.Ldual)
+        assert induced_map_oracle(p, corr) == F_cylinder(p, ctx, f.matrix)[0]
+        prog = _cylinder_program(TORUS, f.matrix)
+    else:
+        steps = (MappingCylinder(f.matrix),) if word else ()
+        prog = CobordismProgram(TORUS, steps + (Index2(0, *gamma),), POINT)
+    closed = F_program(p, prog, "closed")
+    assert closed and closed == F_program(p, prog, "oracle")
 
 
 def test_monoidal_product():

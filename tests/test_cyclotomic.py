@@ -1,10 +1,14 @@
 import doctest
 import random
+import sys
+import time
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abtqft.cyclotomic as cyclotomic
 from abtqft.cyclotomic import (
@@ -147,6 +151,140 @@ def test_inverse_of_non_roots_uses_euclid(monkeypatch):
             calls.clear()
             assert x * x.inverse() == 1
             assert calls == [x]
+
+
+# -- the Fraction reference for the integer Euclid -------------------------
+
+
+def _frac_poly_divmod(a, b):
+    """Division with remainder for Fraction polynomials, b nonzero."""
+    r = list(a)
+    db = len(b) - 1
+    while len(b) > 1 and b[-1] == 0:
+        b = b[:-1]
+        db -= 1
+    inv_lead = 1 / b[-1]
+    q = [Fraction(0)] * max(1, len(r) - db)
+    while len(r) - 1 >= db and any(r):
+        while len(r) > 1 and r[-1] == 0:
+            r.pop()
+        if len(r) - 1 < db:
+            break
+        c = r[-1] * inv_lead
+        k = len(r) - 1 - db
+        q[k] = c
+        for j, bj in enumerate(b):
+            r[k + j] -= c * bj
+        r.pop()
+    if not r:
+        r = [Fraction(0)]
+    return q, r
+
+
+def _fraction_euclid_inverse(x):
+    """The extended Euclidean algorithm over Fraction polynomials that
+    ``CycNum.euclid_inverse`` ran before it worked on integers."""
+    if x.is_zero():
+        raise ZeroDivisionError("inversion of zero cyclotomic element")
+    M = x.order
+    r0 = list(x.coeffs)
+    r1 = [Fraction(c) for c in cyclotomic_polynomial(M)]
+    s0, s1 = [Fraction(1)], [Fraction(0)]
+    while any(r1):
+        q, r = _frac_poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        qs1 = _poly_mul_reference(q, s1)
+        new_s = [
+            (s0[i] if i < len(s0) else Fraction(0))
+            - (qs1[i] if i < len(qs1) else Fraction(0))
+            for i in range(max(len(s0), len(qs1)))
+        ]
+        s0, s1 = s1, new_s
+    while len(r0) > 1 and r0[-1] == 0:
+        r0.pop()
+    if len(r0) != 1:
+        raise ArithmeticError("gcd with cyclotomic polynomial not constant")
+    scale = 1 / r0[0]
+    return CycNum(M, _ref_reduce(M, [c * scale for c in s0]))
+
+
+EUCLID_ORDERS = (8, 16, 24, 40, 56, 72, 88, 104)
+
+
+@st.composite
+def _euclid_elements(draw):
+    """A nonzero element at one of ``EUCLID_ORDERS``: a sum of one to
+    three roots of unity with small rational coefficients, or a dense
+    element with every coordinate drawn, denominators included."""
+    M = draw(st.sampled_from(EUCLID_ORDERS))
+    phi = len(cyclotomic_polynomial(M)) - 1
+    small = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5))
+    if draw(st.booleans()):
+        terms = draw(st.lists(st.tuples(st.integers(0, M - 1), small),
+                              min_size=1, max_size=3))
+        x = sum((c * make_root(M, j) for j, c in terms), zero(M))
+    else:
+        # small entries: the Fraction reference is slow on dense elements
+        dense = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+        x = CycNum(M, draw(st.lists(dense, min_size=phi, max_size=phi)))
+    if x.is_zero():
+        x = x + 1
+    return x
+
+
+@settings(max_examples=100)
+@given(_euclid_elements())
+def test_integer_euclid_matches_fraction_euclid(x):
+    got, want = x.euclid_inverse(), _fraction_euclid_inverse(x)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+def test_integer_euclid_matches_fraction_euclid_on_elimination_pivots(
+        monkeypatch):
+    # every distinct value that ``heisenberg._echelonize`` inverts while
+    # the acceptance tests AC4 (oracle equivalence) and AC10
+    # (Stone-von Neumann) run
+    import test_acceptance
+
+    pivots = set()
+    inverse = CycNum.inverse
+
+    def recording(self):
+        if sys._getframe(1).f_code.co_name == "_echelonize":
+            pivots.add(self)
+        return inverse(self)
+
+    monkeypatch.setattr(CycNum, "inverse", recording)
+    test_acceptance.test_ac4_oracle_equivalence()
+    test_acceptance.test_ac10_stone_von_neumann()
+    monkeypatch.undo()
+    assert len(pivots) >= 40
+    assert {x.order for x in pivots} == {8, 24, 40}
+    for x in pivots:
+        got, want = x.euclid_inverse(), _fraction_euclid_inverse(x)
+        assert (got.num, got.den) == (want.num, want.den), x
+
+
+def test_dense_inverse_at_phi_112():
+    # the Fraction Euclid ran for minutes on an element like this one,
+    # so only x * x^(-1) = 1 is checked
+    rng = random.Random(232)
+    x = CycNum(232, [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                     for _ in range(112)])
+    start = time.perf_counter()
+    inv = x.inverse()
+    assert time.perf_counter() - start < 5
+    assert x * inv == 1
+    assert sum(1 for c in inv.num if c) > 100
+
+
+def test_floats_are_refused():
+    with pytest.raises(TypeError, match="float"):
+        CycNum(8, [0.5, 0, 0, 0])
+    with pytest.raises(TypeError, match="float"):
+        from_rational(8, 0.1)
+    assert CycNum(8, ["1/2", 0, 0, 0]) == Fraction(1, 2)
+    assert from_rational(8, "-3/4") == Fraction(-3, 4)
 
 
 def test_division_and_pow():
@@ -461,10 +599,9 @@ def test_inverse_and_exponent_sum_match_fraction_reference():
     for M in REFERENCE_ORDERS:
         phi = len(cyclotomic_polynomial(M)) - 1
         elements = _reference_elements(rng, M)
-        # Euclid over Fractions takes seconds on dense elements once
-        # phi >= 40, and minutes on dense 30-digit ones
-        picks = (0, 1, 4, 5) if phi >= 40 else (0, 1, 2, 4, 5)
-        for x, a in [elements[i] for i in picks] + [
+        # the Fraction check of x * x^(-1) takes minutes on the dense
+        # 30-digit elements, whose inverses have thousands of digits
+        for x, a in [elements[i] for i in (0, 1, 2, 4, 5)] + [
             (make_root(M, j), make_root(M, j).coeffs) for j in range(M)
         ]:
             inv = x.inverse()

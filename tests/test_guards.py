@@ -1,5 +1,9 @@
 """Mathematical guards raise ``ArithmeticError``, also under ``python -O``.
 
+The oracle's checks are the exception: they raise ``AssertionError`` in
+``induced_map_oracle``'s own frame, which the benchmark's defect list
+keys on, also under ``python -O``.
+
 Each case below reaches one guard by a direct call.  Three guards have
 no case because no input reaches them: the unimodularity of
 ``symplectic_complete`` (the extended Euclid gives it), the output check
@@ -19,8 +23,12 @@ import pytest
 
 from abtqft import cobordism
 from abtqft.cobordism import _project_off, context_transfer
-from abtqft.heisenberg import closed_context
-from abtqft.homology import _check_adapted, cylinder_correspondence
+from abtqft.heisenberg import closed_context, induced_map_oracle
+from abtqft.homology import (
+    _check_adapted,
+    cylinder_correspondence,
+    index2_correspondence,
+)
 
 # identity cylinder on the torus: adapted rows (0, 1, 0, -1), (-1, 0, 1, 0)
 # with dual rows (1, 0, 0, 0), (0, 0, 0, 1) and plus block (1,)
@@ -64,6 +72,14 @@ CASES = {
 }
 
 
+# the even-order oracle defect: at p = 4, surgery on gamma = (1, 2) kills
+# the designated class; under ``python -O`` the bare asserts let it
+# through to a TypeError in the CLI's report
+ORACLE_CASE = (
+    lambda: induced_map_oracle(4, index2_correspondence(1, 0, 1, 2)),
+    "oracle at p=4, g-=1, g+=0: a designated class is eliminated")
+
+
 def test_the_reference_correspondence_passes():
     _check_adapted(CYLINDER)
 
@@ -76,6 +92,14 @@ def test_guard_raises_arithmetic_error(name):
     assert str(info.value) == message
 
 
+def test_oracle_guard_raises_in_its_own_frame():
+    call, message = ORACLE_CASE
+    with pytest.raises(AssertionError) as info:
+        call()
+    assert str(info.value) == message
+    assert info.traceback[-1].name == "induced_map_oracle"
+
+
 def test_guards_survive_optimised_mode():
     src = str(Path(cobordism.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -84,15 +108,20 @@ def test_guards_survive_optimised_mode():
     code = (
         "import sys\n"
         "sys.path.insert(0, %r)\n"
-        "from test_guards import CASES\n"
+        "from test_guards import CASES, ORACLE_CASE\n"
         "raised = 0\n"
         "for call, message in CASES.values():\n"
         "    try:\n"
         "        call()\n"
         "    except ArithmeticError as exc:\n"
         "        raised += str(exc) == message\n"
+        "call, message = ORACLE_CASE\n"
+        "try:\n"
+        "    call()\n"
+        "except AssertionError as exc:\n"
+        "    raised += str(exc) == message\n"
         "print(__debug__, raised)\n" % (str(Path(__file__).parent),))
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", str(len(CASES))]
+    assert done.stdout.split() == ["False", str(len(CASES) + 1)]
