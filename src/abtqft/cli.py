@@ -57,22 +57,13 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from itertools import islice
 from math import gcd
 from types import SimpleNamespace
 
-from .cobordism import (
-    F_program,
-    Index1,
-    Index2,
-    ProgramError,
-    canonical_context,
-    json_int,
-    load_program,
-    normalized_map,
-    validate,
-)
+# Each command imports the engine modules it runs inside its handler, so
+# a process loads only those: invariant, refine and lens load surgery,
+# heis the heisenberg chain, mcg the mcg chain and tqft cobordism.
 from .cyclotomic import (
     CycNum,
     approx_parts,
@@ -81,38 +72,7 @@ from .cyclotomic import (
     p_prime,
     q_power,
 )
-from .heisenberg import (
-    apply_map,
-    closed_context,
-    commutant_dim,
-    compose_maps,
-    finite_inverse,
-    finite_mul,
-    monomial_of,
-    schrodinger_act,
-    to_finite,
-)
-from .mcg import (
-    FreeWord,
-    MappingClass,
-    cocycle_c,
-    heisenberg_twist,
-    projective_defect,
-    t_dual,
-    theta,
-    twist_generators,
-    weil_intertwiner,
-)
-from .surgery import (
-    iter_continued_fraction,
-    matrix_element,
-    refined_invariant,
-    refinement_classes,
-    refinement_kind,
-    signature,
-    z_invariant,
-    z_lens,
-)
+from .value import json_int
 
 MAX_DIGITS = 12
 
@@ -122,8 +82,8 @@ MAX_DIGITS = 12
 # rows per unknown; a ``heis matrix`` report takes about 1 KB per label;
 # Schur averaging runs at about 1.3 M terms/s; the frame check of
 # ``heis mul`` and ``inverse`` takes about 0.2 s at genus 100; a field
-# of order 4096 and its eta, kappa and display table take about 0.8 s
-# to set up, and 2.9 s at order 8072.
+# of order 4096 and its eta, kappa and display table take about 0.4 s
+# to set up, and 1.4 s at order 8072 (2-vCPU VM, Python 3.11).
 MAX_COLORINGS = 10 ** 6
 MAX_TENSOR_PAIRS = 2 * 10 ** 4
 MAX_LABELS = 10 ** 4
@@ -202,6 +162,8 @@ def _check_colorings(p, n):
 def _check_lens(p, beta, alpha):
     """Refuse L(beta, alpha) when its chain of unknots is too long for
     the colouring cap; invalid parameters are left to z_lens."""
+    from .surgery import iter_continued_fraction
+
     if beta > 0 and gcd(alpha, beta) == 1:
         longest = MAX_COLORINGS.bit_length()
         chain = iter_continued_fraction(beta, alpha % beta)
@@ -221,6 +183,8 @@ def _check_program(p, prog, runs):
     at carried genus g tensors p'^(2g-1) correspondence labels with p'^g
     incoming ones.  An invalid program is reported as such, not as too
     large."""
+    from .cobordism import Index1, Index2, ProgramError, validate
+
     pp = p_prime(p)
     pairs, g = 0, prog.source.g
     top = g
@@ -288,17 +252,36 @@ def scalar_doc(x, digits):
     """Serialize an exact scalar with a flagged approximation."""
     digits = min(digits, MAX_DIGITS)
     re, im = approx_parts(x, digits)
-    return {
-        "order": x.order,
-        "coeffs": [str(c) for c in x.coeffs],
-        "approx": {"re": re, "im": im, "digits": digits,
-                   "approximate": True},
-    }
+    doc = x.to_json()
+    doc["approx"] = {"re": re, "im": im, "digits": digits,
+                     "approximate": True}
+    return doc
 
 
 def _json_rational(value):
-    """A JSON rational: a string such as "-3/4", or an integer."""
-    return Fraction(value) if isinstance(value, str) else json_int(value)
+    """A JSON rational, a string such as "-3/4" or an integer, as its
+    reduced pair (numerator, denominator).
+
+    A string of the form [+-]digits or [+-]digits/digits (ASCII digits,
+    a nonzero denominator) is read on integers; any other string goes to
+    ``Fraction``, which reads it or raises the error it always has."""
+    if not isinstance(value, str):
+        return json_int(value), 1
+    top, slash, bottom = value.partition("/")
+    unsigned = top[1:] if top[:1] in ("+", "-") else top
+    if _ascii_digits(unsigned) and (
+            not slash or _ascii_digits(bottom) and bottom.strip("0")):
+        n, d = int(top), int(bottom) if slash else 1
+        g = gcd(n, d)
+        return n // g, d // g
+    from fractions import Fraction
+
+    value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def _ascii_digits(text):
+    return text.isascii() and text.isdigit()
 
 
 def parse_scalar(doc):
@@ -384,6 +367,8 @@ def _parse_vector(doc, ctx):
 
 
 def cmd_invariant(args):
+    from .surgery import matrix_element, signature, z_invariant
+
     _check_p(args.p)
     _check_field(args.p)
     doc = _read_doc(args.input)
@@ -414,6 +399,8 @@ def cmd_invariant(args):
 
 
 def _refinement_block(p, B, total, digits):
+    from .surgery import refined_invariant, refinement_classes, refinement_kind
+
     classes = refinement_classes(p, B)
     parts = []
     running = None
@@ -430,6 +417,8 @@ def _refinement_block(p, B, total, digits):
 
 
 def cmd_refine(args):
+    from .surgery import signature, z_invariant
+
     _check_p(args.p)
     if args.p % 4:
         raise CliError(3, "refinements need p = 0 mod 4, got %d" % args.p)
@@ -445,6 +434,8 @@ def cmd_refine(args):
 
 
 def cmd_lens(args):
+    from .surgery import z_lens
+
     _check_p(args.p)
     _check_field(args.p)
     _check_lens(args.p, args.beta, args.alpha)
@@ -461,6 +452,9 @@ def cmd_lens(args):
 
 
 def cmd_tqft(args):
+    from .cobordism import (F_program, Index2, ProgramError, apply_map,
+                            canonical_context, load_program, normalized_map)
+
     _check_p(args.p)
     _check_field(args.p)
     doc = _read_doc(args.input)
@@ -542,6 +536,10 @@ def _parse_triple(doc, key, p, g):
 
 
 def cmd_heis(args):
+    from .heisenberg import (closed_context, commutant_dim, finite_inverse,
+                             finite_mul, monomial_of, schrodinger_act,
+                             to_finite)
+
     _check_p(args.p)
     doc = _read_doc(args.input)
     op = doc.get("op")
@@ -586,6 +584,8 @@ def cmd_heis(args):
 
 
 def _class_from(doc, key, genus):
+    from .mcg import FreeWord, MappingClass, twist_generators
+
     raw = doc.get(key)
     if raw is None:
         raise CliError(2, "document lacks mapping class %r" % (key,))
@@ -618,6 +618,10 @@ def _class_from(doc, key, genus):
 
 
 def cmd_mcg(args):
+    from .heisenberg import closed_context, compose_maps
+    from .mcg import (cocycle_c, heisenberg_twist, projective_defect, t_dual,
+                      theta, weil_intertwiner)
+
     _check_p(args.p)
     doc = _read_doc(args.input)
     op = doc.get("op")

@@ -61,7 +61,7 @@ from .homology import (
     symplectic_dual_basis,
 )
 from .surgery import z_invariant, z_lens
-from .value import Value, set_field
+from .value import Value, json_int, set_field
 
 __all__ = [
     "CobObject",
@@ -84,7 +84,6 @@ __all__ = [
     "monoidal_product",
     "normalized_map",
     "load_program",
-    "json_int",
 ]
 
 
@@ -451,14 +450,6 @@ def normalized_map(p, prog: CobordismProgram, closure=None, mode="auto"):
 
 
 # -- program (de)serialization --------------------------------------------
-
-
-def json_int(value):
-    """``value`` if it is an integer as read from JSON; booleans, floats
-    and strings raise ``TypeError``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError("expected an integer, got %r" % (value,))
-    return value
 
 
 def _integer_rows(rows):

@@ -14,21 +14,25 @@ Sums are integer vector operations.  A product runs a schoolbook loop
 over the nonzero terms of its sparser operand and is folded back into
 the power basis with the integer rows of x^j mod Phi_M.  An inverse is
 a table lookup for a root of unity, else a fraction-free extended
-Euclid on the numerators: no Fraction enters any field operation.
+Euclid on the numerators.  No Fraction or Decimal enters any field
+operation or any display: rationals travel as (numerator, denominator)
+pairs, and the module imports neither ``fractions`` nor ``decimal``.
+Fractions are still accepted as coordinates and compared and hashed as
+the rationals they are; ``CycNum.coeffs`` imports ``fractions`` on first
+use.
 
 :func:`approx_parts` is the only numerical surface the package uses: it
 prints the real and imaginary parts of an element correctly rounded,
-half-up, to a given number of significant digits, with the standard
-library alone.  :func:`to_complex` returns an mpmath number for library
-users and imports mpmath only when called.
+half-up, to a given number of significant digits, from a table of
+cosines and sines in integer fixed point.  :func:`to_complex` returns an
+mpmath number for library users and imports mpmath only when called.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from decimal import Decimal, getcontext, localcontext
-from fractions import Fraction
+import sys
 from functools import lru_cache
 
 __all__ = [
@@ -40,7 +44,6 @@ __all__ = [
     "from_rational",
     "exponent_sum",
     "field_order",
-    "root_q",
     "q_power",
     "gauss_sum",
     "sqrt_p_prime",
@@ -204,6 +207,8 @@ class CycNum:
     has den = 1), so equal elements have equal storage.  ``coeffs`` gives
     the same coordinates as a tuple of Fractions.
 
+    A coordinate given to the constructor is an int, a Fraction, a
+    string such as ``"-3/4"`` or a pair (numerator, denominator).
     Arithmetic coerces plain integers and Fractions; elements of
     different orders do not mix.
 
@@ -223,22 +228,33 @@ class CycNum:
     __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs):
-        coeffs = [_rational(c) for c in coeffs]
-        if len(coeffs) != _field(order).phi:
+        pairs = [_rational(c) for c in coeffs]
+        if len(pairs) != _field(order).phi:
             raise ValueError(
                 "expected %d coefficients for order %d, got %d"
-                % (_field(order).phi, order, len(coeffs))
+                % (_field(order).phi, order, len(pairs))
             )
-        den = math.lcm(*[c.denominator for c in coeffs])
+        den = math.lcm(*[d for _, d in pairs])
         self.order = order
-        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.num = tuple(n * (den // d) for n, d in pairs)
         self.den = den
 
     @property
     def coeffs(self) -> tuple:
         """The coordinates as a tuple of Fractions."""
+        from fractions import Fraction
+
         den = self.den
         return tuple(Fraction(c, den) for c in self.num)
+
+    def _pairs(self):
+        """The coordinates as reduced (numerator, denominator) pairs."""
+        den = self.den
+        out = []
+        for c in self.num:
+            g = math.gcd(c, den)
+            out.append((c // g, den // g))
+        return out
 
     # -- coercion ---------------------------------------------------------
 
@@ -250,7 +266,7 @@ class CycNum:
                     % (self.order, other.order)
                 )
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or _is_fraction(other):
             return from_rational(self.order, other)
         return None
 
@@ -424,7 +440,7 @@ class CycNum:
                 and self.num[0] == other.num[0]
                 and self.den == other.den
             )
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or _is_fraction(other):
             return (
                 self.num[0] == other.numerator
                 and self.den == other.denominator
@@ -433,25 +449,26 @@ class CycNum:
         return NotImplemented
 
     def __hash__(self):
+        # the hash of the equal Fraction, or of the tuple of them
         if self.is_rational():
-            return hash(Fraction(self.num[0], self.den))
+            return _rational_hash(self.num[0], self.den)
         if self.den == 1:
             return hash((self.order, self.num))
-        return hash((self.order, self.coeffs))
+        return hash((self.order,
+                     tuple(_rational_hash(n, d) for n, d in self._pairs())))
 
     # -- display ----------------------------------------------------------
 
     def __str__(self):
         terms = []
-        for j, c in enumerate(self.coeffs):
-            if not c:
+        for j, (n, d) in enumerate(self._pairs()):
+            if not n:
                 continue
-            if j == 0:
-                terms.append((c < 0, str(abs(c))))
-            else:
-                mag = "" if abs(c) == 1 else str(abs(c)) + "*"
-                power = "z" if j == 1 else "z^%d" % j
-                terms.append((c < 0, mag + power))
+            body = _rational_str(abs(n), d)
+            if j:
+                mag = "" if abs(n) == d else body + "*"
+                body = mag + ("z" if j == 1 else "z^%d" % j)
+            terms.append((n < 0, body))
         if not terms:
             return "0"
         parts = []
@@ -468,22 +485,58 @@ class CycNum:
     # -- serialization ----------------------------------------------------
 
     def to_json(self, digits: int | None = None) -> dict:
+        """The order and the coordinates as strings such as ``"-3/4"``,
+        with ``approx``, the display parts, when ``digits`` is given."""
         doc = {
             "order": self.order,
-            "coeffs": [str(c) for c in self.coeffs],
+            "coeffs": [_rational_str(n, d) for n, d in self._pairs()],
         }
         if digits is not None:
             doc["approx"] = "%s + %si" % approx_parts(self, digits)
         return doc
 
 
-def _rational(c):
-    """``c`` as an int or a Fraction; a float raises ``TypeError``."""
-    if isinstance(c, (int, Fraction)):
-        return c
+def _is_fraction(x) -> bool:
+    """Whether x is a Fraction; one exists only once ``fractions`` has
+    been imported."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
+
+
+def _rational_str(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for a reduced pair."""
+    return str(n) if d == 1 else "%d/%d" % (n, d)
+
+
+def _rational_hash(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for a reduced pair, by the rule for numeric
+    hashes that ``Fraction.__hash__`` follows."""
+    try:
+        h = hash(abs(n) * pow(d, -1, sys.hash_info.modulus))
+    except ValueError:  # d is a multiple of the modulus
+        h = sys.hash_info.inf
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
+
+
+def _rational(c) -> tuple:
+    """``c`` as a reduced pair (numerator, denominator > 0): ``c`` is an
+    int, a pair of ints, or anything ``Fraction`` takes, such as a
+    string ``"-3/4"``; a float raises ``TypeError``."""
+    if isinstance(c, int):
+        return c.numerator, 1  # a bool as its int
+    if isinstance(c, tuple):
+        n, d = c
+        if d <= 0:
+            raise ValueError("a rational pair needs a positive denominator")
+        g = math.gcd(n, d)
+        return n // g, d // g
     if isinstance(c, float):
         raise TypeError("expected an exact rational, got the float %r" % (c,))
-    return Fraction(c)
+    from fractions import Fraction
+
+    c = Fraction(c)
+    return c.numerator, c.denominator
 
 
 def _new(order: int, num: tuple, den: int) -> CycNum:
@@ -513,9 +566,9 @@ def one(M: int) -> CycNum:
 
 
 def from_rational(M: int, r) -> CycNum:
-    r = _rational(r)
-    return _new(M, (r.numerator,) + (0,) * (_field(M).phi - 1),
-                r.denominator)
+    """The rational r, in any form :class:`CycNum` takes a coordinate."""
+    n, d = _rational(r)
+    return _new(M, (n,) + (0,) * (_field(M).phi - 1), d)
 
 
 def make_root(M: int, j: int) -> CycNum:
@@ -560,12 +613,6 @@ def field_order(p: int) -> int:
 
 def p_prime(p: int) -> int:
     return p if p % 2 else p // 2
-
-
-def root_q(p: int) -> CycNum:
-    """The distinguished primitive p-th root q = zeta_M^(M/p)."""
-    M = field_order(p)
-    return make_root(M, M // p)
 
 
 def q_power(p: int, e: int) -> CycNum:
@@ -656,7 +703,8 @@ def eta_kappa(p: int):
         raise ValueError("unsupported order: p = 2 mod 4 has vanishing Gauss sum")
     _, g = gauss_sum(p)
     # sqrt(p') * sqrt(p') = p', so no field inversion is needed
-    eta = sqrt_p_prime(p) * Fraction(1, p_prime(p))
+    root = sqrt_p_prime(p)
+    eta = _new(root.order, root.num, root.den * p_prime(p))
     kappa = g * eta
     unit = one(field_order(p))
     if kappa ** 8 != unit:
@@ -673,28 +721,30 @@ def eta_kappa(p: int):
 _GUARD = 10  # decimal digits the trigonometric table carries beyond its scale
 
 
-def _pi() -> Decimal:
-    """pi in the current decimal context, by the series in the recipes
-    of the ``decimal`` module's documentation."""
-    with localcontext() as ctx:
-        ctx.prec += 2
-        lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
-        while s != lasts:
-            lasts = s
-            n, na = n + na, na + 8
-            d, da = d + da, da + 32
-            t = (t * n) / d
-            s += t
-    return +s
+def _pi(unit: int) -> int:
+    """unit * pi, a power of ten, within 13 units per digit of ``unit``,
+    by Machin's formula pi = 16 arctan(1/5) - 4 arctan(1/239)."""
+    def arctan_inv(x):
+        # unit * arctan(1/x): each term is truncated once, so the sum is
+        # within one unit per term
+        total, term, k, sign = 0, unit // x, 1, 1
+        while term:
+            total += sign * (term // k)
+            term //= x * x
+            k, sign = k + 2, -sign
+        return total
+
+    return 16 * arctan_inv(5) - 4 * arctan_inv(239)
 
 
-def _cos_sin(y: Decimal) -> tuple:
-    """cos(y) and sin(y) for 0 <= y <= pi/4 by their Taylor series, in
-    the current decimal context."""
-    c = s = Decimal(0)
-    term, k = Decimal(1), 0
-    eps = Decimal(10) ** -(getcontext().prec + 2)
-    while term > eps:
+def _cos_sin(y: int, unit: int) -> tuple:
+    """unit * cos(y / unit) and unit * sin(y / unit) for
+    0 <= y <= unit * pi / 4, by their Taylor series on integers: each
+    term is truncated once and the terms fall, so each sum is within one
+    unit per term."""
+    c = s = 0
+    term, k = unit, 0
+    while term:
         if k % 4 == 0:
             c += term
         elif k % 4 == 1:
@@ -704,7 +754,7 @@ def _cos_sin(y: Decimal) -> tuple:
         else:
             s -= term
         k += 1
-        term = term * y / k
+        term = term * y // (k * unit)
     return c, s
 
 
@@ -714,25 +764,28 @@ def _trig_table(M: int, scale: int) -> tuple:
     10^scale * cos(2 pi j / M) and 10^scale * sin(2 pi j / M), for the
     power-basis exponents 0 <= j < phi(M).
 
-    Each angle is reduced exactly, as a fraction of a quarter turn, to
-    [0, pi/4]; the series run with ``_GUARD`` digits to spare.
+    Each angle is reduced exactly, as a fraction r / M of a quarter
+    turn, to [0, pi/4]; the series run in fixed point with ``_GUARD``
+    digits to spare.  There pi/2 and the angle are off by at most 13
+    units per digit of the fixed-point unit and each series by under a
+    hundred units, far below the 10^_GUARD units of one table unit at
+    any scale a display reaches, so every entry rounded from there is
+    within 1.
     """
+    unit = 10 ** (scale + _GUARD)
+    spare = 10 ** _GUARD
+    half_pi = _pi(unit) // 2
     cos_t, sin_t = [], []
-    with localcontext() as ctx:
-        ctx.prec = scale + _GUARD
-        half_pi = _pi() / 2
-        unit = Decimal(10) ** scale
-        for j in range(_field(M).phi):
-            quarter, b = divmod(Fraction(4 * j, M), 1)
-            if 2 * b <= 1:
-                c, s = _cos_sin(half_pi * b.numerator / b.denominator)
-            else:
-                b = 1 - b
-                s, c = _cos_sin(half_pi * b.numerator / b.denominator)
-            for _ in range(quarter):
-                c, s = -s, c
-            cos_t.append(int((c * unit).to_integral_value()))
-            sin_t.append(int((s * unit).to_integral_value()))
+    for j in range(_field(M).phi):
+        quarter, r = divmod(4 * j, M)
+        if 2 * r <= M:
+            c, s = _cos_sin(half_pi * r // M, unit)
+        else:
+            s, c = _cos_sin(half_pi * (M - r) // M, unit)
+        for _ in range(quarter):
+            c, s = -s, c
+        cos_t.append((2 * c + spare) // (2 * spare))
+        sin_t.append((2 * s + spare) // (2 * spare))
     return tuple(cos_t), tuple(sin_t)
 
 
@@ -777,7 +830,8 @@ def _layout(negative: bool, m: int, e: int, digits: int) -> str:
 
 
 def _exact_parts(x: CycNum) -> list:
-    """[Re x, Im x], each a Fraction when it is rational, else None.
+    """[Re x, Im x], each a reduced pair (numerator, denominator) when
+    it is rational, else None.
 
     Decided in exact arithmetic: x + conj(x) = 2 Re x, and
     -i (x - conj(x)) = 2 Im x.  Without i in the field (4 does not
@@ -787,13 +841,13 @@ def _exact_parts(x: CycNum) -> list:
     twice_im = x - conj
     parts = [None, None]
     if twice_re.is_rational():
-        parts[0] = Fraction(twice_re.num[0], 2 * twice_re.den)
+        parts[0] = _rational((twice_re.num[0], 2 * twice_re.den))
     if not twice_im:
-        parts[1] = Fraction(0)
+        parts[1] = (0, 1)
     elif x.order % 4 == 0:
         twice_im = twice_im * _field(x.order).root(3 * x.order // 4)
         if twice_im.is_rational():
-            parts[1] = Fraction(twice_im.num[0], 2 * twice_im.den)
+            parts[1] = _rational((twice_im.num[0], 2 * twice_im.den))
     return parts
 
 
@@ -819,15 +873,15 @@ def approx_parts(x: CycNum, digits: int) -> tuple:
     layout of ``mpmath.nstr``.
 
     An exactly zero part prints ``0.0`` and a rational part is rounded
-    from its Fraction.  Any other part is summed on integers from a
-    per-(M, scale) table of scaled cosines and sines, with a bound on
-    the error; while that interval meets a rounding boundary (or zero)
-    the scale doubles.  An irrational part lies on no boundary, so this
+    from its numerator and denominator.  Any other part is summed on
+    integers from a per-(M, scale) table of scaled cosines and sines,
+    with a bound on the error; while that interval meets a rounding
+    boundary (or zero) the scale doubles.  An irrational part lies on no boundary, so this
     ends.  For display only: no identity depends on it.
 
     >>> approx_parts(make_root(8, 1), 5)
     ('0.70711', '0.70711')
-    >>> approx_parts(from_rational(8, Fraction(1, 8)), 2)
+    >>> approx_parts(from_rational(8, "1/8"), 2)
     ('0.13', '0.0')
     >>> approx_parts(make_root(40, 2) * 10 ** 6, 3)
     ('9.51e+5', '3.09e+5')
@@ -835,8 +889,8 @@ def approx_parts(x: CycNum, digits: int) -> tuple:
     if digits < 1:
         raise ValueError("digits must be positive")
     out = [
-        None if v is None else "0.0" if not v else
-        _layout(*_round_half_up(v.numerator, v.denominator, digits), digits)
+        None if v is None else "0.0" if not v[0] else
+        _layout(*_round_half_up(*v, digits), digits)
         for v in _exact_parts(x)
     ]
     scale = 24
@@ -868,9 +922,9 @@ def to_complex(x: CycNum, digits: int):
         raise ValueError("digits must be positive")
     with mpmath.workdps(digits + 15):
         z = mpmath.mpc(0)
-        for j, c in enumerate(x.coeffs):
-            if c:
-                w = mpmath.mpf(c.numerator) / c.denominator
+        for j, (n, d) in enumerate(x._pairs()):
+            if n:
+                w = mpmath.mpf(n) / d
                 z += w * mpmath.expjpi(mpmath.mpf(2 * j) / x.order)
         return +z
 

@@ -41,7 +41,6 @@ __all__ = [
     "closed_context",
     "correspondence_context",
     "labels",
-    "integral_mul",
     "split_coords",
     "to_finite",
     "finite_mul",
@@ -122,13 +121,6 @@ def correspondence_context(p, corr: Correspondence):
 
 
 # -- group laws -----------------------------------------------------------
-
-
-def integral_mul(ctx, e1, e2):
-    """(k, x)(k', x') = (k + k' + x.x', x + x')."""
-    k1, x1 = e1
-    k2, x2 = e2
-    return (k1 + k2 + ctx.form(x1, x2), tuple(a + b for a, b in zip(x1, x2)))
 
 
 def split_coords(ctx, x):

@@ -36,7 +36,6 @@ __all__ = [
     "solve_left",
     "lattice_intersect",
     "saturate",
-    "row_span_equal",
     "is_lagrangian",
     "is_symplectic",
     "symplectic_dual_basis",
@@ -262,10 +261,6 @@ def saturate(A):
     if not nullspace:
         return identity_matrix(len(A[0]))
     return left_kernel(mat_transpose(nullspace))
-
-
-def row_span_equal(A, B):
-    return hnf(A) == hnf(B)
 
 
 # -- Lagrangian predicates ------------------------------------------------

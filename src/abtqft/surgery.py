@@ -39,7 +39,6 @@ differ from the invariant.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -52,7 +51,6 @@ from .cyclotomic import (
 
 __all__ = [
     "signature",
-    "bracket",
     "z_invariant",
     "matrix_element",
     "continued_fraction",
@@ -81,8 +79,16 @@ def _check_symmetric(B):
 
 
 def signature(B):
-    """Signature of a symmetric integer matrix, by exact congruence
-    diagonalization over the rationals.
+    """Signature of a symmetric integer matrix, by fraction-free
+    congruence diagonalization (Bareiss 1968) on integers.
+
+    Each step replaces the block after its pivot by
+    (pivot * a_kl - a_ki * a_il) / last, last the previous pivot: the
+    division is exact (Sylvester's identity) and the entries stay
+    minors of B, so they stay small.  The step adds the sign of the
+    rational pivot, pivot / last.  A zero diagonal entry with a nonzero
+    entry B_ij to its right is first made nonzero by the congruence
+    x_i += s x_j; a zero row is the radical and is skipped.
 
     >>> signature(((2, 1), (1, 2)))
     2
@@ -93,31 +99,28 @@ def signature(B):
     """
     B = _check_symmetric(B)
     n = len(B)
-    M = [[Fraction(v) for v in row] for row in B]
-    sig = 0
+    M = [list(row) for row in B]
+    sig, last = 0, 1
     for i in range(n):
-        if M[i][i] == 0:
-            j = next((k for k in range(i + 1, n) if M[i][k]), None)
+        row = M[i]
+        if not row[i]:
+            j = next((k for k in range(i + 1, n) if row[k]), None)
             if j is None:
                 continue
-            for s in (1, -1):
-                if 2 * s * M[i][j] + M[j][j] != 0:
-                    break
             # x_i += s x_j turns the zero diagonal entry into
             # 2 s B_ij + B_jj, nonzero for one of the signs
-            for k in range(n):
-                M[i][k] += s * M[j][k]
-            for k in range(n):
+            s = 1 if 2 * row[j] + M[j][j] else -1
+            for k in range(i, n):
+                row[k] += s * M[j][k]
+            for k in range(i, n):
                 M[k][i] += s * M[k][j]
-        pivot = M[i][i]
-        sig += 1 if pivot > 0 else -1
+        pivot = row[i]
+        sig += 1 if (pivot > 0) == (last > 0) else -1
         for k in range(i + 1, n):
-            factor = M[k][i] / pivot
-            if factor:
-                for l in range(n):
-                    M[k][l] -= factor * M[i][l]
-                for l in range(n):
-                    M[l][k] -= factor * M[l][i]
+            rk, f = M[k], M[k][i]
+            for l in range(i + 1, n):
+                rk[l] = (pivot * rk[l] - f * row[l]) // last
+        last = pivot
     return sig
 
 
@@ -139,14 +142,6 @@ def _phase_sum(p, B, ranges):
         key = (e % p) * step
         counts[key] = counts.get(key, 0) + 1
     return exponent_sum(M, counts)
-
-
-def bracket(p, B, colors):
-    """The phase q^(c^T B c) of one coloring."""
-    B = _check_symmetric(B)
-    if len(colors) != len(B):
-        raise ValueError("need one color per component")
-    return _phase_sum(p, B, [(c,) for c in colors])
 
 
 @lru_cache(maxsize=None)

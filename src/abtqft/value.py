@@ -1,4 +1,5 @@
-"""Immutable value classes.
+"""Immutable value classes, and ``json_int``, the check of an integer
+read from JSON.
 
 A subclass of ``Value`` lists its fields in ``__slots__``, in order, and
 sets them in its own ``__init__`` through ``set_field`` after checking
@@ -26,7 +27,7 @@ AttributeError: cannot assign to field 'x'
 
 from operator import attrgetter
 
-__all__ = ["Value", "set_field"]
+__all__ = ["Value", "set_field", "json_int"]
 
 set_field = object.__setattr__
 
@@ -70,3 +71,11 @@ class Value:
 
     def __reduce__(self):
         return _restore, (type(self), self._fields(self))
+
+
+def json_int(value):
+    """``value`` if it is an integer as read from JSON; booleans, floats
+    and strings raise ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("expected an integer, got %r" % (value,))
+    return value

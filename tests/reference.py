@@ -1,0 +1,132 @@
+"""Reference implementations kept for the tests only.
+
+The package carries what its command line and its two routes run.  The
+helpers below have no caller there: the earlier ``Fraction`` signature
+and ``decimal`` trigonometric table, which the integer versions in
+``surgery`` and ``cyclotomic`` replaced and are checked against, and
+four small public helpers that only the tests used.
+"""
+
+from decimal import Decimal, getcontext, localcontext
+from fractions import Fraction
+
+from abtqft.cyclotomic import _field, field_order, make_root
+from abtqft.homology import hnf
+from abtqft.surgery import _check_symmetric, _phase_sum
+
+
+def root_q(p):
+    """The distinguished primitive p-th root q = zeta_M^(M/p)."""
+    M = field_order(p)
+    return make_root(M, M // p)
+
+
+def bracket(p, B, colors):
+    """The phase q^(c^T B c) of one coloring."""
+    B = _check_symmetric(B)
+    if len(colors) != len(B):
+        raise ValueError("need one color per component")
+    return _phase_sum(p, B, [(c,) for c in colors])
+
+
+def row_span_equal(A, B):
+    return hnf(A) == hnf(B)
+
+
+def integral_mul(ctx, e1, e2):
+    """(k, x)(k', x') = (k + k' + x.x', x + x')."""
+    k1, x1 = e1
+    k2, x2 = e2
+    return (k1 + k2 + ctx.form(x1, x2), tuple(a + b for a, b in zip(x1, x2)))
+
+
+def fraction_signature(B):
+    """Signature of a symmetric integer matrix, by exact congruence
+    diagonalization over the rationals."""
+    B = _check_symmetric(B)
+    n = len(B)
+    M = [[Fraction(v) for v in row] for row in B]
+    sig = 0
+    for i in range(n):
+        if M[i][i] == 0:
+            j = next((k for k in range(i + 1, n) if M[i][k]), None)
+            if j is None:
+                continue
+            for s in (1, -1):
+                if 2 * s * M[i][j] + M[j][j] != 0:
+                    break
+            # x_i += s x_j turns the zero diagonal entry into
+            # 2 s B_ij + B_jj, nonzero for one of the signs
+            for k in range(n):
+                M[i][k] += s * M[j][k]
+            for k in range(n):
+                M[k][i] += s * M[k][j]
+        pivot = M[i][i]
+        sig += 1 if pivot > 0 else -1
+        for k in range(i + 1, n):
+            factor = M[k][i] / pivot
+            if factor:
+                for l in range(n):
+                    M[k][l] -= factor * M[i][l]
+                for l in range(n):
+                    M[l][k] -= factor * M[l][i]
+    return sig
+
+
+def _decimal_pi():
+    """pi in the current decimal context, by the series in the recipes
+    of the ``decimal`` module's documentation."""
+    with localcontext() as ctx:
+        ctx.prec += 2
+        lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+    return +s
+
+
+def _decimal_cos_sin(y):
+    """cos(y) and sin(y) for 0 <= y <= pi/4 by their Taylor series, in
+    the current decimal context."""
+    c = s = Decimal(0)
+    term, k = Decimal(1), 0
+    eps = Decimal(10) ** -(getcontext().prec + 2)
+    while term > eps:
+        if k % 4 == 0:
+            c += term
+        elif k % 4 == 1:
+            s += term
+        elif k % 4 == 2:
+            c -= term
+        else:
+            s -= term
+        k += 1
+        term = term * y / k
+    return c, s
+
+
+def decimal_trig_table(M, scale):
+    """The earlier display table before rounding: the pair (cos, sin) of
+    tuples of Decimals 10^scale cos(2 pi j / M) and
+    10^scale sin(2 pi j / M), 0 <= j < phi(M), computed with
+    scale + 10 significant digits."""
+    cos_t, sin_t = [], []
+    with localcontext() as ctx:
+        ctx.prec = scale + 10
+        half_pi = _decimal_pi() / 2
+        unit = Decimal(10) ** scale
+        for j in range(_field(M).phi):
+            quarter, b = divmod(Fraction(4 * j, M), 1)
+            if 2 * b <= 1:
+                c, s = _decimal_cos_sin(half_pi * b.numerator / b.denominator)
+            else:
+                b = 1 - b
+                s, c = _decimal_cos_sin(half_pi * b.numerator / b.denominator)
+            for _ in range(quarter):
+                c, s = -s, c
+            cos_t.append(c * unit)
+            sin_t.append(s * unit)
+    return tuple(cos_t), tuple(sin_t)

@@ -32,7 +32,8 @@ IMPORTS = {
     "cobordism": {"cyclotomic", "heisenberg", "homology", "surgery",
                   "value"},
     "mcg": {"cyclotomic", "heisenberg", "homology", "value"},
-    "cli": {"cobordism", "cyclotomic", "heisenberg", "mcg", "surgery"},
+    "cli": {"cobordism", "cyclotomic", "heisenberg", "mcg", "surgery",
+            "value"},
 }
 
 ORACLE = {

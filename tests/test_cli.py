@@ -301,7 +301,6 @@ def test_mcg_cocycle_verify_builds_three_intertwiners(monkeypatch, capsys,
         calls.append(fsymp)
         return weil_intertwiner(fsymp, ctx)
 
-    monkeypatch.setattr(cli, "weil_intertwiner", counting)
     monkeypatch.setattr(mcg, "weil_intertwiner", counting)
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     assert cli.main(["mcg", "-", "--p", "3", "--verify"]) == 0
@@ -519,6 +518,23 @@ def test_scalar_documents_round_trip():
     for x in samples:
         doc = json.loads(json.dumps(cli.scalar_doc(x, 12)))
         assert cli.parse_scalar(doc) == x
+
+
+def test_json_rationals_read_as_fraction_reads_them():
+    # the plain forms are read on integers, the rest by Fraction
+    for text in ("3", "-3/4", "+6/8", "-0/5", "007/014", " 1.5e1 ", "1_0/4"):
+        r = Fraction(text)
+        assert cli._json_rational(text) == (r.numerator, r.denominator)
+    for text, error in (("1/0", ZeroDivisionError),
+                        ("3/00", ZeroDivisionError), ("abc", ValueError),
+                        ("+7/-2", ValueError), ("", ValueError),
+                        ("/2", ValueError), ("-", ValueError),
+                        ("\u00b2/4", ValueError)):
+        with pytest.raises(error) as got:
+            cli._json_rational(text)
+        with pytest.raises(error) as want:
+            Fraction(text)
+        assert str(got.value) == str(want.value)
 
 
 def test_digits_are_capped(tmp_path, capsys):
@@ -833,7 +849,7 @@ def test_invariant_cap_goes_before_the_signature(monkeypatch, tmp_path,
     def no_signature(B):
         raise AssertionError("signature computed for a refused job")
 
-    monkeypatch.setattr(cli, "signature", no_signature)
+    monkeypatch.setattr("abtqft.surgery.signature", no_signature)
     _run(capsys, ["invariant", doc, "--p", "5"], expect=6)
 
 
@@ -928,7 +944,7 @@ def test_heis_genus_is_bounded_before_the_frame(monkeypatch, tmp_path,
     def no_frame(p, g):
         raise AssertionError("frame built for a malformed document")
 
-    monkeypatch.setattr(cli, "closed_context", no_frame)
+    monkeypatch.setattr("abtqft.heisenberg.closed_context", no_frame)
     short = _doc(tmp_path, "s.json", dict(_heis_elements(g, True),
                                           op="mul", g=g))
     report = _run(capsys, ["heis", short, "--p", "13"], expect=2)

@@ -24,11 +24,11 @@ from abtqft.cyclotomic import (
     one,
     p_prime,
     q_power,
-    root_q,
     sqrt_p_prime,
     to_complex,
     zero,
 )
+from reference import decimal_trig_table, root_q
 
 
 def _random_element(rng, M, size=3):
@@ -337,6 +337,22 @@ def test_equality_and_hash_with_rationals():
     # rational elements of different orders agree as values
     assert from_rational(8, 2) == from_rational(24, 2)
     assert from_rational(8, 2) != make_root(24, 8)
+
+
+@given(st.sampled_from((8, 24, 40, 72)), st.integers(-10 ** 30, 10 ** 30),
+       st.one_of(st.integers(1, 50), st.integers(1, 10 ** 30),
+                 st.just(2 ** 61 - 1), st.just(3 * (2 ** 61 - 1))))
+def test_rational_elements_act_as_their_fraction(M, n, d):
+    r = Fraction(n, d)
+    x = from_rational(M, (n, d))
+    assert x == from_rational(M, r) == from_rational(M, str(r))
+    assert hash(x) == hash(r)
+    assert x == r and r == x
+    assert (x + Fraction(1, 3)).coeffs == (r + Fraction(1, 3),) + (0,) * (
+        len(x.num) - 1)
+    assert Fraction(1, 3) + x == x + Fraction(1, 3)
+    y = x * make_root(M, 1)
+    assert hash(y) == _ref_hash(M, y.coeffs)
 
 
 def test_field_order_and_p_prime():
@@ -770,6 +786,16 @@ def test_trig_table_is_within_one_unit():
                     turn = mpmath.mpf(2 * j) / M
                     assert abs(c - mpmath.cospi(turn) * 10 ** scale) < 1
                     assert abs(s - mpmath.sinpi(turn) * 10 ** scale) < 1
+
+
+def test_trig_table_is_within_one_unit_of_the_decimal_reference():
+    orders = sorted({field_order(p) for p in range(3, 65) if p % 4 != 2})
+    for M in orders:
+        for scale in (24, 48, 96):
+            table = cyclotomic._trig_table(M, scale)
+            for got, want in zip(table, decimal_trig_table(M, scale)):
+                assert all(abs(g - w) < 1 for g, w in zip(got, want)), (
+                    M, scale)
 
 
 def test_certified_sum_refuses_an_interval_across_a_boundary():

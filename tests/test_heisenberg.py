@@ -26,7 +26,6 @@ from abtqft.heisenberg import (
     finite_inverse,
     finite_mul,
     induced_map_oracle,
-    integral_mul,
     labels,
     monomial_of,
     right_act_boundary,
@@ -44,6 +43,7 @@ from abtqft.homology import (
     standard_dual,
     standard_lagrangian,
 )
+from reference import integral_mul
 
 
 def _random_symplectic(rng, g, factors=3):

@@ -23,7 +23,6 @@ from abtqft.homology import (
     lattice_intersect,
     left_kernel,
     mat_mul,
-    row_span_equal,
     saturate,
     solve_left,
     standard_dual,
@@ -31,6 +30,7 @@ from abtqft.homology import (
     symplectic_complete,
     symplectic_dual_basis,
 )
+from reference import row_span_equal
 
 
 def _random_transvection(rng, g):

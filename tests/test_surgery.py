@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from abtqft import surgery
 from abtqft.cyclotomic import (
@@ -18,7 +20,6 @@ from abtqft.cyclotomic import (
 )
 from abtqft.surgery import (
     blow_up,
-    bracket,
     chain_matrix,
     continued_fraction,
     matrix_element,
@@ -30,6 +31,7 @@ from abtqft.surgery import (
     z_invariant,
     z_lens,
 )
+from reference import bracket, fraction_signature
 
 
 def _random_symmetric(rng, n, span=4):
@@ -51,6 +53,32 @@ def test_signature_frozen():
     assert signature(((0, 1), (1, -1))) == 0
     assert signature(((0, 1, 0), (1, 0, 0), (0, 0, 5))) == 1
     assert signature(chain_matrix((2, 2, 2))) == 3
+
+
+@st.composite
+def _symmetric_matrices(draw, max_n, bound):
+    """Symmetric integer matrices of size at most max_n with entries in
+    [-bound, bound], drawn with zeros on the diagonal and singular
+    matrices (a repeated row and column) often."""
+    n = draw(st.integers(0, max_n))
+    entries = st.one_of(st.just(0), st.integers(-bound, bound))
+    B = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            B[i][j] = B[j][i] = draw(entries)
+    for i in draw(st.sets(st.integers(0, max(n - 1, 0)))) if n else ():
+        B[i][i] = 0
+    if n >= 2 and draw(st.booleans()):
+        a, b = draw(st.permutations(range(n)))[:2]
+        for k in range(n):
+            B[b][k] = B[k][b] = B[a][k]
+        B[a][b] = B[b][a] = B[b][b] = B[a][a]
+    return tuple(tuple(row) for row in B)
+
+
+@given(_symmetric_matrices(8, 4))
+def test_signature_matches_the_fraction_reference(B):
+    assert signature(B) == fraction_signature(B)
 
 
 def test_signature_matches_floating_point():
@@ -380,6 +408,22 @@ def test_bracket_and_matrix_element_reject_bad_components():
         bracket(3, ((1, 0), (0, 1)), (1,))
     with pytest.raises(ValueError):
         matrix_element(3, ((1, 0), (0, 1)), {2: 1}, 1)
+
+
+def _direct_sum(A, B):
+    n, m = len(A), len(B)
+    return tuple(tuple(A[i]) + (0,) * m for i in range(n)) + tuple(
+        (0,) * n + tuple(B[i]) for i in range(m))
+
+
+@given(st.sampled_from((3, 4, 5, 7, 8, 12)), st.data())
+def test_connected_sum_multiplies_invariants(p, data):
+    # Z(A + B) Z(S^3) = Z(A) Z(B): the signature of a direct sum adds,
+    # so kappa^(-sig) and eta split between the two summands
+    A = data.draw(_symmetric_matrices(4, 3))
+    B = data.draw(_symmetric_matrices(4 - len(A), 3))
+    assert z_invariant(p, _direct_sum(A, B)) * z_invariant(p, ()) == (
+        z_invariant(p, A) * z_invariant(p, B))
 
 
 def test_kirby_move_shapes():

@@ -398,24 +398,44 @@ def _imported_modules(argv, doc=None):
     return proc.returncode, names
 
 
-def test_cli_processes_load_no_argparse_dataclasses_inspect_or_ast():
+ENGINES = {"abtqft.surgery", "abtqft.homology", "abtqft.heisenberg",
+           "abtqft.cobordism", "abtqft.mcg"}
+# the engine modules each command loads: the rest of ENGINES stays out
+LOADS = {
+    "invariant": {"abtqft.surgery"},
+    "refine": {"abtqft.surgery"},
+    "lens": {"abtqft.surgery"},
+    "heis": {"abtqft.homology", "abtqft.heisenberg"},
+    "mcg": {"abtqft.homology", "abtqft.heisenberg", "abtqft.mcg"},
+    "tqft": ENGINES - {"abtqft.mcg"},
+}
+
+
+def test_cli_processes_load_no_argparse_dataclasses_inspect_or_ast(tmp_path):
     _, bare = _imported_modules(["-c", "pass"])
     program = ('{"source": {"g": 1, "L": [[1, 0]]}, "steps": [{"kind": '
                '"index2", "handle": 0, "gamma": [1, 2]}], '
                '"target": {"g": 0, "L": []}}')
+    vector = tmp_path / "vector.json"
+    vector.write_text('{"entries": [{"label": [1], "value": "-3/4"}]}')
     runs = [
         (["invariant", "-", "--p", "5"], '{"B": [[2, 1], [1, 2]]}', 0),
+        (["refine", "-", "--p", "8"], '{"B": [[2, 1], [1, 2]]}', 0),
         (["lens", "7", "3", "--p", "5"], None, 0),
         (["tqft", "-", "--p", "5"], program, 0),
+        (["tqft", "-", "--p", "5", "--vector", str(vector)], program, 0),
         (["heis", "-", "--p", "5"], '{"op": "commutant", "g": 1}', 0),
         (["mcg", "-", "--p", "5"],
          '{"op": "weil", "g": 1, "f": {"word": ["ta"]}}', 0),
         (["lens", "7", "x", "--p", "5"], None, 2),
     ]
     unwanted = {"dataclasses", "inspect", "ast", "argparse", "gettext",
-                "locale"}
+                "locale", "fractions", "decimal", "numbers"}
     for argv, doc, expect in runs:
         code, names = _imported_modules(["-m", "abtqft.cli"] + argv, doc)
         assert code == expect, argv
-        assert "abtqft.cobordism" in names
+        assert "abtqft.cyclotomic" in names, argv
+        # a usage error stops before any command runs
+        loads = LOADS[argv[0]] if expect == 0 else set()
+        assert names & ENGINES == loads, argv
         assert not unwanted & (names - bare), argv
