@@ -28,7 +28,12 @@ Q(zeta_M), M = lcm(8, p), is over ``MAX_FIELD_ORDER``, on every path
 that builds the field, whose set-up grows as M^2: ``invariant``,
 ``refine``, ``lens`` and ``tqft`` always build it; ``heis mul`` and
 ``inverse``, and ``mcg theta`` and ``cocycle`` without ``--verify``,
-never do.
+never do.  A mapping class given as a twist ``word`` is composed one
+twist at a time, and ``cocycle --verify`` composes f h; each
+composition first predicts the letters of its image words, the sum over
+the letters of the right factor's images of the length of the left
+factor's image of that letter, and one over ``MAX_WORD_LETTERS`` is
+refused.
 
 The command line is ``abtqft COMMAND [ARGUMENTS]``.  Options and
 positionals mix in any order; an option takes its value as the next
@@ -83,7 +88,8 @@ MAX_DIGITS = 12
 # Schur averaging runs at about 1.3 M terms/s; the frame check of
 # ``heis mul`` and ``inverse`` takes about 0.2 s at genus 100; a field
 # of order 4096 and its eta, kappa and display table take about 0.4 s
-# to set up, and 1.4 s at order 8072 (2-vCPU VM, Python 3.11).
+# to set up, and 1.4 s at order 8072; a composition of mapping classes
+# at the letter cap takes about 0.1 s (2-vCPU VM, Python 3.11).
 MAX_COLORINGS = 10 ** 6
 MAX_TENSOR_PAIRS = 2 * 10 ** 4
 MAX_LABELS = 10 ** 4
@@ -91,6 +97,7 @@ MAX_COMMUTANT_UNKNOWNS = 10 ** 4
 MAX_AVERAGING_TERMS = 10 ** 6
 MAX_GENUS = 100
 MAX_FIELD_ORDER = 4096
+MAX_WORD_LETTERS = 10 ** 5
 
 
 class CliError(Exception):
@@ -583,6 +590,18 @@ def cmd_heis(args):
 # -- mcg -------------------------------------------------------------------
 
 
+def _compose(f, h, key, genus, step):
+    """f after h, refused when its image words would hold more than
+    ``MAX_WORD_LETTERS`` letters before free reduction."""
+    sizes = [len(w.letters) for w in f.images]
+    count = sum(sizes[abs(x) - 1] for w in h.images for x in w.letters)
+    if count > MAX_WORD_LETTERS:
+        raise CliError(6, "mapping class %r of genus %d: %s composes %d "
+                          "image letters, over the cap of %d"
+                       % (key, genus, step, count, MAX_WORD_LETTERS))
+    return f * h
+
+
 def _class_from(doc, key, genus):
     from .mcg import FreeWord, MappingClass, twist_generators
 
@@ -601,11 +620,12 @@ def _class_from(doc, key, genus):
         except ValueError as exc:
             raise CliError(2, str(exc))
         f = MappingClass.identity(genus)
-        for name in word:
+        for step, name in enumerate(word, 1):
             if not isinstance(name, str) or name not in lib:
                 raise CliError(2, "unknown twist %r for genus %d"
                                % (name, genus))
-            f = f * lib[name]
+            f = _compose(f, lib[name], key, genus,
+                         "twist %d (%s)" % (step, name))
         return f
     if "images" in raw:
         try:
@@ -628,11 +648,12 @@ def cmd_mcg(args):
     genus = _genus(doc)
     if op == "theta":
         f = _class_from(doc, "f", genus)
+        th = theta(f)
         report = {"command": "mcg", "op": "theta", "p": args.p, "g": genus,
-                  "theta": list(theta(f)),
+                  "theta": list(th),
                   "matrix": [list(r) for r in f.matrix]}
         if args.p % 2:
-            report["t"] = list(t_dual(theta(f), args.p))
+            report["t"] = list(t_dual(th, args.p))
         return report
     if op == "cocycle":
         if args.p % 2 == 0:
@@ -644,8 +665,9 @@ def cmd_mcg(args):
                   "g": genus, "c": c}
         if args.verify:
             _check_weil(args.p, genus, 3)
+            fh = _compose(f, h, "f h", genus, "the product f h")
             ctx = closed_context(args.p, genus)
-            classes = (f, h, f * h)
+            classes = (f, h, fh)
             S = [weil_intertwiner(x.matrix, ctx) for x in classes]
             # weil_H(x) is the Heisenberg twist of x after S(x)
             H = [compose_maps(heisenberg_twist(x, ctx).as_map(), s)

@@ -10,12 +10,15 @@ negation is inversion, so a word is just a tuple of nonzero integers.
 The counting functions ``morita_d`` and the crossed homomorphism
 ``theta`` measure how a substitution acts on the integral Heisenberg
 group beyond its symplectic matrix; ``t_dual`` converts theta into the
-homology class pairing with it.  ``weil_intertwiner`` produces the
-Stone-von Neumann isomorphism between a Schrodinger module and its
-twist by a symplectic matrix, ``weil_H`` the variant twisted by the
-full Heisenberg action (the monomial ``heisenberg_twist`` after it),
-and ``cocycle_c`` the mod-p 2-cocycle by which the two projective
-actions differ.
+homology class pairing with it.  Both run on one kernel that reads a
+word once, keeping per handle a running exponent sum of the a-letters
+and its products with the b-letters, so theta is linear in the length
+of the image words; ``morita_d`` is that kernel's value on one handle.
+``weil_intertwiner`` produces the Stone-von Neumann isomorphism between
+a Schrodinger module and its twist by a symplectic matrix, ``weil_H``
+the variant twisted by the full Heisenberg action (the monomial
+``heisenberg_twist`` after it), and ``cocycle_c`` the mod-p 2-cocycle
+by which the two projective actions differ.
 
 A validated library of Dehn twist substitutions ships with the module
 (`twist_generators`): the two standard twists in genus one; per-handle
@@ -30,7 +33,6 @@ from .homology import (
     combine,
     intersection,
     is_symplectic,
-    mat_mul,
 )
 from .value import Value, set_field
 
@@ -152,15 +154,6 @@ class FreeWord(Value):
             pos = handle if k % 2 else g + handle
             v[pos] += 1 if x > 0 else -1
         return tuple(v)
-
-    def restricted(self, i):
-        """The image under killing every generator pair except the i-th.
-
-        >>> str(FreeWord((1, 4, 2, -1, 3)).restricted(1))
-        "a1 b1 a1'"
-        """
-        keep = (2 * i - 1, 2 * i)
-        return FreeWord(tuple(x for x in self.letters if abs(x) in keep))
 
 
 def boundary_word(g):
@@ -359,6 +352,34 @@ def braid_phi(word, g):
 # -- the crossed homomorphism ----------------------------------------------
 
 
+def _morita_sums(letters, g):
+    """d_1, ..., d_g of a word, in one pass over its letters.
+
+    Restricted to the i-th generator pair, a word reads as blocks
+    a^nu_k b^mu_k with nu, mu in {-1, 0, 1}, and d_i is
+    sum_{j<=k} nu_j mu_k - sum_{j>k} nu_j mu_k = sum_k mu_k (2 P_k - N)
+    with P_k = nu_1 + ... + nu_k and N the last P_k.  So an a-letter
+    moves P and a b-letter adds its sign times P.  A cancelling pair
+    x x^-1 adds nothing, so the restriction needs no free reduction.
+    Every letter must lie in the genus-g alphabet.
+    """
+    run = [0] * (2 * g + 1)    # P_i at 2i - 1, sum of mu_k P_k at 2i
+    mus = [0] * (2 * g + 1)    # sum of mu_k at 2i
+    for x in letters:
+        if x > 0:
+            if x & 1:
+                run[x] += 1
+            else:
+                run[x] += run[x - 1]
+                mus[x] += 1
+        elif x & 1:
+            run[-x] -= 1
+        else:
+            run[-x] -= run[-x - 1]
+            mus[-x] -= 1
+    return [2 * run[b] - run[b - 1] * mus[b] for b in range(2, 2 * g + 1, 2)]
+
+
 def morita_d(word, i):
     """The counting function d_i of a word.
 
@@ -375,53 +396,27 @@ def morita_d(word, i):
     >>> morita_d(FreeWord((3, 2, 4, -3, 1)), 1)    # projects to b1 a1
     -1
     """
-    letters = word.restricted(i).letters
-    a_letter = 2 * i - 1
-    blocks = []
-    pos = 0
-    while pos < len(letters):
-        x = letters[pos]
-        if abs(x) == a_letter:
-            nu = 1 if x > 0 else -1
-            pos += 1
-            mu = 0
-            if pos < len(letters) and abs(letters[pos]) != a_letter:
-                mu = 1 if letters[pos] > 0 else -1
-                pos += 1
-            blocks.append((nu, mu))
-        else:
-            blocks.append((0, 1 if x > 0 else -1))
-            pos += 1
-    total = 0
-    for j, (nu, _) in enumerate(blocks):
-        for k, (_, mu) in enumerate(blocks):
-            total += nu * mu if j <= k else -nu * mu
-    return total
+    if i < 1:
+        raise ValueError("handle index must be positive, got %d" % i)
+    letters = word.letters
+    top = max(map(abs, letters), default=0)
+    return _morita_sums(letters, max(i, (top + 1) // 2))[i - 1]
 
 
 def theta(f):
     """Values of the crossed homomorphism on (a_1..a_g, b_1..b_g).
 
-    theta(f)(x) = sum_i d_i(f(x)) - d_i(x) on each generator loop; it
-    obeys theta_{g o f}(x) = theta_f(x) + theta_g(f_* x).
+    theta(f)(x) = sum_i d_i(f(x)) on each generator loop x (d_i of a
+    single letter is 0), one pass over each image word; it obeys
+    theta_{g o f}(x) = theta_f(x) + theta_g(f_* x).
 
     >>> theta(MappingClass.identity(2))
     (0, 0, 0, 0)
     >>> theta(twist_generators(1)["ta"])
     (0, -1)
     """
-    gen = f.g
-    split_letters = [2 * i - 1 for i in range(1, gen + 1)] + [
-        2 * i for i in range(1, gen + 1)]
-    out = []
-    for letter in split_letters:
-        loop = FreeWord((letter,))
-        image = f.apply(loop)
-        out.append(sum(
-            morita_d(image, i) - morita_d(loop, i)
-            for i in range(1, gen + 1)
-        ))
-    return tuple(out)
+    return tuple(sum(_morita_sums(w.letters, f.g))
+                 for w in f.images[0::2] + f.images[1::2])
 
 
 def t_dual(theta_vec, p):
@@ -444,19 +439,14 @@ def t_dual(theta_vec, p):
 
 
 def _symplectic_inverse(F):
-    """Inverse of a symplectic matrix via F^-1 = J F^T (-J)."""
+    """Inverse of a symplectic matrix [[A, B], [C, D]]: the blocks
+    [[D^T, -B^T], [-C^T, A^T]], which is J F^T (-J)."""
     n = len(F)
     g = n // 2
-    J = tuple(
-        tuple(
-            1 if j == i + g else (-1 if j == i - g else 0)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    Jneg = tuple(tuple(-x for x in row) for row in J)
-    Ft = tuple(tuple(F[j][i] for j in range(n)) for i in range(n))
-    return mat_mul(mat_mul(J, Ft), Jneg)
+    return tuple(
+        tuple(F[(c + g) % n][(r + g) % n] if (r < g) == (c < g)
+              else -F[(c + g) % n][(r + g) % n] for c in range(n))
+        for r in range(n))
 
 
 # -- Weil intertwiners -----------------------------------------------------
@@ -615,10 +605,10 @@ def cocycle_c(f, g, p):
         raise ValueError("genus mismatch")
     t_f = t_dual(theta(f), p)
     t_g = t_dual(theta(g), p)
-    ginv = _symplectic_inverse(g.matrix)
-    c1 = intersection(combine(t_f, ginv), t_g) % p
-    c2 = intersection(t_f, combine(t_g, g.matrix)) % p
-    t_g_inv = tuple(-x % p for x in combine(t_g, g.matrix))
+    pushed = combine(t_g, g.matrix)
+    c1 = intersection(combine(t_f, _symplectic_inverse(g.matrix)), t_g) % p
+    c2 = intersection(t_f, pushed) % p
+    t_g_inv = tuple(-x % p for x in pushed)
     c3 = -intersection(t_f, t_g_inv) % p
     if not c1 == c2 == c3:
         raise ArithmeticError("closed forms of the cocycle disagree")

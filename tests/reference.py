@@ -3,15 +3,18 @@
 The package carries what its command line and its two routes run.  The
 helpers below have no caller there: the earlier ``Fraction`` signature
 and ``decimal`` trigonometric table, which the integer versions in
-``surgery`` and ``cyclotomic`` replaced and are checked against, and
-four small public helpers that only the tests used.
+``surgery`` and ``cyclotomic`` replaced and are checked against; the
+word-based Morita counting functions and the symplectic inverse
+J F^T (-J), which the one-pass kernel and the block transposition in
+``mcg`` replaced; and small public helpers that only the tests used.
 """
 
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 from abtqft.cyclotomic import _field, field_order, make_root
-from abtqft.homology import hnf
+from abtqft.homology import hnf, mat_mul
+from abtqft.mcg import FreeWord
 from abtqft.surgery import _check_symmetric, _phase_sum
 
 
@@ -130,3 +133,70 @@ def decimal_trig_table(M, scale):
             cos_t.append(c * unit)
             sin_t.append(s * unit)
     return tuple(cos_t), tuple(sin_t)
+
+
+def restricted(word, i):
+    """The image of a FreeWord under killing every generator pair except
+    the i-th (freely reduced again)."""
+    keep = (2 * i - 1, 2 * i)
+    return FreeWord(tuple(x for x in word.letters if abs(x) in keep))
+
+
+def morita_d(word, i):
+    """The counting function d_i: decompose the reduced restriction into
+    alternating blocks a^nu b^mu and sum over pairs of blocks."""
+    letters = restricted(word, i).letters
+    a_letter = 2 * i - 1
+    blocks = []
+    pos = 0
+    while pos < len(letters):
+        x = letters[pos]
+        if abs(x) == a_letter:
+            nu = 1 if x > 0 else -1
+            pos += 1
+            mu = 0
+            if pos < len(letters) and abs(letters[pos]) != a_letter:
+                mu = 1 if letters[pos] > 0 else -1
+                pos += 1
+            blocks.append((nu, mu))
+        else:
+            blocks.append((0, 1 if x > 0 else -1))
+            pos += 1
+    total = 0
+    for j, (nu, _) in enumerate(blocks):
+        for k, (_, mu) in enumerate(blocks):
+            total += nu * mu if j <= k else -nu * mu
+    return total
+
+
+def theta(f):
+    """theta(f)(x) = sum_i d_i(f(x)) - d_i(x) on each generator loop x,
+    in the order (a_1..a_g, b_1..b_g)."""
+    gen = f.g
+    split_letters = [2 * i - 1 for i in range(1, gen + 1)] + [
+        2 * i for i in range(1, gen + 1)]
+    out = []
+    for letter in split_letters:
+        loop = FreeWord((letter,))
+        image = f.apply(loop)
+        out.append(sum(
+            morita_d(image, i) - morita_d(loop, i)
+            for i in range(1, gen + 1)
+        ))
+    return tuple(out)
+
+
+def symplectic_inverse(F):
+    """Inverse of a symplectic matrix via F^-1 = J F^T (-J)."""
+    n = len(F)
+    g = n // 2
+    J = tuple(
+        tuple(
+            1 if j == i + g else (-1 if j == i - g else 0)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    Jneg = tuple(tuple(-x for x in row) for row in J)
+    Ft = tuple(tuple(F[j][i] for j in range(n)) for i in range(n))
+    return mat_mul(mat_mul(J, Ft), Jneg)

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ from importlib import import_module
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, event, given
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from abtqft import cli, mcg
@@ -38,6 +39,8 @@ from abtqft.homology import (
     intersection,
 )
 from abtqft.mcg import (
+    FreeWord,
+    boundary_word,
     cocycle_c,
     projective_defect,
     twist_generators,
@@ -974,6 +977,80 @@ def test_heis_and_mcg_caps_admit_jobs_below_them(tmp_path, capsys):
     assert 7 ** 2 <= cli.MAX_COMMUTANT_UNKNOWNS
     assert 7 <= cli.MAX_LABELS
     assert 3 * 7 ** 4 <= cli.MAX_AVERAGING_TERMS
+
+
+def test_mcg_compositions_over_the_letter_cap_are_refused(tmp_path,
+                                                        capsys):
+    # chain and swap grow the image words fastest at genus 2
+    word = ["chain", "swap"] * 30
+    path = _doc(tmp_path, "t.json", {"op": "theta", "g": 2,
+                                     "f": {"word": word}})
+    report = _refused_quickly(capsys, ["mcg", path, "--p", "5"])
+    assert report["error"] == (
+        "mapping class 'f' of genus 2: twist 10 (swap) composes 189050 "
+        "image letters, over the cap of 100000")
+    # a seeded 60-twist word; its first 50 twists make a class of
+    # 781,157 image letters
+    names = sorted(twist_generators(2))
+    rng = random.Random(50)
+    word = [rng.choice(names) for _ in range(60)]
+    path = _doc(tmp_path, "r.json", {"op": "theta", "g": 2,
+                                     "f": {"word": word}})
+    report = _refused_quickly(capsys, ["mcg", path, "--p", "5"])
+    assert report["error"].startswith(
+        "mapping class 'f' of genus 2: twist 30 (chain') composes ")
+    # --verify composes f h: each class is admitted, their product not
+    d = boundary_word(1) ** 400
+    images = [(d.inverse() * FreeWord((k,)) * d).letters for k in (1, 2)]
+    # each letter of h's images costs the length of f's image of it
+    count = sum(len(images[abs(x) - 1]) for w in images for x in w)
+    path = _doc(tmp_path, "k.json", {"op": "cocycle", "g": 1,
+                                     "f": {"images": images},
+                                     "h": {"images": images}})
+    assert count > 2 * 10 ** 7
+    assert _run(capsys, ["mcg", path, "--p", "3"])["c"] == 0
+    report = _refused_quickly(capsys, ["mcg", path, "--p", "3", "--verify"])
+    assert report["error"] == (
+        "mapping class 'f h' of genus 1: the product f h composes %d "
+        "image letters, over the cap of %d" % (count, cli.MAX_WORD_LETTERS))
+
+
+def _main_on_stdin(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    try:
+        sys.stdin = io.StringIO(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = saved
+    return code, err.getvalue()
+
+
+# An exhaustive search over every genus-2 word of at most six twists
+# finds at most 5,906 image letters in one composition (chain swap chain
+# swap chain swap), and at most 6,940 in the product f h of a cocycle
+# document whose f and h hold six twists together.
+@settings(max_examples=30)
+@given(st.data())
+def test_mcg_documents_of_at_most_six_twists_are_admitted(data):
+    g = data.draw(st.integers(1, 2))
+    total = data.draw(st.integers(0, 6))
+    word = data.draw(st.lists(st.sampled_from(sorted(twist_generators(g))),
+                              min_size=total, max_size=total))
+    cut = data.draw(st.integers(0, total))
+    theta_doc = {"op": "theta", "g": g, "f": {"word": word}}
+    cocycle_doc = {"op": "cocycle", "g": g, "f": {"word": word[:cut]},
+                   "h": {"word": word[cut:]}}
+    for doc, extra in ((theta_doc, []), (cocycle_doc, ["--verify"])):
+        assert _main_on_stdin(["mcg", "--p", "3", "-"] + extra,
+                              json.dumps(doc)) == (0, "")
+
+
+def test_the_fastest_growing_short_word_is_admitted():
+    word = ["chain", "swap"] * 3
+    doc = json.dumps({"op": "theta", "g": 2, "f": {"word": word}})
+    assert _main_on_stdin(["mcg", "--p", "5", "-"], doc) == (0, "")
 
 
 def test_caps_admit_the_largest_benchmark_jobs(tmp_path, capsys):

@@ -2,12 +2,21 @@ import doctest
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from abtqft import mcg
 from abtqft.cobordism import F_cylinder, compose_maps
 from abtqft.cyclotomic import CycNum, field_order, one, q_power
 from abtqft.heisenberg import closed_context, monomial_of, to_finite
-from abtqft.homology import combine, identity_matrix, intersection, mat_mul
+from abtqft.homology import (
+    combine,
+    identity_matrix,
+    intersection,
+    is_symplectic,
+    mat_mul,
+)
 from abtqft.mcg import (
     BraidWord,
     FreeWord,
@@ -47,8 +56,8 @@ def test_free_word_reduction_and_algebra():
 def test_free_word_homology_and_restriction():
     w = FreeWord((1, 2, 3, -1, 4, 2))
     assert w.homology(2) == (0, 1, 2, 1)
-    assert w.restricted(1) == FreeWord((1, 2, -1, 2))
-    assert w.restricted(2) == FreeWord((3, 4))
+    assert reference.restricted(w, 1) == FreeWord((1, 2, -1, 2))
+    assert reference.restricted(w, 2) == FreeWord((3, 4))
     with pytest.raises(ValueError):
         FreeWord((5,)).homology(2)
 
@@ -181,6 +190,10 @@ def test_morita_d_small_words():
     # projection kills the other handle entirely
     assert morita_d(FreeWord((3, 4)), 1) == 0
     assert morita_d(FreeWord((3, 4)), 2) == 1
+    # a handle beyond the word's letters, and no handle at all
+    assert morita_d(FreeWord((1, 2)), 3) == 0
+    with pytest.raises(ValueError):
+        morita_d(FreeWord((1, 2)), 0)
 
 
 def test_theta_on_generating_twists():
@@ -205,14 +218,101 @@ def test_crossed_homomorphism_identity():
     for g in (1, 2):
         lib = twist_generators(g)
         for _ in range(30):
-            f = _random_word(rng, lib, g, rng.randrange(1, 6))
-            h = _random_word(rng, lib, g, rng.randrange(1, 6))
+            f = _random_word(rng, lib, g, rng.randrange(1, 13))
+            h = _random_word(rng, lib, g, rng.randrange(1, 13))
             th = theta(h * f)
             thf, thh = theta(f), theta(h)
             F = f.matrix
             assert th == tuple(
                 thf[i] + sum(F[i][j] * thh[j] for j in range(2 * g))
                 for i in range(2 * g))
+
+
+# -- the one-pass kernel against the word-based reference ----------------
+
+
+_LIBS = {g: twist_generators(g) for g in (1, 2)}
+
+
+def _letter_tuples(g, max_size):
+    # a small alphabet, so that cancelling pairs are frequent
+    return st.lists(st.integers(-2 * g, 2 * g).filter(bool),
+                    max_size=max_size).map(tuple)
+
+
+def _class_of(g, names, budget=None):
+    """The class of a twist word, stopping before the first twist that
+    takes its image words over ``budget`` letters."""
+    f = MappingClass.identity(g)
+    for name in names:
+        h = f * _LIBS[g][name]
+        if budget is not None and sum(
+                len(w.letters) for w in h.images) > budget:
+            break
+        f = h
+    return f
+
+
+def _words(g, max_size):
+    # the length first, so that long words are drawn as often as short
+    return st.integers(0, max_size).flatmap(lambda n: st.lists(
+        st.sampled_from(sorted(_LIBS[g])), min_size=n, max_size=n))
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda g: st.tuples(st.just(g), _letter_tuples(g, 400))))
+def test_morita_d_matches_the_word_based_reference(case):
+    g, letters = case
+    w = FreeWord(letters)
+    expected = [reference.morita_d(w, i) for i in range(1, g + 1)]
+    assert [morita_d(w, i) for i in range(1, g + 1)] == expected
+    # the kernel reads the letters unreduced
+    assert mcg._morita_sums(letters, g) == expected
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 2).flatmap(
+    lambda g: st.tuples(st.just(g), _words(g, 40))))
+def test_theta_matches_the_word_based_reference(case):
+    g, names = case
+    f = _class_of(g, names, budget=3000)
+    assert theta(f) == reference.theta(f)
+
+
+@st.composite
+def _symplectic_matrices(draw):
+    """Products of integer transvections x -> x + lam (x . v) v."""
+    g = draw(st.integers(1, 4))
+    n = 2 * g
+    F = identity_matrix(n)
+    for _ in range(draw(st.integers(0, 6))):
+        lam = draw(st.integers(-2, 2))
+        v = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        T = tuple(tuple(e[j] + lam * intersection(e, v) * v[j]
+                        for j in range(n)) for e in identity_matrix(n))
+        F = mat_mul(F, T)
+    return F
+
+
+@given(_symplectic_matrices())
+def test_block_inverse_matches_the_reference(F):
+    assert is_symplectic(F)
+    inv = mcg._symplectic_inverse(F)
+    assert inv == reference.symplectic_inverse(F)
+    unit = identity_matrix(len(F))
+    assert mat_mul(F, inv) == unit and mat_mul(inv, F) == unit
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_cocycle_identity(data):
+    # c(f,h) + c(fh,k) = c(h,k) + c(f,hk) mod p
+    g = data.draw(st.integers(1, 2))
+    p = data.draw(st.sampled_from((3, 5, 7, 9, 11)))
+    f, h, k = (_class_of(g, data.draw(_words(g, 6))) for _ in range(3))
+    lhs = cocycle_c(f, h, p) + cocycle_c(f * h, k, p)
+    rhs = cocycle_c(h, k, p) + cocycle_c(f, h * k, p)
+    assert (lhs - rhs) % p == 0
 
 
 def _push_mod(vec, F, p):
