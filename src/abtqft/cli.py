@@ -81,9 +81,10 @@ from .value import json_int
 
 MAX_DIGITS = 12
 
-# Work caps, checked before any enumeration.  The colour sums run at
-# about 0.3 M colourings/s; the oracle's elimination holds a few
-# relation rows of CycNums per tensor pair, and a commutant system 2g
+# Work caps, checked before any enumeration.  The colour sums at even
+# p run at about 0.3 M colourings/s (at odd p they are Gauss sums that
+# enumerate nothing, under the same cap); the oracle's elimination holds
+# a few relation rows of CycNums per tensor pair, and a commutant system 2g
 # rows per unknown; a ``heis matrix`` report takes about 1 KB per label;
 # Schur averaging runs at about 1.3 M terms/s; the frame check of
 # ``heis mul`` and ``inverse`` takes about 0.2 s at genus 100; a field
@@ -111,13 +112,26 @@ class CliError(Exception):
 # -- document plumbing -----------------------------------------------------
 
 
+class _Repeated(dict):
+    """A JSON object that names some key more than once; like ``json``
+    it keeps the last value."""
+
+    __slots__ = ()
+
+
+def _object(pairs):
+    """The ``object_pairs_hook`` of every input document."""
+    obj = dict(pairs)
+    return obj if len(obj) == len(pairs) else _Repeated(obj)
+
+
 def _read_doc(path):
     try:
         if path == "-":
-            doc = json.load(sys.stdin)
+            doc = json.load(sys.stdin, object_pairs_hook=_object)
         else:
             with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+                doc = json.load(fh, object_pairs_hook=_object)
     except (OSError, ValueError) as exc:
         raise CliError(2, "cannot read input document: %s" % (exc,))
     if not isinstance(doc, dict):
@@ -373,6 +387,35 @@ def _parse_vector(doc, ctx):
 # -- invariant / refine / lens --------------------------------------------
 
 
+def _fixed_colors(doc, n):
+    """The ``fixed_colors`` of an ``invariant`` document, {} when it has
+    none: a JSON object whose keys are component indices below n in
+    canonical decimal (ASCII digits, no leading zero), each named once,
+    and whose values are integers."""
+    if "fixed_colors" not in doc:
+        return {}
+    raw = doc["fixed_colors"]
+    if not isinstance(raw, dict):
+        raise CliError(2, "bad fixed_colors: expected an object, got %s"
+                          % type(raw).__name__)
+    if isinstance(raw, _Repeated):
+        raise CliError(2, "bad fixed_colors: a component index is given "
+                          "twice")
+    fixed = {}
+    for key, value in raw.items():
+        if not (key.isascii() and key.isdigit()
+                and (key[0] != "0" or key == "0")):
+            raise CliError(2, "bad fixed_colors: key %r is not a component "
+                              "index in canonical decimal" % (key,))
+        try:
+            fixed[int(key)] = json_int(value)
+        except TypeError as exc:
+            raise CliError(2, "bad fixed_colors: %s" % (exc,))
+    if any(i >= n for i in fixed):
+        raise CliError(2, "fixed_colors index out of range")
+    return fixed
+
+
 def cmd_invariant(args):
     from .surgery import matrix_element, signature, z_invariant
 
@@ -380,14 +423,7 @@ def cmd_invariant(args):
     _check_field(args.p)
     doc = _read_doc(args.input)
     B = _matrix_from(doc)
-    fixed = doc.get("fixed_colors") or {}
-    if fixed:
-        try:
-            fixed = {int(k): json_int(v) for k, v in fixed.items()}
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise CliError(2, "bad fixed_colors: %s" % (exc,))
-        if any(not 0 <= i < len(B) for i in fixed):
-            raise CliError(2, "fixed_colors index out of range")
+    fixed = _fixed_colors(doc, len(B))
     # the cap goes before the O(n^3) signature
     _check_colorings(args.p, len(B) - len(fixed))
     report = {"command": "invariant", "p": args.p,

@@ -33,6 +33,7 @@ from .homology import (
     combine,
     intersection,
     is_symplectic,
+    mat_mul,
 )
 from .value import Value, set_field
 
@@ -219,12 +220,29 @@ class MappingClass(Value):
         return word.substituted(self.images)
 
     def __mul__(self, other):
-        """Composition ``self after other``."""
+        """Composition ``self after other``.
+
+        A product of two valid classes fixes the boundary word and
+        preserves the intersection form, so neither is checked again:
+        each image is substituted and reduced once, and the matrix is
+        ``other.matrix * self.matrix``."""
         if self.g != other.g:
             raise ValueError("genus mismatch")
-        return MappingClass(
-            self.g, tuple(self.apply(w) for w in other.images)
-        )
+        forward = [w.letters for w in self.images]
+        backward = [tuple(-x for x in reversed(w)) for w in forward]
+        images = []
+        for w in other.images:
+            out = []
+            for x in w.letters:
+                out.extend(forward[x - 1] if x > 0 else backward[-x - 1])
+            word = object.__new__(FreeWord)
+            set_field(word, "letters", _reduce(out))
+            images.append(word)
+        product = object.__new__(MappingClass)
+        set_field(product, "g", self.g)
+        set_field(product, "images", tuple(images))
+        set_field(product, "matrix", mat_mul(other.matrix, self.matrix))
+        return product
 
 
 def _mk(g, image_dict):

@@ -34,6 +34,24 @@ out every nonvanishing sector and their values add up to the unrefined
 invariant.  At p = 4 (mod 8) the refined values are the characteristic
 sectors only; the other sectors are in general nonzero, so their sum can
 differ from the invariant.
+
+At odd p every colored sum is a quadratic Gauss sum, and none of them
+is enumerated.  With the fixed colors of ``matrix_element`` moved into
+a linear term b and a constant k, the sum reads
+sum_x q^(x^T A x + 2 b^T x + k) over x in (Z/p)^n, and only the
+histogram of the exponent mod p is needed.  For each prime power l^k
+exactly dividing p the form is diagonalized by congruence mod l^k
+(Jordan splitting; Conway-Sloane, Sphere Packings, ch. 15), pivoting on
+an entry of least l-adic valuation; since l is odd, an off-diagonal
+pivot reaches the diagonal by e_i += e_j.  The linear term follows the
+same moves.  The histogram mod l^k is the convolution of the n
+one-variable histograms of d y^2 + 2 b y, and CRT gives the histogram
+mod p as the product of its residues.  Each change of variables is
+invertible, so it permutes the colorings: the histogram equals the
+enumerator's count for count, and both go through the same
+``exponent_sum``, so the values agree to the last coefficient.  Even p
+still enumerates: its 2-adic part needs the 2x2 block forms, and the
+parity refinements sum over one residue class mod 2 only.
 """
 
 from __future__ import annotations
@@ -127,7 +145,8 @@ def signature(B):
 def _phase_sum(p, B, ranges):
     """sum of q^(c^T B c) over the colorings c in product(*ranges), one
     range of colors per component of the symmetric matrix B.  This is
-    the one enumerator behind every colored sum in the module."""
+    the one enumerator behind every colored sum at even order, and the
+    reference for the Gauss sums at odd order."""
     n = len(B)
     M = field_order(p)
     step = M // p
@@ -142,6 +161,156 @@ def _phase_sum(p, B, ranges):
         key = (e % p) * step
         counts[key] = counts.get(key, 0) + 1
     return exponent_sum(M, counts)
+
+
+@lru_cache(maxsize=None)
+def _prime_powers(p):
+    """The pairs (l, l^k) over the prime powers l^k exactly dividing p.
+
+    >>> _prime_powers(45)
+    ((3, 9), (5, 5))
+    """
+    out = []
+    l = 2
+    while l * l <= p:
+        if p % l == 0:
+            m = 1
+            while p % l == 0:
+                p //= l
+                m *= l
+            out.append((l, m))
+        l += 1
+    if p > 1:
+        out.append((p, p))
+    return tuple(out)
+
+
+def _add_multiple(A, b, live, r, c, t, m):
+    """The congruence e_r += t e_c mod m on the live block of the
+    symmetric matrix A and on the linear term b: row r += t row c, then
+    column r += t column c, which leaves A_rr + 2 t A_rc + t^2 A_cc."""
+    row_r, row_c = A[r], A[c]
+    for x in live:
+        row_r[x] = (row_r[x] + t * row_c[x]) % m
+    for x in live:
+        row = A[x]
+        row[r] = (row[r] + t * row[c]) % m
+    b[r] = (b[r] + t * b[c]) % m
+
+
+def _diagonal_form(A, b, l, m):
+    """The pairs (d_i, b_i) of a congruence diagonalization of
+    x^T A x + 2 b^T x over Z/m, m = l^k with l an odd prime: an
+    invertible change of variables x = P y mod m after which the form
+    reads sum_i d_i y_i^2 + 2 b_i y_i.
+
+    Each step pivots on a live entry of least l-adic valuation v,
+    preferring the diagonal; an off-diagonal pivot A_ij is first moved
+    there by e_i += e_j, which leaves A_ii + 2 A_ij + A_jj of valuation
+    v because l is odd.  Every other entry of the pivot row is then a
+    multiple of l^v, so e_j -= (A_ij / l^v) (A_ii / l^v)^-1 e_i clears
+    it.
+
+    >>> _diagonal_form([[0, 1], [1, 0]], [0, 0], 3, 3)
+    [(2, 0), (1, 0)]
+    """
+    A = [[v % m for v in row] for row in A]
+    b = [v % m for v in b]
+    live = list(range(len(A)))
+    out = []
+    while live:
+        best = None
+        for i in live:
+            row = A[i]
+            for j in live:
+                a = row[j]
+                if a and j >= i:
+                    v = 0
+                    while a % l == 0:
+                        a //= l
+                        v += 1
+                    key = (v, i != j)
+                    if best is None or key < best[0]:
+                        best = (key, i, j)
+        if best is None:
+            # the live block vanishes mod m: what is left is linear
+            out.extend((0, b[i]) for i in live)
+            break
+        (v, off_diagonal), i, j = best
+        if off_diagonal:
+            _add_multiple(A, b, live, i, j, 1, m)
+        unit, pivot = l ** v, A[i][i]
+        if pivot % unit or (pivot // unit) % l == 0:
+            raise ArithmeticError(
+                "pivot %d mod %d at component %d lost its valuation %d"
+                % (pivot, m, i, v))
+        inverse = pow(pivot // unit, -1, m)
+        row = A[i]
+        for j in live:
+            if j != i and row[j]:
+                _add_multiple(A, b, live, j, i,
+                              -(row[j] // unit) * inverse % m, m)
+        if any(row[j] for j in live if j != i):
+            raise ArithmeticError(
+                "pivot row %d mod %d not cleared" % (i, m))
+        out.append((pivot, b[i]))
+        live.remove(i)
+    return out
+
+
+def _prime_power_counts(A, b, k, l, m):
+    """The histogram over Z/m, as a list, of x^T A x + 2 b^T x + k over
+    x in (Z/m)^n, m a power of the odd prime l."""
+    acc = [0] * m
+    acc[k % m] = 1
+    for d, bi in _diagonal_form(A, b, l, m):
+        single = [0] * m
+        for y in range(m):
+            single[(d * y + 2 * bi) * y % m] += 1
+        terms = [(f, c) for f, c in enumerate(single) if c]
+        wide = [0] * (2 * m)
+        for e, c in enumerate(acc):
+            if c:
+                for f, cf in terms:
+                    wide[e + f] += c * cf
+        acc = [x + y for x, y in zip(wide, wide[m:])]
+    return acc
+
+
+def _gauss_sum(p, A, b, k):
+    """sum of q^(x^T A x + 2 b^T x + k) over x in (Z/p)^n at odd p,
+    from the exact histogram of the exponent: one histogram per prime
+    power of p, combined by CRT, then the ``exponent_sum`` that
+    ``_phase_sum`` also ends in."""
+    M = field_order(p)
+    step = M // p
+    parts = [(m, _prime_power_counts(A, b, k, l, m))
+             for l, m in _prime_powers(p)]
+    counts = {}
+    for e in range(p):
+        c = 1
+        for m, hist in parts:
+            c *= hist[e % m]
+        if c:
+            counts[e * step] = c
+    return exponent_sum(M, counts)
+
+
+def _colour_sum(p, B, fixed):
+    """sum of q^(c^T B c) over the colorings c in (Z/p')^n with
+    c_i = fixed[i] on the fixed components: a Gauss sum at odd p, the
+    enumerator at even p."""
+    n = len(B)
+    if p % 2 == 0:
+        return _phase_sum(p, B, [
+            (int(fixed[i]),) if i in fixed else range(p_prime(p))
+            for i in range(n)])
+    free = [i for i in range(n) if i not in fixed]
+    colors = [(i, int(fixed[i])) for i in range(n) if i in fixed]
+    A = [[B[i][j] for j in free] for i in free]
+    b = [sum(B[i][j] * c for j, c in colors) for i in free]
+    k = sum(ci * B[i][j] * cj for i, ci in colors for j, cj in colors)
+    return _gauss_sum(p, A, b, k)
 
 
 @lru_cache(maxsize=None)
@@ -164,7 +333,7 @@ def z_invariant(p, B):
     """
     B = _check_symmetric(B)
     norm = _normalisation(p, signature(B) % 8, len(B) + 1)
-    return norm * _phase_sum(p, B, [range(p_prime(p))] * len(B))
+    return norm * _colour_sum(p, B, {})
 
 
 def matrix_element(p, B_full, fixed, g_plus):
@@ -179,9 +348,7 @@ def matrix_element(p, B_full, fixed, g_plus):
     free = [i for i in range(n) if i not in fixed]
     sub = tuple(tuple(B_full[i][j] for j in free) for i in free)
     norm = _normalisation(p, signature(sub) % 8, g_plus + len(free))
-    ranges = [(int(fixed[i]),) if i in fixed else range(p_prime(p))
-              for i in range(n)]
-    return norm * _phase_sum(p, B_full, ranges)
+    return norm * _colour_sum(p, B_full, fixed)
 
 
 # -- lens spaces ----------------------------------------------------------

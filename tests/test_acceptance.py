@@ -2,7 +2,9 @@
 
 Each test prints ``ACn: PASS/FAIL (elapsed)`` before asserting, so a
 ``pytest -s`` run shows every verdict; without ``-s`` the verdicts of
-failing criteria appear in the captured-output section.
+failing criteria appear in the captured-output section.  One more test
+checks the odd-order AC3 and AC5 presentations against the colouring
+enumerator directly.
 """
 
 import itertools
@@ -59,6 +61,7 @@ from abtqft.mcg import (
     weil_H,
     weil_intertwiner,
 )
+from abtqft import surgery
 from abtqft.surgery import (
     blow_up,
     chain_matrix,
@@ -140,26 +143,30 @@ def _random_symmetric(rng, n, span=3):
     return tuple(tuple(row) for row in B)
 
 
-def test_ac3_kirby_invariance():
-    t0 = time.perf_counter()
-    failures = []
+def _ac3_cases():
+    """The AC3 instances: (p, B, move, moved B), six presentations with
+    both blow-ups and 200 with one slide at each p."""
     rng = random.Random(97)
+    cases = []
     for p in (3, 4, 5):
         for _ in range(6):
             B = _random_symmetric(rng, rng.randint(1, 4))
-            z = z_invariant(p, B)
             for sign in (1, -1):
-                if z_invariant(p, blow_up(B, sign)) != z:
-                    failures.append("blow-up %+d changed Z, p=%d B=%r"
-                                    % (sign, p, B))
+                cases.append((p, B, "blow-up %+d" % sign, blow_up(B, sign)))
         for _ in range(200):
             B = _random_symmetric(rng, rng.randint(2, 4))
-            z = z_invariant(p, B)
             i, j = rng.sample(range(len(B)), 2)
-            B2 = slide(B, i, j, rng.choice((1, -1)))
-            if z_invariant(p, B2) != z:
-                failures.append("slide (%d,%d) changed Z at p=%d B=%r"
-                                % (i, j, p, B))
+            cases.append((p, B, "slide (%d,%d)" % (i, j),
+                          slide(B, i, j, rng.choice((1, -1)))))
+    return cases
+
+
+def test_ac3_kirby_invariance():
+    t0 = time.perf_counter()
+    failures = []
+    for p, B, move, moved in _ac3_cases():
+        if z_invariant(p, moved) != z_invariant(p, B):
+            failures.append("%s changed Z at p=%d B=%r" % (move, p, B))
     _report("AC3", failures, time.perf_counter() - t0, 30)
 
 
@@ -211,16 +218,25 @@ def test_ac4_oracle_equivalence():
     _report("AC4", failures, time.perf_counter() - t0, 120)
 
 
+def _ac5_frame(beta, alpha):
+    """The chain of L(beta, alpha) with a boundary strand linking its
+    first unknot once, the strand first."""
+    B = chain_matrix(continued_fraction(beta, alpha))
+    n = len(B)
+    return ((0,) + tuple(1 if j == 0 else 0 for j in range(n)),) \
+        + tuple((1 if i == 0 else 0,) + B[i] for i in range(n))
+
+
+AC5_LENSES = ((2, 1), (3, 1), (3, 2), (5, 2))
+
+
 def test_ac5_lens_matrix_elements():
     t0 = time.perf_counter()
     failures = []
     for p in (3, 5):
         pp = p_prime(p)
-        for beta, alpha in ((2, 1), (3, 1), (3, 2), (5, 2)):
-            B = chain_matrix(continued_fraction(beta, alpha))
-            n = len(B)
-            full = ((0,) + tuple(1 if j == 0 else 0 for j in range(n)),) \
-                + tuple((1 if i == 0 else 0,) + B[i] for i in range(n))
+        for beta, alpha in AC5_LENSES:
+            full = _ac5_frame(beta, alpha)
             base = z_lens(p, beta, alpha)
             d = gcd(beta, pp)
             for k in range(pp):
@@ -237,6 +253,24 @@ def test_ac5_lens_matrix_elements():
                     failures.append("L(%d,%d) p=%d k=%d: wrong phase"
                                     % (beta, alpha, p, k))
     _report("AC5", failures, time.perf_counter() - t0, 60)
+
+
+def test_ac3_ac5_odd_sums_match_the_enumerator():
+    # at odd p the colour sums are Gauss sums; on the odd-order AC3 and
+    # AC5 presentations they equal the enumerator to the last coefficient
+    cases = [(p, M, {}) for p, B, _, moved in _ac3_cases() if p % 2
+             for M in (B, moved)]
+    for p in (3, 5):
+        for beta, alpha in AC5_LENSES:
+            cases.append((p, chain_matrix(continued_fraction(beta, alpha)),
+                          {}))
+            cases += [(p, _ac5_frame(beta, alpha), {0: k})
+                      for k in range(-p, 2 * p)]
+    for p, B, fixed in cases:
+        want = surgery._phase_sum(p, B, [
+            (fixed[i],) if i in fixed else range(p) for i in range(len(B))])
+        got = surgery._colour_sum(p, B, fixed)
+        assert (got.num, got.den) == (want.num, want.den), (p, B, fixed)
 
 
 def _parity_sector(p, B, parities):

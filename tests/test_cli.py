@@ -462,6 +462,58 @@ def test_wrong_shapes_exit_with_a_documented_code(monkeypatch, capsys,
     assert rc in EXIT_CODES
 
 
+# ``fixed_colors`` is an object keyed by canonical decimal indices: a
+# falsy non-object no longer reads as "no fixed colours", and no two keys
+# may name one index ("0" and " 0") or read as another ("1_0" as 10)
+BAD_FIXED_COLORS = [False, 0, "", [], None, [[0, 1]], "0",
+                    {"0": 1, " 0": 2}, {"1_0": 1}, {"01": 1}, {"-0": 1},
+                    {"+1": 1}, {"1 ": 1}, {"\u0661": 1}, {"": 1},
+                    {"0": True}, {"0": 1.5}, {"0": "1"}, {"0": None},
+                    {"2": 1}, {"10": 1}]
+
+
+@pytest.mark.parametrize("fixed", BAD_FIXED_COLORS,
+                         ids=[json.dumps(f) for f in BAD_FIXED_COLORS])
+def test_malformed_fixed_colors_exit_2(monkeypatch, capsys, fixed):
+    doc = {"B": [[0, 1], [1, 2]], "fixed_colors": fixed}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    report = _run(capsys, ["invariant", "-", "--p", "5"], expect=2)
+    assert "fixed_colors" in report["error"]
+
+
+def test_fixed_colors_index_given_twice_exits_2(monkeypatch, capsys):
+    # json keeps the last of two equal keys; the index may appear once
+    text = '{"B": [[0, 1], [1, 2]], "fixed_colors": {"0": 1, "0": 2}}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    report = _run(capsys, ["invariant", "-", "--p", "5"], expect=2)
+    assert "twice" in report["error"]
+    # elsewhere a repeated key keeps its last value, as before
+    text = '{"B": [[9]], "B": [[0, 1], [1, 2]], "fixed_colors": {"0": 2}}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    report = _run(capsys, ["invariant", "-", "--p", "5"])
+    assert report["size"] == 2 and report["fixed_colors"] == {"0": 2}
+
+
+def test_empty_fixed_colors_is_the_invariant(monkeypatch, capsys):
+    reports = []
+    for doc in ({"B": [[0, 1], [1, 2]]},
+                {"B": [[0, 1], [1, 2]], "fixed_colors": {}}):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        reports.append(_run(capsys, ["invariant", "-", "--p", "5"]))
+    assert reports[0] == reports[1]
+    assert "fixed_colors" not in reports[1]
+
+
+def test_fixed_colors_keys_are_indices(monkeypatch, capsys):
+    B = [[0, 1, 0], [1, 2, 1], [0, 1, 3]]
+    doc = {"B": B, "fixed_colors": {"2": -1, "0": 7}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    report = _run(capsys, ["invariant", "-", "--p", "5"])
+    assert report["fixed_colors"] == {"0": 7, "2": -1}
+    expect = matrix_element(5, tuple(tuple(r) for r in B), {0: 7, 2: -1}, 2)
+    assert cli.parse_scalar(report["value"]) == expect
+
+
 def test_vector_value_of_another_order_is_malformed(monkeypatch, capsys):
     doc = {"op": "act", "g": 1, "element": [0, [1], [1]],
            "vector": {"entries": [{"label": [2], "value": {
@@ -595,20 +647,61 @@ def test_digits_below_one_are_usage_errors(tmp_path, capsys, digits):
         capsys.readouterr()
 
 
-def test_cli_never_imports_mpmath(tmp_path):
-    inv = _doc(tmp_path, "inv.json", {"B": [[2, 1], [1, 2]]})
-    prog = _doc(tmp_path, "prog.json", _surgery_program([0, 1]))
+# The imports README promises for a CLI process: no command loads these
+# modules, and each loads only the package modules listed for it.
+NEVER_IMPORTED = ("argparse", "dataclasses", "decimal", "fractions",
+                  "mpmath", "numbers")
+_SURGERY = {"cli", "cyclotomic", "value", "surgery"}
+START_UP = {
+    # name: (argv with a document marker, document, package modules)
+    "invariant": ([["invariant", "DOC", "--p", "5"],
+                   ["invariant", "FIXED", "--p", "13"]],
+                  {"B": [[2, 1, 0], [1, 2, 3], [0, 3, 9]]}, _SURGERY),
+    "refine": ([["refine", "DOC", "--p", "8"]],
+               {"B": [[1, 1], [1, 2]]}, _SURGERY),
+    "lens": ([["lens", "7", "3", "--p", "5"],
+              ["lens", "11", "3", "--p", "45"]], None, _SURGERY),
+    "tqft": ([["tqft", "DOC", "--p", "5", "--normalized", "--closure",
+               "CLOSURE"]],
+             _surgery_program([0, 1]),
+             {"cli", "cyclotomic", "value", "cobordism", "heisenberg",
+              "homology", "surgery"}),
+    "heis": ([["heis", "DOC", "--p", "3"]],
+             {"op": "mul", "g": 1, "x": [1, [1], [0]], "y": [0, [0], [2]]},
+             {"cli", "cyclotomic", "value", "heisenberg", "homology"}),
+    "mcg": ([["mcg", "DOC", "--p", "3", "--verify"]],
+            {"op": "cocycle", "g": 1, "f": {"word": ["ta", "tb'"]},
+             "h": {"images": [[1, -2], [2]]}},
+            {"cli", "cyclotomic", "value", "mcg", "heisenberg",
+             "homology"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(START_UP))
+def test_cli_start_up_imports(tmp_path, command):
+    runs, doc, package = START_UP[command]
+    paths = {
+        "DOC": _doc(tmp_path, "doc.json", doc),
+        "FIXED": _doc(tmp_path, "fixed.json",
+                      {"B": [[2, 1, 0], [1, 2, 3], [0, 3, 9]],
+                       "fixed_colors": {"1": 4}}),
+        "CLOSURE": _doc(tmp_path, "closure.json", {"B": [[0, 1], [1, 3]]}),
+    }
+    argvs = [[paths.get(a, a) for a in argv] for argv in runs]
     code = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "import abtqft.cli as cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [cli.main(['invariant', %r, '--p', '5']),\n"
-        "             cli.main(['tqft', %r, '--p', '5'])]\n"
-        "print(codes, 'mpmath' in sys.modules)\n" % (inv, prog))
+        "    codes = [cli.main(argv) for argv in %r]\n"
+        "print(json.dumps([codes, sorted(sys.modules)]))\n" % (argvs,))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=_cli_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[0,", "0]", "False"]
+    codes, modules = json.loads(proc.stdout)
+    assert codes == [0] * len(argvs)
+    assert [m for m in NEVER_IMPORTED if m in modules] == []
+    assert {m.split(".", 1)[1] for m in modules
+            if m.startswith("abtqft.")} == package
 
 
 # -- the process -----------------------------------------------------------

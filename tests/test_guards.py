@@ -4,9 +4,12 @@ The oracle's checks are the exception: they raise ``AssertionError`` in
 ``induced_map_oracle``'s own frame, which the benchmark's defect list
 keys on, also under ``python -O``.
 
-Each case below reaches one guard by a direct call.  Three guards have
-no case because no input reaches them: the unimodularity of
-``symplectic_complete`` (the extended Euclid gives it), the output check
+Each case below reaches one guard by a direct call.  The odd-order
+Gauss sums of ``surgery`` have one case, reached by asking their
+diagonalization for the prime 2; its other check, a pivot row left
+uncleared, cannot fail once the pivot has the least valuation.  Three
+more guards have no case because no input reaches them: the
+unimodularity of ``symplectic_complete`` (the extended Euclid gives it), the output check
 of ``symplectic_dual_basis`` (its input is checked to be a Lagrangian,
 and the isotropy correction then makes the basis symplectic), and the
 agreement of the three closed forms in ``cocycle_c`` (for any integer
@@ -29,6 +32,7 @@ from abtqft.homology import (
     cylinder_correspondence,
     index2_correspondence,
 )
+from abtqft.surgery import _diagonal_form
 
 # identity cylinder on the torus: adapted rows (0, 1, 0, -1), (-1, 0, 1, 0)
 # with dual rows (1, 0, 0, 0), (0, 0, 0, 1) and plus block (1,)
@@ -69,6 +73,11 @@ CASES = {
     "plus-block-minus-part": (
         lambda: _check_adapted(_adapted(plus_block=(0,))),
         "plus-block dual row 0 has a minus part"),
+    # the odd-order diagonalization asked for the prime 2: the hyperbolic
+    # plane's off-diagonal pivot reaches the diagonal as 2, not a unit
+    "gauss-pivot-at-even-order": (
+        lambda: _diagonal_form([[0, 1], [1, 0]], [0, 0], 2, 4),
+        "pivot 2 mod 4 at component 0 lost its valuation 0"),
 }
 
 

@@ -81,6 +81,29 @@ def test_mapping_class_rejects_broken_substitutions():
         MappingClass(1, (FreeWord((1,)),))
 
 
+@given(st.sampled_from((1, 2)), st.data())
+def test_products_equal_the_checked_constructor(g, data):
+    # a product of valid classes skips the boundary-word and symplectic
+    # checks; built again through MappingClass(g, images) it passes them
+    # and gives the same images and matrix, at every step of the word
+    gens = twist_generators(g)
+    word = data.draw(st.lists(st.sampled_from(sorted(gens)), max_size=8))
+    f = MappingClass.identity(g)
+    for name in word:
+        h = gens[name]
+        product = f * h
+        checked = MappingClass(g, tuple(f.apply(w) for w in h.images))
+        assert product == checked
+        assert product.matrix == mat_mul(h.matrix, f.matrix)
+        assert all(type(w) is FreeWord for w in product.images)
+        f = product
+
+
+def test_product_keeps_the_genus_check():
+    with pytest.raises(ValueError):
+        twist_generators(1)["ta"] * twist_generators(2)["ta1"]
+
+
 def test_twist_library_inverse_pairs():
     for g in (1, 2):
         lib = twist_generators(g)

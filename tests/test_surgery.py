@@ -1,10 +1,11 @@
 import doctest
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abtqft import surgery
@@ -401,6 +402,59 @@ def test_colour_sums_match_reference(p):
                     want = norm * _refined_sector_reference(p, B, parities)
                     assert _same_storage(refined_invariant(p, B, cls),
                                          want), (p, B, cls)
+
+
+ODD_P = list(range(3, 46, 2))
+# the enumerator's share of one example; above it the extra components
+# are fixed, so n = 4 is reached at every p, with all four free at p <= 9
+REFERENCE_COLORINGS = 7000
+
+
+@st.composite
+def _odd_order_sums(draw, p):
+    """(B, fixed): a symmetric matrix of size at most 4 whose entries are
+    drawn as units and as multiples of l and l^2 for the primes l of p,
+    so singular forms and pivots of positive valuation occur, and 0..n
+    fixed colors, negative ones and ones at least p among them."""
+    primes = [l for l, _ in surgery._prime_powers(p)]
+    unit = st.sampled_from([v for v in range(-2 * p, 2 * p + 1)
+                            if all(v % l for l in primes)])
+    multiple = st.builds(lambda l, j, v: l ** j * v, st.sampled_from(primes),
+                         st.integers(1, 2), st.integers(-p, p))
+    entries = st.one_of(unit, multiple, st.just(0))
+    n = draw(st.integers(0, 4))
+    B = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            B[i][j] = B[j][i] = draw(entries)
+    most_free = 0
+    while p ** (most_free + 1) <= REFERENCE_COLORINGS:
+        most_free += 1
+    order = draw(st.permutations(range(n)))
+    count = draw(st.integers(max(0, n - most_free), n))
+    fixed = {i: draw(st.integers(-2 * p, 3 * p)) for i in order[:count]}
+    return tuple(tuple(row) for row in B), fixed
+
+
+@pytest.mark.parametrize("p", ODD_P)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_odd_order_sums_match_the_enumerator(p, data):
+    B, fixed = data.draw(_odd_order_sums(p))
+    want = surgery._phase_sum(p, B, [
+        (fixed[i],) if i in fixed else range(p) for i in range(len(B))])
+    got = surgery._colour_sum(p, B, fixed)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+def test_odd_order_sum_of_twenty_components_is_fast():
+    B = _random_symmetric(random.Random(20), 20)
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        z_invariant(13, B)
+        times.append(time.perf_counter() - t0)
+    assert min(times) < 0.05, times
 
 
 def test_bracket_and_matrix_element_reject_bad_components():
