@@ -10,30 +10,11 @@ significant digits (at least 1, at most 12), an exactly zero part as
 no third-party module.  Reports are self-describing and round-trip
 through the parsers in this module.
 
-Before it enumerates anything, a command estimates its work: p'^n
-colourings for a colour sum over n surgered components (``invariant``,
-``refine``, ``lens``, the closing factor of ``tqft --normalized``) and
-the tensor pairs of every run of the bimodule oracle in ``tqft``
-(``--mode oracle``, ``auto`` at even p, ``--verify``), the p'^g labels
-of the Schrodinger module in ``heis`` (``act``, ``matrix``,
-``commutant``) and at the largest genus a ``tqft`` program carries,
-the p'^(2g) unknowns of a ``commutant`` system, and the p'^(4g)
-Schur-averaging terms of every Weil intertwiner in ``mcg`` (one for
-``weil``, three for ``cocycle --verify``).  ``heis mul`` and
-``inverse`` enumerate nothing, but build a genus-g frame whose check
-grows as g^3.  A job over ``MAX_COLORINGS``, ``MAX_TENSOR_PAIRS``,
-``MAX_LABELS``, ``MAX_COMMUTANT_UNKNOWNS``, ``MAX_AVERAGING_TERMS`` or
-``MAX_GENUS`` is refused.  So is an order whose cyclotomic field
-Q(zeta_M), M = lcm(8, p), is over ``MAX_FIELD_ORDER``, on every path
-that builds the field, whose set-up grows as M^2: ``invariant``,
-``refine``, ``lens`` and ``tqft`` always build it; ``heis mul`` and
-``inverse``, and ``mcg theta`` and ``cocycle`` without ``--verify``,
-never do.  A mapping class given as a twist ``word`` is composed one
-twist at a time, and ``cocycle --verify`` composes f h; each
-composition first predicts the letters of its image words, the sum over
-the letters of the right factor's images of the length of the left
-factor's image of that letter, and one over ``MAX_WORD_LETTERS`` is
-refused.
+Before each expensive step a command adds the step's predicted run
+time, its items of each kind of work priced by ``NS_PER_ITEM``, to the
+job's total in integer microseconds (``_Work.add``); the step that
+takes the total over ``BUDGET_US`` is refused with exit 6, naming the
+step, its parameters, the predicted work and the budget.
 
 The command line is ``abtqft COMMAND [ARGUMENTS]``.  Options and
 positionals mix in any order; an option takes its value as the next
@@ -54,7 +35,7 @@ Exit codes are stable:
 * 3 - unsupported order p for the requested computation
 * 4 - program validation or frame errors in ``tqft``
 * 5 - normalized map of a composite program without a closure matrix
-* 6 - the job's estimated work exceeds a cap
+* 6 - the job's predicted work exceeds the budget
 """
 
 import io
@@ -72,8 +53,10 @@ from types import SimpleNamespace
 from .cyclotomic import (
     CycNum,
     approx_parts,
+    cyclotomic_polynomial,
     field_order,
     from_rational,
+    one,
     p_prime,
     q_power,
 )
@@ -81,24 +64,27 @@ from .value import json_int
 
 MAX_DIGITS = 12
 
-# Work caps, checked before any enumeration.  The colour sums at even
-# p run at about 0.3 M colourings/s (at odd p they are Gauss sums that
-# enumerate nothing, under the same cap); the oracle's elimination holds
-# a few relation rows of CycNums per tensor pair, and a commutant system 2g
-# rows per unknown; a ``heis matrix`` report takes about 1 KB per label;
-# Schur averaging runs at about 1.3 M terms/s; the frame check of
-# ``heis mul`` and ``inverse`` takes about 0.2 s at genus 100; a field
-# of order 4096 and its eta, kappa and display table take about 0.4 s
-# to set up, and 1.4 s at order 8072; a composition of mapping classes
-# at the letter cap takes about 0.1 s (2-vCPU VM, Python 3.11).
-MAX_COLORINGS = 10 ** 6
-MAX_TENSOR_PAIRS = 2 * 10 ** 4
-MAX_LABELS = 10 ** 4
-MAX_COMMUTANT_UNKNOWNS = 10 ** 4
-MAX_AVERAGING_TERMS = 10 ** 6
-MAX_GENUS = 100
-MAX_FIELD_ORDER = 4096
-MAX_WORD_LETTERS = 10 ** 5
+# Nanoseconds per item of each kind of work on the reference VM (2 vCPU,
+# Python 3.11.7), the largest rate seen in fresh-process runs near the
+# budget; phi is the degree of Q(zeta_M), M = lcm(8, p).
+NS_PER_ITEM = {
+    "colourings": 200,     # colouring x (n^2 + 16) of an even-order sum
+    "classes": 500,        # refinement class^2 x n: each re-solves them all
+    "pivots": 100,         # n^3 of a signature or a Gauss-sum diagonal form
+    "pivot_bits": 1,       # n^4 x entry bits: a signature's minors grow
+    "histogram": 100,      # n p^2 of an odd-order Gauss sum's histogram
+    "field": 50,           # M^2 to set up the field, its roots and display
+    "tensor_pairs": 12000,  # tensor pair x 2g relation rows x phi, a run
+    "unknowns": 11000,     # commutant unknown x phi
+    "terms": 900,          # Schur-averaging term
+    "entries": 300,        # map entry built or multiplied x phi
+    "printed": 2000,       # printed map or vector entry x (phi + 64)
+    "frame": 450,          # g^3 of a genus-g frame or class check
+    "steps": 30000,        # program step x (g^3 + 32): validated, pushed
+    "letters": 250,        # composed image letter, and one pass over it
+}
+BUDGET_US = 2 * 10 ** 6
+_OVER = 2 ** 64  # more items of any kind than the budget admits
 
 
 class CliError(Exception):
@@ -156,117 +142,135 @@ def _check_p(p):
                           "p != 2 mod 4)" % p)
 
 
-def _check_field(p):
-    """Refuse an order whose cyclotomic field is over the cap."""
-    if field_order(p) > MAX_FIELD_ORDER:
-        raise CliError(6, "the cyclotomic field of order %d at p = %d is "
-                          "over the cap of %d"
-                       % (field_order(p), p, MAX_FIELD_ORDER))
+class _Work:
+    """The predicted run time of one job, in integer microseconds on the
+    reference VM.  Each expensive step adds its items before it runs,
+    and the step that takes the total over ``BUDGET_US`` is refused."""
+
+    def __init__(self, instance):
+        self.instance = instance
+        self.us = 0
+
+    def add(self, step, **items):
+        ns = sum(NS_PER_ITEM[kind] * count for kind, count in items.items())
+        self.us += -(-ns // 1000)
+        if self.us > BUDGET_US:
+            raise CliError(6, "%s: %s brings the predicted work to %d us, "
+                              "over the budget of %d us"
+                           % (self.instance, step, self.us, BUDGET_US))
+
+    def field(self, p):
+        """Charge the field of order M = lcm(8, p), then return its
+        degree phi(M)."""
+        m = field_order(p)
+        self.add("the cyclotomic field of order %d" % m, field=m * m)
+        return len(cyclotomic_polynomial(m)) - 1
 
 
-def _bounded_power(base, exponent, cap):
-    """base ** exponent for base >= 2, or cap + 1 when that exceeds
-    cap; no power much larger than cap is ever built."""
-    if exponent > cap.bit_length():
-        return cap + 1
-    return min(base ** exponent, cap + 1)
+def _power(base, exponent):
+    """base ** exponent for base >= 2, or _OVER when that is larger."""
+    return min(base ** min(exponent, 64), _OVER)
 
 
-def _check_colorings(p, n):
-    """Refuse a colour sum over p'^n colourings above the cap."""
-    if _bounded_power(p_prime(p), n, MAX_COLORINGS) > MAX_COLORINGS:
-        raise CliError(6, "a colour sum over %d components at p = %d "
-                          "enumerates %d^%d colourings, over the cap of %d"
-                       % (n, p, p_prime(p), n, MAX_COLORINGS))
+def _charge_invariant(work, p, B, free=None, signatures=1, refine=False):
+    """Charge a closed invariant of B: its signatures, whose minors grow
+    with B's entries, the colour sum over ``free`` (all) components and
+    the refinement block, whose 2^(n - rank mod 2) classes each re-solve
+    the mod-2 system."""
+    n = len(B)
+    free = n if free is None else free
+    pp, cube = p_prime(p), n ** 3
+    bits = max((abs(x) for row in B for x in row),
+               default=0).bit_length() + 1
+    work.add("%d signature(s) of a %d x %d linking matrix"
+             % (signatures, n, n), pivots=signatures * cube,
+             pivot_bits=signatures * cube * n * bits)
+    if p % 2:
+        work.add("the Gauss sum over %d components at p = %d" % (free, p),
+                 pivots=free ** 3, histogram=free * p * p)
+    else:
+        work.add("the colour sum over %d components, %d^%d colourings"
+                 % (free, pp, free),
+                 colourings=_power(pp, free) * (n * n + 16))
+    if refine:
+        rows, rank = [sum(1 << j for j, x in enumerate(row) if x % 2)
+                      for row in B], 0
+        while rows:
+            pivot = rows.pop()
+            if pivot:
+                rows = [r ^ pivot if r & pivot & -pivot else r for r in rows]
+                rank += 1
+        k = _power(2, n - rank)
+        work.add("the refinement block of 2^%d classes" % (n - rank),
+                 classes=k * k * n, colourings=_power(pp, n) * (n * n + 16),
+                 pivots=k * cube, pivot_bits=k * cube * n * bits)
 
 
-def _check_lens(p, beta, alpha):
-    """Refuse L(beta, alpha) when its chain of unknots is too long for
-    the colouring cap; invalid parameters are left to z_lens."""
-    from .surgery import iter_continued_fraction
+def _lens_chain(beta, alpha):
+    """The linking matrix z_lens surgers for L(beta, alpha), cut at 300
+    unknots, more than the budget admits at any order."""
+    from .surgery import chain_matrix, iter_continued_fraction
 
-    if beta > 0 and gcd(alpha, beta) == 1:
-        longest = MAX_COLORINGS.bit_length()
-        chain = iter_continued_fraction(beta, alpha % beta)
-        n = sum(1 for _ in islice(chain, longest + 1))
-        if n > longest:
-            raise CliError(6, "L(%d, %d) is a chain of more than %d unknots, "
-                              "over the cap of %d colourings"
-                           % (beta, alpha, longest, MAX_COLORINGS))
-        _check_colorings(p, n)
+    if beta <= 0 or gcd(alpha, beta) != 1:
+        return ((0,),)  # S^2 x S^1, or parameters z_lens refuses
+    return chain_matrix(list(islice(
+        iter_continued_fraction(beta, alpha % beta), 300)))
 
 
-def _check_program(p, prog, runs):
-    """Refuse ``runs`` oracle evaluations of the program when their
-    tensor pairs exceed the cap, then a program whose Schrodinger
-    modules have more than ``MAX_LABELS`` labels at the largest genus
-    it carries (its source, or the genus after a step).  An index-2 step
-    at carried genus g tensors p'^(2g-1) correspondence labels with p'^g
-    incoming ones.  An invalid program is reported as such, not as too
-    large."""
-    from .cobordism import Index1, Index2, ProgramError, validate
+def _charge_program(work, p, phi, prog, routes):
+    """Charge each route of F_program over the program: each step maps
+    the labels of its genus into a map of at most one entry per source
+    label, and the oracle's index-2 step from genus g tensors p'^(3g-1)
+    pairs of 2g relation rows each."""
+    from .cobordism import Index1, Index2
 
-    pp = p_prime(p)
-    pairs, g = 0, prog.source.g
-    top = g
+    pp, g = p_prime(p), prog.source.g
+    top, labels, pairs, rows = g, 0, 0, 0
     for step in prog.steps:
-        if isinstance(step, Index1):
-            g += 1
-        elif isinstance(step, Index2) and g >= 1:
-            pairs += _bounded_power(pp, 3 * g - 1, MAX_TENSOR_PAIRS)
-            g -= 1
+        labels += _power(pp, g) + _power(pp, prog.source.g)
+        if isinstance(step, Index2):
+            pairs += _power(pp, 3 * g - 1)
+            rows += 2 * g * _power(pp, 3 * g - 1)
+        g += isinstance(step, Index1) - isinstance(step, Index2)
         top = max(top, g)
-    too_many_pairs = runs * pairs > MAX_TENSOR_PAIRS
-    if too_many_pairs or _bounded_power(pp, top, MAX_LABELS) > MAX_LABELS:
-        try:
-            validate(prog)
-        except ProgramError as exc:
-            raise CliError(4, str(exc))
-        if too_many_pairs:
-            raise CliError(6, "%d run(s) of the tensor oracle at p = %d "
-                              "would enumerate more than the cap of %d "
-                              "tensor pairs" % (runs, p, MAX_TENSOR_PAIRS))
-        raise CliError(6, "the genus-%d Schrodinger module at p = %d has "
-                          "%d^%d labels, over the cap of %d"
-                       % (top, p, pp, top, MAX_LABELS))
+    labels += _power(pp, g)
+    for route in sorted(routes):
+        work.add("the %s route over the genus-%d Schrodinger module, "
+                 "%d^%d labels" % (route, top, pp, top),
+                 entries=labels * phi)
+    if "oracle" in routes:
+        work.add("the tensor oracle over %d tensor pairs" % pairs,
+                 tensor_pairs=rows * phi)
 
 
-def _check_heis(p, g, op):
-    """Refuse a Schrodinger-module job over more than ``MAX_LABELS``
-    labels or over a field of order above ``MAX_FIELD_ORDER``, a
-    commutant system over more than ``MAX_COMMUTANT_UNKNOWNS`` unknowns,
-    or a ``mul`` or ``inverse`` over more than ``MAX_GENUS`` handles;
-    those two build no field and enumerate nothing, but check a genus-g
-    frame."""
-    pp = p_prime(p)
-    if op in ("mul", "inverse") and g > MAX_GENUS:
-        raise CliError(6, "a genus-%d frame is over the cap of %d handles"
-                       % (g, MAX_GENUS))
-    if op in ("act", "matrix", "commutant"):
-        _check_field(p)
-        if _bounded_power(pp, g, MAX_LABELS) > MAX_LABELS:
-            raise CliError(6, "the genus-%d Schrodinger module at p = %d "
-                              "has %d^%d labels, over the cap of %d"
-                           % (g, p, pp, g, MAX_LABELS))
-    if op == "commutant" and _bounded_power(
-            pp, 2 * g, MAX_COMMUTANT_UNKNOWNS) > MAX_COMMUTANT_UNKNOWNS:
-        raise CliError(6, "the genus-%d commutant system at p = %d has "
-                          "%d^%d unknowns, over the cap of %d"
-                       % (g, p, pp, 2 * g, MAX_COMMUTANT_UNKNOWNS))
+def _charge_heis(work, p, g, op):
+    """Charge a heis job: a genus-g frame, and on the Schrodinger module
+    the field and its p'^g labels, or a commutant's p'^(2g) unknowns."""
+    if op in ("mul", "inverse"):
+        work.add("the genus-%d frame" % g, frame=g ** 3)
+    elif op in ("act", "matrix", "commutant"):
+        phi, pp = work.field(p), p_prime(p)
+        labels = _power(pp, g)
+        if op == "commutant":
+            work.add("the genus-%d commutant system of %d^%d unknowns"
+                     % (g, pp, 2 * g), frame=g ** 3,
+                     entries=2 * g * labels * phi,
+                     unknowns=_power(pp, 2 * g) * phi)
+        else:
+            work.add("the genus-%d Schrodinger module's %d^%d labels"
+                     % (g, pp, g), frame=g ** 3, entries=labels * phi,
+                     printed=labels * (phi + 64))
 
 
-def _check_weil(p, g, runs):
-    """Refuse ``runs`` genus-g Weil intertwiners over a field of order
-    above ``MAX_FIELD_ORDER``, or when their Schur averaging, p'^(4g)
-    terms each, exceeds the cap."""
-    _check_field(p)
-    pp = p_prime(p)
-    if runs * _bounded_power(pp, 4 * g, MAX_AVERAGING_TERMS) > (
-            MAX_AVERAGING_TERMS):
-        raise CliError(6, "%d Weil intertwiner(s) of genus %d at p = %d "
-                          "average %d^%d terms each, over the cap of %d "
-                          "in total"
-                       % (runs, g, p, pp, 4 * g, MAX_AVERAGING_TERMS))
+def _charge_weil(work, p, g, runs):
+    """Charge ``runs`` genus-g Weil intertwiners, each p'^(4g) averaging
+    terms and a normalised p'^g x p'^g matrix; return phi."""
+    phi, pp = work.field(p), p_prime(p)
+    work.add("%d Weil intertwiner(s) of genus %d averaging %d^%d terms "
+             "each" % (runs, g, pp, 4 * g), frame=g ** 3,
+             terms=runs * _power(pp, 4 * g),
+             entries=runs * _power(pp, 2 * g) * phi)
+    return phi
 
 
 def scalar_doc(x, digits):
@@ -378,9 +382,14 @@ def _parse_vector(doc, ctx):
                 value = from_rational(field_order(ctx.p), _json_rational(raw))
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise CliError(2, "bad vector value: %s" % (exc,))
+        if label in out:
+            raise CliError(2, "vector label %s is given twice" % list(label))
         out[label] = value
     if any(len(label) != ctx.g for label in out):
         raise CliError(2, "vector labels do not match genus %d" % ctx.g)
+    pp = ctx.p_prime
+    if any(not 0 <= x < pp for label in out for x in label):
+        raise CliError(2, "vector labels must lie in (Z/%d)^%d" % (pp, ctx.g))
     return out
 
 
@@ -419,13 +428,15 @@ def _fixed_colors(doc, n):
 def cmd_invariant(args):
     from .surgery import matrix_element, signature, z_invariant
 
+    work = _Work("invariant at p = %d" % args.p)
     _check_p(args.p)
-    _check_field(args.p)
+    work.field(args.p)
     doc = _read_doc(args.input)
     B = _matrix_from(doc)
     fixed = _fixed_colors(doc, len(B))
-    # the cap goes before the O(n^3) signature
-    _check_colorings(args.p, len(B) - len(fixed))
+    # the report's signature, then z_invariant's or matrix_element's
+    _charge_invariant(work, args.p, B, len(B) - len(fixed), 2,
+                      refine=not fixed and args.p % 4 == 0)
     report = {"command": "invariant", "p": args.p,
               "size": len(B), "signature": signature(B)}
     if fixed:
@@ -465,10 +476,11 @@ def cmd_refine(args):
     _check_p(args.p)
     if args.p % 4:
         raise CliError(3, "refinements need p = 0 mod 4, got %d" % args.p)
-    _check_field(args.p)
+    work = _Work("refine at p = %d" % args.p)
+    work.field(args.p)
     doc = _read_doc(args.input)
     B = _matrix_from(doc)
-    _check_colorings(args.p, len(B))
+    _charge_invariant(work, args.p, B, signatures=2, refine=True)
     total = z_invariant(args.p, B)
     return {"command": "refine", "p": args.p, "size": len(B),
             "signature": signature(B),
@@ -479,9 +491,10 @@ def cmd_refine(args):
 def cmd_lens(args):
     from .surgery import z_lens
 
+    work = _Work("lens L(%d, %d) at p = %d" % (args.beta, args.alpha, args.p))
     _check_p(args.p)
-    _check_field(args.p)
-    _check_lens(args.p, args.beta, args.alpha)
+    work.field(args.p)
+    _charge_invariant(work, args.p, _lens_chain(args.beta, args.alpha))
     try:
         value = z_lens(args.p, args.beta, args.alpha)
     except ValueError as exc:
@@ -495,11 +508,14 @@ def cmd_lens(args):
 
 
 def cmd_tqft(args):
-    from .cobordism import (F_program, Index2, ProgramError, apply_map,
-                            canonical_context, load_program, normalized_map)
+    from .cobordism import (F_program, Index1, Index2, ProgramError,
+                            apply_map, canonical_context, load_program,
+                            validate)
+    from .surgery import z_invariant, z_lens
 
+    work = _Work("tqft at p = %d" % args.p)
     _check_p(args.p)
-    _check_field(args.p)
+    phi = work.field(args.p)
     doc = _read_doc(args.input)
     try:
         prog = load_program(doc)
@@ -508,27 +524,49 @@ def cmd_tqft(args):
     closure = None
     if args.closure is not None:
         closure = _matrix_from(_read_doc(args.closure))
+    steps = prog.steps
+    top = prog.source.g + sum(isinstance(s, Index1) for s in steps)
+    work.add("validating %d step(s) up to genus %d" % (len(steps), top),
+             steps=(len(steps) + 2) * (top ** 3 + 32))
     odd = args.p % 2 == 1
-    oracle_runs = ((args.mode == "oracle" or args.mode == "auto" and not odd)
-                   + (args.verify and odd))
-    _check_program(args.p, prog, oracle_runs)
-    if args.normalized and closure is not None:
-        _check_colorings(args.p, len(closure))
-    elif args.normalized and len(prog.steps) == 1 and isinstance(
-            prog.steps[0], Index2):
-        step = prog.steps[0]
-        sign = -1 if step.beta < 0 else 1
-        _check_lens(args.p, sign * step.beta, sign * step.alpha)
+    route = args.mode if args.mode != "auto" else "closed" if odd else "oracle"
+    other = "oracle" if route == "closed" else "closed"
+    lens = None
+    if args.normalized and len(steps) == 1 and isinstance(steps[0], Index2):
+        sign = -1 if steps[0].beta < 0 else 1
+        lens = sign * steps[0].beta, sign * steps[0].alpha
     try:
+        _charge_program(work, args.p, phi, prog,
+                        {route, other} if args.verify and odd else {route})
+        if args.normalized and (closure is not None or lens is not None):
+            _charge_invariant(work, args.p, _lens_chain(*lens)
+                              if closure is None else closure)
+        # the map has one entry per source label at most
+        labels = _power(p_prime(args.p), prog.source.g)
         if args.normalized:
-            try:
-                m = normalized_map(args.p, prog, closure, args.mode)
-            except ProgramError as exc:
-                if "closure" in str(exc):
-                    raise CliError(5, str(exc))
-                raise
-        else:
-            m = F_program(args.p, prog, args.mode)
+            work.add("normalising the map", entries=labels * phi)
+        work.add("printing the map", printed=labels * (phi + 64))
+    except CliError:
+        # an invalid program is reported as such, not as too large
+        try:
+            validate(prog)
+        except ProgramError as exc:
+            raise CliError(4, str(exc))
+        raise
+    try:
+        raw = m = F_program(args.p, prog, route)
+        if args.normalized:
+            if closure is not None:
+                factor = z_invariant(args.p, closure)
+            elif len(steps) > 1:
+                raise CliError(5, "no built-in closure for a composite "
+                                  "program; supply a surgery presentation "
+                                  "of the closed-off manifold")
+            elif lens is not None:
+                factor = z_lens(args.p, *lens)
+            else:
+                factor = one(field_order(args.p))
+            m = {k: factor * v for k, v in raw.items()}
     except ProgramError as exc:
         raise CliError(4, str(exc))
     except ValueError as exc:
@@ -540,12 +578,11 @@ def cmd_tqft(args):
             raise CliError(3, "--verify compares the closed form against "
                               "the tensor oracle and needs odd p")
         try:
-            closed = F_program(args.p, prog, "closed")
-            oracle = F_program(args.p, prog, "oracle")
+            checked = F_program(args.p, prog, other)
         except ProgramError as exc:
             raise CliError(4, str(exc))
-        clean = {k: v for k, v in closed.items() if v != 0}
-        if clean != {k: v for k, v in oracle.items() if v != 0}:
+        clean = {k: v for k, v in raw.items() if v != 0}
+        if clean != {k: v for k, v in checked.items() if v != 0}:
             raise CliError(4, "closed form and tensor oracle disagree")
         report["verified"] = "closed form equals tensor oracle"
     if args.vector is not None:
@@ -587,7 +624,7 @@ def cmd_heis(args):
     doc = _read_doc(args.input)
     op = doc.get("op")
     g = _genus(doc)
-    _check_heis(args.p, g, op)
+    _charge_heis(_Work("heis %s at p = %d" % (op, args.p)), args.p, g, op)
     if op == "mul":
         x = _parse_triple(doc, "x", args.p, g)
         y = _parse_triple(doc, "y", args.p, g)
@@ -626,19 +663,16 @@ def cmd_heis(args):
 # -- mcg -------------------------------------------------------------------
 
 
-def _compose(f, h, key, genus, step):
-    """f after h, refused when its image words would hold more than
-    ``MAX_WORD_LETTERS`` letters before free reduction."""
+def _compose(work, f, h, key, step):
+    """f after h, charged first with its image letters before reduction."""
     sizes = [len(w.letters) for w in f.images]
     count = sum(sizes[abs(x) - 1] for w in h.images for x in w.letters)
-    if count > MAX_WORD_LETTERS:
-        raise CliError(6, "mapping class %r of genus %d: %s composes %d "
-                          "image letters, over the cap of %d"
-                       % (key, genus, step, count, MAX_WORD_LETTERS))
+    work.add("%s of mapping class %r composes %d image letters"
+             % (step, key, count), letters=count)
     return f * h
 
 
-def _class_from(doc, key, genus):
+def _class_from(work, doc, key, genus):
     from .mcg import FreeWord, MappingClass, twist_generators
 
     raw = doc.get(key)
@@ -660,10 +694,11 @@ def _class_from(doc, key, genus):
             if not isinstance(name, str) or name not in lib:
                 raise CliError(2, "unknown twist %r for genus %d"
                                % (name, genus))
-            f = _compose(f, lib[name], key, genus,
+            f = _compose(work, f, lib[name], key,
                          "twist %d (%s)" % (step, name))
         return f
     if "images" in raw:
+        work.add("the genus-%d class %r" % (genus, key), frame=genus ** 3)
         try:
             images = tuple(FreeWord(tuple(json_int(x) for x in w))
                            for w in raw["images"])
@@ -682,8 +717,9 @@ def cmd_mcg(args):
     doc = _read_doc(args.input)
     op = doc.get("op")
     genus = _genus(doc)
+    work = _Work("mcg %s at p = %d, g = %d" % (op, args.p, genus))
     if op == "theta":
-        f = _class_from(doc, "f", genus)
+        f = _class_from(work, doc, "f", genus)
         th = theta(f)
         report = {"command": "mcg", "op": "theta", "p": args.p, "g": genus,
                   "theta": list(th),
@@ -694,14 +730,20 @@ def cmd_mcg(args):
     if op == "cocycle":
         if args.p % 2 == 0:
             raise CliError(3, "the cocycle needs odd p, got %d" % args.p)
-        f = _class_from(doc, "f", genus)
-        h = _class_from(doc, "h", genus)
+        f = _class_from(work, doc, "f", genus)
+        h = _class_from(work, doc, "h", genus)
         c = cocycle_c(f, h, args.p)
         report = {"command": "mcg", "op": "cocycle", "p": args.p,
                   "g": genus, "c": c}
         if args.verify:
-            _check_weil(args.p, genus, 3)
-            fh = _compose(f, h, "f h", genus, "the product f h")
+            phi = _charge_weil(work, args.p, genus, 3)
+            pp = p_prime(args.p)
+            # two products of p'^g x p'^g matrices and three twists,
+            # p'^(2g) products each
+            work.add("the projective defects, %d^%d products each"
+                     % (pp, 3 * genus),
+                     entries=3 * _power(pp, 3 * genus) * phi)
+            fh = _compose(work, f, h, "f h", "the product f h")
             ctx = closed_context(args.p, genus)
             classes = (f, h, fh)
             S = [weil_intertwiner(x.matrix, ctx) for x in classes]
@@ -723,8 +765,10 @@ def cmd_mcg(args):
             except (TypeError, ValueError) as exc:
                 raise CliError(2, "bad matrix: %s" % (exc,))
         else:
-            fs = _class_from(doc, "f", genus).matrix
-        _check_weil(args.p, genus, 1)
+            fs = _class_from(work, doc, "f", genus).matrix
+        phi = _charge_weil(work, args.p, genus, 1)
+        work.add("printing the intertwiner", printed=(phi + 64) * _power(
+            p_prime(args.p), 2 * genus))
         ctx = closed_context(args.p, genus)
         try:
             S = weil_intertwiner(fs, ctx)

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -25,11 +26,13 @@ from abtqft.cobordism import (
     load_program,
 )
 from abtqft.cyclotomic import (
+    _field,
     eta_kappa,
     field_order,
     from_rational,
     gauss_sum,
     make_root,
+    p_prime,
     q_power,
 )
 from abtqft.heisenberg import closed_context, finite_mul, to_finite
@@ -47,7 +50,12 @@ from abtqft.mcg import (
     weil_H,
     weil_intertwiner,
 )
-from abtqft.surgery import matrix_element, refinement_classes, z_lens
+from abtqft.surgery import (
+    matrix_element,
+    refinement_classes,
+    z_invariant,
+    z_lens,
+)
 
 
 def _run(capsys, argv, expect=0):
@@ -287,7 +295,8 @@ def test_mcg_cocycle_with_measurement(tmp_path, capsys):
 def test_mcg_cocycle_verify_builds_three_intertwiners(monkeypatch, capsys,
                                                       g, f, h):
     doc = {"op": "cocycle", "g": g, "f": {"word": f}, "h": {"word": h}}
-    cf, ch = (cli._class_from(doc, key, g) for key in ("f", "h"))
+    cf, ch = (cli._class_from(cli._Work("test"), doc, key, g)
+              for key in ("f", "h"))
     # the reference route: weil_H and a second intertwiner per class
     ctx = closed_context(3, g)
     classes = (cf, ch, cf * ch)
@@ -521,6 +530,29 @@ def test_vector_value_of_another_order_is_malformed(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     report = _run(capsys, ["heis", "-", "--p", "3"], expect=2)
     assert "order 3" in report["error"]
+
+
+@pytest.mark.parametrize("entries, error", [
+    ([{"label": [5], "value": "1"}], "vector labels must lie in (Z/3)^1"),
+    ([{"label": [-1], "value": "1"}], "vector labels must lie in (Z/3)^1"),
+    ([{"label": [1], "value": "1"}, {"label": [1], "value": "2"}],
+     "vector label [1] is given twice"),
+])
+def test_malformed_vector_labels_exit_2(monkeypatch, capsys, entries, error):
+    # each of these printed an empty vector, or the last value, with exit 0
+    doc = {"op": "act", "g": 1, "element": [0, [0], [0]],
+           "vector": {"entries": entries}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert _run(capsys, ["heis", "-", "--p", "3"], expect=2)["error"] == error
+
+
+def test_tqft_vector_labels_outside_the_module_exit_2(tmp_path, capsys):
+    prog = _doc(tmp_path, "prog.json", _surgery_program([0, 1]))
+    vec = _doc(tmp_path, "vec.json",
+               {"entries": [{"label": [7], "value": "1"}]})
+    report = _run(capsys, ["tqft", prog, "--p", "5", "--vector", vec],
+                  expect=2)
+    assert report["error"] == "vector labels must lie in (Z/5)^1"
 
 
 def _scalar_vector(first):
@@ -843,27 +875,64 @@ def test_console_script_is_run():
     assert getattr(import_module(module), attr) is cli.run
 
 
-# -- work caps -------------------------------------------------------------
+# -- the work budget -------------------------------------------------------
 
 
-def test_colour_sums_over_the_cap_are_refused(tmp_path, capsys):
-    eye = [[int(i == j) for j in range(8)] for i in range(8)]
+REFUSAL = re.compile(
+    r"^(?P<instance>[a-z]+ [^:]*at p = \d+(, g = \d+)?): (?P<step>.+) "
+    r"brings the predicted work to (?P<us>\d+) us, over the budget of "
+    r"(?P<budget>\d+) us$")
+
+
+def _refused(capsys, argv, step=None, within=1.0):
+    """Run a job the budget refuses: exit 6 within a second, with a
+    message naming the instance, the step with its parameters, the
+    predicted work and the budget."""
+    start = time.perf_counter()
+    report = _run(capsys, argv, expect=6)
+    assert time.perf_counter() - start < within
+    match = REFUSAL.match(report["error"])
+    assert match, report["error"]
+    assert int(match["us"]) > int(match["budget"]) == cli.BUDGET_US
+    if step is not None:
+        assert step in match["step"], report["error"]
+    return report
+
+
+def test_colour_sums_over_the_budget_are_refused(tmp_path, capsys):
+    eye = [[int(i == j) for j in range(10)] for i in range(10)]
     big = _doc(tmp_path, "big.json", {"B": eye})
-    for argv in (["invariant", big, "--p", "13"],
+    for argv in (["invariant", big, "--p", "12"],
                  ["refine", big, "--p", "12"],
-                 ["lens", "30", "29", "--p", "13"],
+                 ["lens", "30", "29", "--p", "12"],
                  ["lens", "1000000000000", "999999999999", "--p", "5"]):
-        report = _run(capsys, argv, expect=6)
-        assert "cap" in report["error"]
+        _refused(capsys, argv)
     fixed = _doc(tmp_path, "fixed.json",
                  {"B": eye, "fixed_colors": {"0": 1, "1": 2}})
-    _run(capsys, ["invariant", fixed, "--p", "13"], expect=6)
+    _refused(capsys, ["invariant", fixed, "--p", "12"],
+             "the colour sum over 8 components, 6^8 colourings")
     prog = _doc(tmp_path, "prog.json", _surgery_program([0, 1]))
-    _run(capsys, ["tqft", prog, "--p", "13", "--normalized", "--closure",
-                  big], expect=6)
+    _refused(capsys, ["tqft", prog, "--p", "12", "--normalized",
+                      "--closure", big], "colour sum over 10 components")
     long_gamma = _doc(tmp_path, "gamma.json",
                       _surgery_program([999999999999, 1000000000000]))
-    _run(capsys, ["tqft", long_gamma, "--p", "5", "--normalized"], expect=6)
+    _refused(capsys, ["tqft", long_gamma, "--p", "5", "--normalized"],
+             "signature(s) of a 300 x 300 linking matrix")
+
+
+def test_odd_order_sums_are_gauss_sums_the_budget_admits(tmp_path, capsys):
+    # both were refused as 509^2 and 13^20 colourings; nothing is
+    # enumerated at odd order
+    report = _run(capsys, ["lens", "7", "3", "--p", "509"])
+    assert cli.parse_scalar(report["value"]) == z_lens(509, 7, 3)
+    rng = random.Random(20)
+    B = [[0] * 20 for _ in range(20)]
+    for i in range(20):
+        for j in range(i, 20):
+            B[i][j] = B[j][i] = rng.randint(-3, 3)
+    doc = _doc(tmp_path, "b.json", {"B": B})
+    report = _run(capsys, ["invariant", doc, "--p", "13"])
+    assert cli.parse_scalar(report["value"]) == z_invariant(13, B)
 
 
 def _genus_two_surgery(handle=1):
@@ -873,16 +942,16 @@ def _genus_two_surgery(handle=1):
             "target": {"g": 1, "L": [[1, 0]]}}
 
 
-def test_oracle_over_the_cap_is_refused(tmp_path, capsys):
+def test_oracle_over_the_budget_is_refused(tmp_path, capsys):
     # an index-2 step at genus 2 tensors p'^5 pairs: 13^5 = 371,293
     prog = _doc(tmp_path, "prog.json", _genus_two_surgery())
-    report = _run(capsys, ["tqft", prog, "--p", "13", "--mode", "oracle"],
-                  expect=6)
-    assert "tensor pairs" in report["error"]
-    _run(capsys, ["tqft", prog, "--p", "13", "--verify"], expect=6)
-    # 7^5 = 16,807 pairs pass once, not twice (main run plus --verify)
-    _run(capsys, ["tqft", prog, "--p", "7", "--mode", "oracle", "--verify"],
-         expect=6)
+    _refused(capsys, ["tqft", prog, "--p", "13", "--mode", "oracle"],
+             "the tensor oracle over 371293 tensor pairs")
+    _refused(capsys, ["tqft", prog, "--p", "13", "--verify"],
+             "tensor pairs")
+    # one run of 7^5 = 16,807 pairs took 15.8 s
+    _refused(capsys, ["tqft", prog, "--p", "7", "--mode", "oracle"],
+             "the tensor oracle over 16807 tensor pairs")
     # the closed route enumerates no tensor pairs
     _run(capsys, ["tqft", prog, "--p", "13"])
     # an invalid program is reported as such, not as too large
@@ -892,12 +961,39 @@ def test_oracle_over_the_cap_is_refused(tmp_path, capsys):
                   "--mode", "oracle"], expect=4)
 
 
-def _refused_quickly(capsys, argv):
-    start = time.perf_counter()
-    report = _run(capsys, argv, expect=6)
-    assert time.perf_counter() - start < 1.0
-    assert "cap" in report["error"]
-    return report
+@pytest.mark.parametrize("mode, routes", [
+    ("auto", ["closed", "oracle"]),
+    ("closed", ["closed", "oracle"]),
+    ("oracle", ["oracle", "closed"]),
+])
+@pytest.mark.parametrize("doc, normalized", [
+    (_genus_two_surgery(), False),
+    (_surgery_program([1, 2]), True),
+])
+def test_tqft_verify_runs_each_route_once(monkeypatch, tmp_path, capsys,
+                                          mode, routes, doc, normalized):
+    from abtqft import cobordism
+
+    prog = _doc(tmp_path, "prog.json", doc)
+    argv = ["tqft", prog, "--p", "3", "--mode", mode] + (
+        ["--normalized"] if normalized else [])
+    expected = _run(capsys, argv)
+    program = load_program(doc)
+    reference = (cobordism.normalized_map(3, program, None, mode)
+                 if normalized else cobordism.F_program(3, program, mode))
+    assert expected["map"] == cli._map_doc(reference, cli.MAX_DIGITS)
+    calls = []
+    real = cobordism.F_program
+
+    def counting(p, program, mode="auto"):
+        calls.append(mode)
+        return real(p, program, mode)
+
+    monkeypatch.setattr(cobordism, "F_program", counting)
+    report = _run(capsys, argv + ["--verify"])
+    assert calls == routes
+    assert report.pop("verified") == "closed form equals tensor oracle"
+    assert report == expected
 
 
 def _standard_object(g):
@@ -905,20 +1001,20 @@ def _standard_object(g):
                           for i in range(g)]}
 
 
-def test_tqft_labels_over_the_cap_are_refused(tmp_path, capsys):
+def test_tqft_labels_over_the_budget_are_refused(tmp_path, capsys):
     # 13^6 = 4.8 M labels at the source; this ran past 10 s before
     six = _standard_object(6)
     doc = _doc(tmp_path, "six.json",
                {"source": six, "steps": [], "target": six})
-    report = _refused_quickly(capsys, ["tqft", doc, "--p", "13"])
-    assert "genus-6 Schrodinger module" in report["error"]
-    # the genus after a step counts too: 13^4 labels after an index-1 step
+    _refused(capsys, ["tqft", doc, "--p", "13"],
+             "genus-6 Schrodinger module")
+    # the genus after a step counts too: 21^4 labels after an index-1 step
     three, four = _standard_object(3), _standard_object(4)
     grow = _doc(tmp_path, "grow.json", {"source": three,
                                         "steps": [{"kind": "index1"}],
                                         "target": four})
-    report = _refused_quickly(capsys, ["tqft", grow, "--p", "13"])
-    assert "genus-4 Schrodinger module" in report["error"]
+    _refused(capsys, ["tqft", grow, "--p", "21"],
+             "genus-4 Schrodinger module, 21^4 labels")
     # an invalid program is reported as such, not as too large
     bad = _doc(tmp_path, "bad.json",
                {"source": six, "steps": [], "target": three})
@@ -931,22 +1027,22 @@ def test_tqft_labels_over_the_cap_are_refused(tmp_path, capsys):
     assert len(report["map"]["entries"]) == 13 ** 2
 
 
-def test_invariant_cap_goes_before_the_signature(monkeypatch, tmp_path,
-                                                 capsys):
-    # an exact signature of a 120 x 120 matrix took 13 s before the cap
-    n = 120
+def test_invariant_budget_goes_before_the_signature(monkeypatch, tmp_path,
+                                                    capsys):
+    # an exact signature of a 120 x 120 matrix took 13 s before caps
+    n = 300
     B = [[2 if i == j else int(abs(i - j) == 1) for j in range(n)]
          for i in range(n)]
     doc = _doc(tmp_path, "big.json", {"B": B})
-    _refused_quickly(capsys, ["invariant", doc, "--p", "5"])
     fixed = _doc(tmp_path, "fixed.json", {"B": B, "fixed_colors": {"0": 1}})
-    _refused_quickly(capsys, ["invariant", fixed, "--p", "5"])
 
     def no_signature(B):
         raise AssertionError("signature computed for a refused job")
 
     monkeypatch.setattr("abtqft.surgery.signature", no_signature)
-    _run(capsys, ["invariant", doc, "--p", "5"], expect=6)
+    for path in (doc, fixed):
+        _refused(capsys, ["invariant", path, "--p", "5"],
+                 "2 signature(s) of a 300 x 300 linking matrix")
 
 
 def test_vector_order_is_checked_before_its_field(monkeypatch, capsys):
@@ -988,27 +1084,29 @@ def test_each_report_is_one_write(monkeypatch, capsys, argv, stream):
                                   sort_keys=stream == "stdout") + "\n"
 
 
-def test_heis_and_mcg_over_the_cap_are_refused(tmp_path, capsys):
+def test_heis_and_mcg_over_the_budget_are_refused(tmp_path, capsys):
     # 13^8 unknowns (and 13^4 labels) for a genus-4 commutant system
     commutant = _doc(tmp_path, "c.json", {"op": "commutant", "g": 4})
-    _refused_quickly(capsys, ["heis", commutant, "--p", "13"])
-    # 13^4 = 28,561 unknowns pass the label cap but not the unknowns cap
+    _refused(capsys, ["heis", commutant, "--p", "13"])
+    # 13^4 = 28,561 unknowns
     small = _doc(tmp_path, "s.json", {"op": "commutant", "g": 2})
-    report = _refused_quickly(capsys, ["heis", small, "--p", "13"])
-    assert "unknowns" in report["error"]
+    _refused(capsys, ["heis", small, "--p", "13"],
+             "the genus-2 commutant system of 13^4 unknowns")
     matrix = _doc(tmp_path, "m.json", {
         "op": "matrix", "g": 4, "element": [0, [0] * 4, [0] * 4]})
-    report = _refused_quickly(capsys, ["heis", matrix, "--p", "13"])
-    assert "labels" in report["error"]
+    _refused(capsys, ["heis", matrix, "--p", "13"],
+             "the genus-4 Schrodinger module's 13^4 labels")
     # 13^8 averaging terms for one genus-2 intertwiner
     weil = _doc(tmp_path, "w.json",
                 {"op": "weil", "g": 2, "f": {"word": ["ta1"]}})
-    _refused_quickly(capsys, ["mcg", weil, "--p", "13"])
-    # --verify runs three intertwiners of 5^8 = 390,625 terms each
+    _refused(capsys, ["mcg", weil, "--p", "13"],
+             "1 Weil intertwiner(s) of genus 2 averaging 13^8 terms each")
+    # --verify runs three intertwiners of 7^8 = 5,764,801 terms each
     cocycle = _doc(tmp_path, "k.json", {"op": "cocycle", "g": 2,
                                         "f": {"word": ["ta1"]},
                                         "h": {"word": ["tb2"]}})
-    _refused_quickly(capsys, ["mcg", cocycle, "--p", "5", "--verify"])
+    _refused(capsys, ["mcg", cocycle, "--p", "7", "--verify"],
+             "3 Weil intertwiner(s) of genus 2 averaging 7^8 terms each")
     # mul and inverse enumerate no labels
     mul = _doc(tmp_path, "x.json", {"op": "mul", "g": 4,
                                     "x": [1, [1] * 4, [2] * 4],
@@ -1024,19 +1122,20 @@ def _heis_elements(g, short=False):
 def test_heis_genus_is_bounded_before_the_frame(monkeypatch, tmp_path,
                                                 capsys):
     # a genus-g frame costs O(g^3) to check; these ran past 5 s before
+    largest = max(g for g in range(1, 1000) if g ** 3 * cli.NS_PER_ITEM[
+        "frame"] <= 1000 * cli.BUDGET_US)
     for op, g, short in (("mul", 100000, False), ("inverse", 3000, True),
-                         ("mul", 2000, False), ("inverse", 2000, False)):
+                         ("mul", 2000, False), ("inverse", 2000, False),
+                         ("mul", largest + 1, False)):
         doc = dict(_heis_elements(g, short), op=op, g=g)
-        report = _refused_quickly(
-            capsys, ["heis", _doc(tmp_path, "g.json", doc), "--p", "13"])
-        assert "genus-%d frame" % g in report["error"]
-    # the largest admitted genus
-    g = cli.MAX_GENUS
+        _refused(capsys, ["heis", _doc(tmp_path, "g.json", doc), "--p",
+                          "13"], "the genus-%d frame" % g)
+    g = 100
     full = _doc(tmp_path, "f.json", dict(_heis_elements(g), op="mul", g=g))
     assert _run(capsys, ["heis", full, "--p", "13"])["result"] == [
         (3 + 2 * g) % 13, [1] * g, [3] * g]
-    # below the cap, a wrong length and an unknown op are reported
-    # before any frame is built
+    # a wrong length and an unknown op are reported before any frame is
+    # built
     def no_frame(p, g):
         raise AssertionError("frame built for a malformed document")
 
@@ -1049,7 +1148,7 @@ def test_heis_genus_is_bounded_before_the_frame(monkeypatch, tmp_path,
     _run(capsys, ["heis", unknown, "--p", "13"], expect=2)
 
 
-def test_heis_and_mcg_caps_admit_jobs_below_them(tmp_path, capsys):
+def test_heis_and_mcg_budget_admits_jobs_below_it(tmp_path, capsys):
     # 3^4 = 81 unknowns; 13^2 = 169 labels
     commutant = _doc(tmp_path, "c.json", {"op": "commutant", "g": 2})
     assert _run(capsys, ["heis", commutant, "--p", "3"])["dimension"] == 1
@@ -1066,22 +1165,18 @@ def test_heis_and_mcg_caps_admit_jobs_below_them(tmp_path, capsys):
                                         "f": {"word": ["ta1"]},
                                         "h": {"word": ["tb2"]}})
     _run(capsys, ["mcg", cocycle, "--p", "3", "--verify"])
-    # the benchmark's heis and mcg documents: genus 1 at p' <= 7
-    assert 7 ** 2 <= cli.MAX_COMMUTANT_UNKNOWNS
-    assert 7 <= cli.MAX_LABELS
-    assert 3 * 7 ** 4 <= cli.MAX_AVERAGING_TERMS
 
 
-def test_mcg_compositions_over_the_letter_cap_are_refused(tmp_path,
-                                                        capsys):
+def test_mcg_compositions_over_the_budget_are_refused(tmp_path, capsys):
     # chain and swap grow the image words fastest at genus 2
     word = ["chain", "swap"] * 30
     path = _doc(tmp_path, "t.json", {"op": "theta", "g": 2,
                                      "f": {"word": word}})
-    report = _refused_quickly(capsys, ["mcg", path, "--p", "5"])
+    report = _refused(capsys, ["mcg", path, "--p", "5"])
     assert report["error"] == (
-        "mapping class 'f' of genus 2: twist 10 (swap) composes 189050 "
-        "image letters, over the cap of 100000")
+        "mcg theta at p = 5, g = 2: twist 14 (swap) of mapping class 'f' "
+        "composes 6396642 image letters brings the predicted work to "
+        "2369453 us, over the budget of 2000000 us")
     # a seeded 60-twist word; its first 50 twists make a class of
     # 781,157 image letters
     names = sorted(twist_generators(2))
@@ -1089,9 +1184,13 @@ def test_mcg_compositions_over_the_letter_cap_are_refused(tmp_path,
     word = [rng.choice(names) for _ in range(60)]
     path = _doc(tmp_path, "r.json", {"op": "theta", "g": 2,
                                      "f": {"word": word}})
-    report = _refused_quickly(capsys, ["mcg", path, "--p", "5"])
+    # the twists before the refused one compose within the budget, which
+    # takes ~0.8 s here
+    report = _refused(capsys, ["mcg", path, "--p", "5"],
+                      within=cli.BUDGET_US / 10 ** 6)
     assert report["error"].startswith(
-        "mapping class 'f' of genus 2: twist 30 (chain') composes ")
+        "mcg theta at p = 5, g = 2: twist 45 (ta2') of mapping class 'f' "
+        "composes 1191566 image letters")
     # --verify composes f h: each class is admitted, their product not
     d = boundary_word(1) ** 400
     images = [(d.inverse() * FreeWord((k,)) * d).letters for k in (1, 2)]
@@ -1102,10 +1201,9 @@ def test_mcg_compositions_over_the_letter_cap_are_refused(tmp_path,
                                      "h": {"images": images}})
     assert count > 2 * 10 ** 7
     assert _run(capsys, ["mcg", path, "--p", "3"])["c"] == 0
-    report = _refused_quickly(capsys, ["mcg", path, "--p", "3", "--verify"])
-    assert report["error"] == (
-        "mapping class 'f h' of genus 1: the product f h composes %d "
-        "image letters, over the cap of %d" % (count, cli.MAX_WORD_LETTERS))
+    report = _refused(capsys, ["mcg", path, "--p", "3", "--verify"],
+                      "the product f h of mapping class 'f h' composes %d "
+                      "image letters" % count)
 
 
 def _main_on_stdin(argv, text):
@@ -1146,14 +1244,209 @@ def test_the_fastest_growing_short_word_is_admitted():
     assert _main_on_stdin(["mcg", "--p", "5", "-"], doc) == (0, "")
 
 
-def test_caps_admit_the_largest_benchmark_jobs(tmp_path, capsys):
-    # 4^5 = 1,024 tensor pairs (p = 8, genus 2) and 10^5 colourings
+def _predicted(monkeypatch, argv, doc=None):
+    """The predicted work of a job the budget admits, in us, read from
+    the ``_Work`` totals of a run to its end."""
+    totals = []
+
+    class Recording(cli._Work):
+        def __init__(self, instance):
+            super().__init__(instance)
+            totals.append(self)
+
+    monkeypatch.setattr(cli, "_Work", Recording)
+    text = "" if doc is None else json.dumps(doc)
+    assert _main_on_stdin(argv, text) == (0, "")
+    return sum(work.us for work in totals)
+
+
+def _benchmark_documents():
+    """The largest document of every shape the benchmark's cli-jobs
+    workload sends: orders 3, 4, 5, 7, 8 and 12; invariants and
+    refinements of at most 3 components with entries in [-3, 3]; lens
+    chains of p'^len <= 10^3; genus-1 tqft programs, verified at odd p;
+    heis mul and inverse at genus 2 and the other ops at genus 1; mcg
+    words of at most four twists, cocycle and weil at genus 1 and odd
+    p."""
+    B = [[3, -3, 3], [-3, 3, -3], [3, -3, 3]]
+    words = {1: ["ta", "tb", "ta'", "tb'"], 2: ["chain", "swap"] * 2}
+    one = _standard_object(1)
+    for p in (3, 4, 5, 7, 8, 12):
+        pp, odd = p_prime(p), p % 2 == 1
+        yield ["invariant", "--p", str(p), "-"], {"B": B}
+        yield ["invariant", "--p", str(p), "-"], {
+            "B": B, "fixed_colors": {"0": 1}}
+        if p % 4 == 0:
+            yield ["refine", "--p", str(p), "-"], {"B": B}
+        n = max(n for n in range(1, 20) if pp ** n <= 10 ** 3)
+        yield ["lens", str(n + 1), str(n), "--p", str(p)], None
+        verify = ["--verify"] if odd else []
+        for step in ({"kind": "index2", "handle": 0, "gamma": [-7, 3]},):
+            yield ["tqft", "--p", str(p), "-"] + verify, {
+                "source": one, "steps": [step], "target": {"g": 0, "L": []}}
+        yield ["tqft", "--p", str(p), "-"] + verify, {
+            "source": one, "steps": [{"kind": "cylinder",
+                                      "matrix": [[2, 1], [1, 1]]}],
+            "target": {"g": 1, "L": [[2, 1]]}}
+        for op, g in (("mul", 2), ("inverse", 2), ("act", 1),
+                      ("matrix", 1), ("commutant", 1)):
+            doc = {"op": op, "g": g, "x": [1, [1] * g, [0] * g],
+                   "y": [0, [0] * g, [1] * g], "element": [1, [1], [1]],
+                   "vector": {"entries": [{"label": [0], "value": "1"}]}}
+            yield ["heis", "--p", str(p), "-"], doc
+        for g in (1, 2):
+            yield ["mcg", "--p", str(p), "-"], {
+                "op": "theta", "g": g, "f": {"word": words[g]}}
+        if odd:
+            for op in ("cocycle", "weil"):
+                yield ["mcg", "--p", str(p), "--verify", "-"], {
+                    "op": op, "g": 1, "f": {"word": words[1]},
+                    "h": {"word": words[1][::-1]}}
+
+
+def test_benchmark_documents_take_a_tenth_of_the_budget(monkeypatch):
+    for argv, doc in _benchmark_documents():
+        assert _predicted(monkeypatch, argv, doc) <= cli.BUDGET_US // 10, (
+            argv, doc)
+
+
+def test_largest_benchmark_jobs_are_admitted(tmp_path, capsys):
+    # 4^5 = 1,024 tensor pairs (p = 8, genus 2)
     prog = _doc(tmp_path, "prog.json", _genus_two_surgery())
     _run(capsys, ["tqft", prog, "--p", "8"])
-    assert 2 * 4 ** 5 <= cli.MAX_TENSOR_PAIRS
-    assert 10 ** 5 <= cli.MAX_COLORINGS
     chain = _doc(tmp_path, "chain.json", {"B": [[2, 1], [1, 2]]})
     _run(capsys, ["invariant", chain, "--p", "13"])
+
+
+def _work_of(charge):
+    """The total a charge adds to a fresh job, with the budget lifted."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "BUDGET_US", 10 ** 100)
+        work = cli._Work("a job")
+        charge(work)
+    return work.us
+
+
+def _predictions(p, n, g, runs):
+    """The predicted work of one job of each kind at order p, n
+    components, genus g and ``runs`` oracle runs or extra intertwiners."""
+    program = load_program({"source": _standard_object(g),
+                            "steps": [{"kind": "index1"},
+                                      {"kind": "index2", "handle": g,
+                                       "gamma": [0, 1]}],
+                            "target": _standard_object(g)})
+    routes = {"closed", "oracle"} if runs else {"closed"}
+    charges = [
+        lambda w: (w.field(p), cli._charge_invariant(w, p, [[3] * n] * n,
+                                                      signatures=2)),
+        lambda w: cli._charge_invariant(w, p, [[2] * n] * n, signatures=2,
+                                        refine=True),
+        lambda w: cli._charge_weil(w, p, g, runs + 1),
+        lambda w: cli._charge_program(w, p, w.field(p), program, routes),
+    ] + [lambda w, op=op: cli._charge_heis(w, p, g, op)
+         for op in ("mul", "inverse", "act", "matrix", "commutant")]
+    return [_work_of(charge) for charge in charges]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_predicted_work_never_falls_as_a_job_grows(data):
+    # within one parity of p: odd orders sum by Gauss sums, even ones
+    # enumerate; p' and the field's order and degree all grow
+    even = data.draw(st.booleans())
+    orders = st.integers(1, 60).map(lambda k: 4 * k if even else 2 * k + 1)
+    p1, p2 = sorted(data.draw(st.lists(orders, min_size=2, max_size=2)))
+    m1, m2 = field_order(p1), field_order(p2)
+    assume(p_prime(p1) <= p_prime(p2) and m1 <= m2)
+    assume(_field(m1).phi <= _field(m2).phi)
+    n1, n2 = sorted(data.draw(st.lists(st.integers(1, 40), min_size=2,
+                                       max_size=2)))
+    g1, g2 = sorted(data.draw(st.lists(st.integers(1, 6), min_size=2,
+                                       max_size=2)))
+    r1, r2 = sorted(data.draw(st.lists(st.integers(0, 1), min_size=2,
+                                       max_size=2)))
+    small = _predictions(p1, n1, g1, r1)
+    large = _predictions(p2, n2, g2, r2)
+    assert all(a <= b for a, b in zip(small, large)), (small, large)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 2), st.data())
+def test_predicted_work_never_falls_as_a_word_grows(g, data):
+    names = sorted(twist_generators(g))
+    word = data.draw(st.lists(st.sampled_from(names), max_size=8))
+    totals = [_work_of(lambda w: cli._class_from(
+        w, {"f": {"word": word[:k]}}, "f", g)) for k in range(len(word) + 1)]
+    assert totals == sorted(totals)
+
+
+# each kind of work, far over the budget: refused within a second, before
+# the step that would run it
+OVER_BUDGET = [
+    ("colourings", ["invariant", "--p", "12", "-"],
+     {"B": [[int(i == j) for j in range(12)] for i in range(12)]},
+     "colour sum over 12 components, 6^12 colourings"),
+    ("pivots", ["invariant", "--p", "13", "-"],
+     {"B": [[int(abs(i - j) <= 1) for j in range(400)] for i in range(400)]},
+     "signature(s) of a 400 x 400 linking matrix"),
+    ("classes", ["refine", "--p", "4", "-"],
+     {"B": [[0] * 12 for _ in range(12)]}, "refinement block of 2^12 "
+                                           "classes"),
+    ("pivot_bits", ["invariant", "--p", "13", "-"],
+     {"B": [[10 ** 4000 * (i == j) for j in range(40)] for i in range(40)]},
+     "signature(s) of a 40 x 40 linking matrix"),
+    ("histogram", ["invariant", "--p", "789", "-"],
+     {"B": [[int(i == j) for j in range(20)] for i in range(20)]},
+     "the Gauss sum over 20 components at p = 789"),
+    ("field", ["lens", "1", "0", "--p", "1001"], None,
+     "the cyclotomic field of order 8008"),
+    ("tensor_pairs", ["tqft", "--p", "13", "--mode", "oracle", "-"],
+     _genus_two_surgery(), "the tensor oracle over 371293 tensor pairs"),
+    ("entries", ["tqft", "--p", "13", "-"],
+     {"source": _standard_object(6), "steps": [],
+      "target": _standard_object(6)}, "genus-6 Schrodinger module"),
+    ("printed", ["heis", "--p", "509", "-"],
+     {"op": "matrix", "g": 1, "element": [1, [1], [0]]},
+     "the genus-1 Schrodinger module's 509^1 labels"),
+    ("unknowns", ["heis", "--p", "61", "-"], {"op": "commutant", "g": 1},
+     "the genus-1 commutant system of 61^2 unknowns"),
+    ("terms", ["mcg", "--p", "61", "-"],
+     {"op": "weil", "g": 1, "f": {"word": ["tb"]}},
+     "1 Weil intertwiner(s) of genus 1 averaging 61^4 terms each"),
+    ("steps", ["tqft", "--p", "3", "-"],
+     {"source": _standard_object(1),
+      "steps": [{"kind": "cylinder", "matrix": [[1, 0], [1, 1]]}] * 4000,
+      "target": _standard_object(1)}, "validating 4000 step(s) up to "
+                                      "genus 1"),
+    ("frame", ["mcg", "--p", "5", "-"],
+     {"op": "theta", "g": 400,
+      "f": {"images": [[k] for k in range(1, 801)]}},
+     "the genus-400 class 'f'"),
+    ("letters", ["mcg", "--p", "5", "-"],
+     {"op": "theta", "g": 2, "f": {"word": ["chain", "swap"] * 10}},
+     "of mapping class 'f' composes"),
+]
+
+
+@pytest.mark.parametrize("argv, doc, step", [
+    pytest.param(argv, doc, step, id=kind)
+    for kind, argv, doc, step in OVER_BUDGET])
+def test_each_kind_of_work_is_refused_before_it_runs(monkeypatch, capsys,
+                                                     argv, doc, step):
+    def not_run(*args, **kwargs):
+        raise AssertionError("an expensive step ran for a refused job")
+
+    for name in ("abtqft.surgery.signature", "abtqft.surgery.z_lens",
+                 "abtqft.cobordism.F_program",
+                 "abtqft.heisenberg.closed_context",
+                 "abtqft.mcg.weil_intertwiner", "abtqft.mcg.theta"):
+        monkeypatch.setattr(name, not_run)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    _refused(capsys, argv, step)
+
+
+def test_every_kind_of_work_has_a_refusal_test():
+    assert {kind for kind, *_ in OVER_BUDGET} == set(cli.NS_PER_ITEM)
 
 
 def test_unknown_command_is_a_usage_error(capsys):
@@ -1511,7 +1804,7 @@ def test_parsed_values_reach_the_handlers(monkeypatch, capsys):
     assert report["value"]["approx"]["digits"] == 4
 
 
-# -- work caps: the field ---------------------------------------------------
+# -- the work budget: the field ---------------------------------------------
 
 
 @pytest.mark.parametrize("argv, doc", [
@@ -1521,7 +1814,7 @@ def test_parsed_values_reach_the_handlers(monkeypatch, capsys):
      {"op": "matrix", "g": 1, "element": [1, [1], [0]]}),
     (["refine", "-", "--p", "8192"], {"B": [[1]]}),
     (["tqft", "-", "--p", "4001"], _surgery_program([0, 1])),
-    (["heis", "-", "--p", "513"], {"op": "commutant", "g": 1}),
+    (["heis", "-", "--p", "1001"], {"op": "commutant", "g": 1}),
     (["heis", "-", "--p", "1001"], {"op": "act", "g": 1,
                                     "element": [0, [1], [1]]}),
     (["mcg", "-", "--p", "4001"],
@@ -1530,15 +1823,14 @@ def test_parsed_values_reach_the_handlers(monkeypatch, capsys):
      {"op": "cocycle", "g": 1, "f": {"word": ["ta"]},
       "h": {"word": ["tb"]}}),
 ])
-def test_orders_over_the_field_cap_are_refused(monkeypatch, capsys, argv,
-                                               doc):
+def test_orders_over_the_field_budget_are_refused(monkeypatch, capsys, argv,
+                                                  doc):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
-    start = time.perf_counter()
-    report = _run(capsys, argv, expect=6)
-    assert time.perf_counter() - start < 1
     p = int(argv[-1] if argv[-1] != "--verify" else argv[-2])
-    assert "field of order %d" % field_order(p) in report["error"]
-    assert field_order(p) > cli.MAX_FIELD_ORDER
+    _refused(capsys, argv, "the cyclotomic field of order %d"
+             % field_order(p))
+    assert field_order(p) ** 2 * cli.NS_PER_ITEM["field"] > (
+        1000 * cli.BUDGET_US)
 
 
 @pytest.mark.parametrize("doc", [
@@ -1547,7 +1839,8 @@ def test_orders_over_the_field_cap_are_refused(monkeypatch, capsys, argv,
     {"op": "theta", "g": 1, "f": {"word": ["ta", "tb"]}},
     {"op": "cocycle", "g": 1, "f": {"word": ["ta"]}, "h": {"word": ["tb"]}},
 ])
-def test_jobs_without_a_field_ignore_the_field_cap(monkeypatch, capsys, doc):
+def test_jobs_without_a_field_ignore_the_field_budget(monkeypatch, capsys,
+                                                      doc):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     command = "heis" if doc["op"] in ("mul", "inverse") else "mcg"
     start = time.perf_counter()
@@ -1556,11 +1849,17 @@ def test_jobs_without_a_field_ignore_the_field_cap(monkeypatch, capsys, doc):
     assert report["op"] == doc["op"] and report["p"] == 4001
 
 
-def test_field_cap_admits_the_orders_in_use():
+def test_field_budget_admits_the_orders_in_use():
     # cocycle --verify runs up to p = 23 in the tests, the benchmark up
-    # to p = 13; the cap sits between p = 511 and p = 513
-    assert max(field_order(p) for p in range(3, 24)) <= cli.MAX_FIELD_ORDER
-    assert field_order(511) <= cli.MAX_FIELD_ORDER < field_order(513)
+    # to p = 13; the field alone takes the budget between p = 789 and 791
+    work = cli._Work("the fields in use")
+    for p in range(3, 24):
+        if p % 4 != 2:
+            assert work.field(p) == _field(field_order(p)).phi
+    assert work.us <= cli.BUDGET_US // 100
+    cli._Work("p = 789").field(789)
+    with pytest.raises(cli.CliError):
+        cli._Work("p = 791").field(791)
 
 
 # -- the whole CLI under fuzzing --------------------------------------------
