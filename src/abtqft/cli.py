@@ -14,7 +14,8 @@ Before each expensive step a command adds the step's predicted run
 time, its items of each kind of work priced by ``NS_PER_ITEM``, to the
 job's total in integer microseconds (``_Work.add``); the step that
 takes the total over ``BUDGET_US`` is refused with exit 6, naming the
-step, its parameters, the predicted work and the budget.
+step, its parameters, the predicted work and the budget.  This module
+parses, prices and prints; the rules it applies live in the engine.
 
 The command line is ``abtqft COMMAND [ARGUMENTS]``.  Options and
 positionals mix in any order; an option takes its value as the next
@@ -56,7 +57,6 @@ from .cyclotomic import (
     cyclotomic_polynomial,
     field_order,
     from_rational,
-    one,
     p_prime,
     q_power,
 )
@@ -69,7 +69,6 @@ MAX_DIGITS = 12
 # budget; phi is the degree of Q(zeta_M), M = lcm(8, p).
 NS_PER_ITEM = {
     "colourings": 200,     # colouring x (n^2 + 16) of an even-order sum
-    "classes": 500,        # refinement class^2 x n: each re-solves them all
     "pivots": 100,         # n^3 of a signature or a Gauss-sum diagonal form
     "pivot_bits": 1,       # n^4 x entry bits: a signature's minors grow
     "histogram": 100,      # n p^2 of an odd-order Gauss sum's histogram
@@ -80,7 +79,7 @@ NS_PER_ITEM = {
     "entries": 300,        # map entry built or multiplied x phi
     "printed": 2000,       # printed map or vector entry x (phi + 64)
     "frame": 450,          # g^3 of a genus-g frame or class check
-    "steps": 30000,        # program step x (g^3 + 32): validated, pushed
+    "steps": 50000,        # program step x (g^3 + 32): validated twice, pushed
     "letters": 250,        # composed image letter, and one pass over it
 }
 BUDGET_US = 2 * 10 ** 6
@@ -160,11 +159,15 @@ class _Work:
                            % (self.instance, step, self.us, BUDGET_US))
 
     def field(self, p):
-        """Charge the field of order M = lcm(8, p), then return its
-        degree phi(M)."""
+        """Charge the field of order M = lcm(8, p); return its degree."""
         m = field_order(p)
         self.add("the cyclotomic field of order %d" % m, field=m * m)
-        return len(cyclotomic_polynomial(m)) - 1
+        return _degree(p)
+
+
+def _degree(p):
+    """phi(M), the degree of the field of order M = lcm(8, p)."""
+    return len(cyclotomic_polynomial(field_order(p))) - 1
 
 
 def _power(base, exponent):
@@ -175,8 +178,8 @@ def _power(base, exponent):
 def _charge_invariant(work, p, B, free=None, signatures=1, refine=False):
     """Charge a closed invariant of B: its signatures, whose minors grow
     with B's entries, the colour sum over ``free`` (all) components and
-    the refinement block, whose 2^(n - rank mod 2) classes each re-solve
-    the mod-2 system."""
+    the refinement block: a signature and a printed value per class, and
+    colour sums that together cover the colourings once."""
     n = len(B)
     free = n if free is None else free
     pp, cube = p_prime(p), n ** 3
@@ -193,17 +196,15 @@ def _charge_invariant(work, p, B, free=None, signatures=1, refine=False):
                  % (free, pp, free),
                  colourings=_power(pp, free) * (n * n + 16))
     if refine:
-        rows, rank = [sum(1 << j for j, x in enumerate(row) if x % 2)
-                      for row in B], 0
-        while rows:
-            pivot = rows.pop()
-            if pivot:
-                rows = [r ^ pivot if r & pivot & -pivot else r for r in rows]
-                rank += 1
-        k = _power(2, n - rank)
-        work.add("the refinement block of 2^%d classes" % (n - rank),
-                 classes=k * k * n, colourings=_power(pp, n) * (n * n + 16),
-                 pivots=k * cube, pivot_bits=k * cube * n * bits)
+        from .surgery import refinement_count
+
+        count = refinement_count(B)
+        k = min(count, _OVER)
+        work.add("the refinement block of 2^%d classes"
+                 % (count.bit_length() - 1),
+                 colourings=_power(pp, n) * (n * n + 16), pivots=k * cube,
+                 pivot_bits=k * cube * n * bits,
+                 printed=k * (_degree(p) + 64))
 
 
 def _lens_chain(beta, alpha):
@@ -284,29 +285,9 @@ def scalar_doc(x, digits):
 
 
 def _json_rational(value):
-    """A JSON rational, a string such as "-3/4" or an integer, as its
-    reduced pair (numerator, denominator).
-
-    A string of the form [+-]digits or [+-]digits/digits (ASCII digits,
-    a nonzero denominator) is read on integers; any other string goes to
-    ``Fraction``, which reads it or raises the error it always has."""
-    if not isinstance(value, str):
-        return json_int(value), 1
-    top, slash, bottom = value.partition("/")
-    unsigned = top[1:] if top[:1] in ("+", "-") else top
-    if _ascii_digits(unsigned) and (
-            not slash or _ascii_digits(bottom) and bottom.strip("0")):
-        n, d = int(top), int(bottom) if slash else 1
-        g = gcd(n, d)
-        return n // g, d // g
-    from fractions import Fraction
-
-    value = Fraction(value)
-    return value.numerator, value.denominator
-
-
-def _ascii_digits(text):
-    return text.isascii() and text.isdigit()
+    """A JSON rational as ``CycNum`` takes it: a string such as "-3/4"
+    as it is, anything else as an integer (not a boolean or float)."""
+    return value if isinstance(value, str) else json_int(value)
 
 
 def parse_scalar(doc):
@@ -507,16 +488,35 @@ def cmd_lens(args):
 # -- tqft ------------------------------------------------------------------
 
 
+def _charge_validation(work, doc):
+    """Charge validating the program of ``doc`` from its shape, before
+    any object is built; ``load_program`` reports a malformed one."""
+    try:
+        g, steps = json_int(doc["source"]["g"]), doc.get("steps", [])
+    except (KeyError, TypeError):
+        return
+    if g < 0 or not isinstance(steps, list):
+        return
+    top = g + sum(isinstance(s, dict) and s.get("kind") == "index1"
+                  for s in steps)
+    work.add("validating %d step(s) up to genus %d" % (len(steps), top),
+             steps=(len(steps) + 2) * (top ** 3 + 32))
+
+
 def cmd_tqft(args):
-    from .cobordism import (F_program, Index1, Index2, ProgramError,
-                            apply_map, canonical_context, load_program,
-                            validate)
-    from .surgery import z_invariant, z_lens
+    from .cobordism import (F_program, MissingClosureError, ProgramError,
+                            apply_map, canonical_context, closed_off_lens,
+                            closure_factor, load_program, validate)
 
     work = _Work("tqft at p = %d" % args.p)
     _check_p(args.p)
+    odd = args.p % 2 == 1
+    if args.verify and not odd:
+        raise CliError(3, "--verify compares the closed form against the "
+                          "tensor oracle and needs odd p")
     phi = work.field(args.p)
     doc = _read_doc(args.input)
+    _charge_validation(work, doc)
     try:
         prog = load_program(doc)
     except ProgramError as exc:
@@ -524,63 +524,40 @@ def cmd_tqft(args):
     closure = None
     if args.closure is not None:
         closure = _matrix_from(_read_doc(args.closure))
-    steps = prog.steps
-    top = prog.source.g + sum(isinstance(s, Index1) for s in steps)
-    work.add("validating %d step(s) up to genus %d" % (len(steps), top),
-             steps=(len(steps) + 2) * (top ** 3 + 32))
-    odd = args.p % 2 == 1
+    try:
+        validate(prog)
+    except ProgramError as exc:
+        raise CliError(4, str(exc))
     route = args.mode if args.mode != "auto" else "closed" if odd else "oracle"
     other = "oracle" if route == "closed" else "closed"
-    lens = None
-    if args.normalized and len(steps) == 1 and isinstance(steps[0], Index2):
-        sign = -1 if steps[0].beta < 0 else 1
-        lens = sign * steps[0].beta, sign * steps[0].alpha
-    try:
-        _charge_program(work, args.p, phi, prog,
-                        {route, other} if args.verify and odd else {route})
-        if args.normalized and (closure is not None or lens is not None):
+    _charge_program(work, args.p, phi, prog,
+                    {route, other} if args.verify else {route})
+    # the map has one entry per source label at most
+    labels = _power(p_prime(args.p), prog.source.g)
+    if args.normalized:
+        lens = closed_off_lens(prog.steps)
+        if closure is not None or lens is not None:
             _charge_invariant(work, args.p, _lens_chain(*lens)
                               if closure is None else closure)
-        # the map has one entry per source label at most
-        labels = _power(p_prime(args.p), prog.source.g)
-        if args.normalized:
-            work.add("normalising the map", entries=labels * phi)
-        work.add("printing the map", printed=labels * (phi + 64))
-    except CliError:
-        # an invalid program is reported as such, not as too large
-        try:
-            validate(prog)
-        except ProgramError as exc:
-            raise CliError(4, str(exc))
-        raise
+        work.add("normalising the map", entries=labels * phi)
+    work.add("printing the map", printed=labels * (phi + 64))
     try:
+        factor = (closure_factor(args.p, prog, closure)
+                  if args.normalized else None)
         raw = m = F_program(args.p, prog, route)
-        if args.normalized:
-            if closure is not None:
-                factor = z_invariant(args.p, closure)
-            elif len(steps) > 1:
-                raise CliError(5, "no built-in closure for a composite "
-                                  "program; supply a surgery presentation "
-                                  "of the closed-off manifold")
-            elif lens is not None:
-                factor = z_lens(args.p, *lens)
-            else:
-                factor = one(field_order(args.p))
-            m = {k: factor * v for k, v in raw.items()}
+    except MissingClosureError as exc:
+        raise CliError(5, str(exc))
     except ProgramError as exc:
         raise CliError(4, str(exc))
     except ValueError as exc:
         raise CliError(2, str(exc))
+    if factor is not None:
+        m = {k: factor * v for k, v in raw.items()}
     report = {"command": "tqft", "p": args.p, "mode": args.mode,
               "normalized": bool(args.normalized)}
     if args.verify:
-        if args.p % 2 == 0:
-            raise CliError(3, "--verify compares the closed form against "
-                              "the tensor oracle and needs odd p")
-        try:
-            checked = F_program(args.p, prog, other)
-        except ProgramError as exc:
-            raise CliError(4, str(exc))
+        # the first route has validated the program and carried its frames
+        checked = F_program(args.p, prog, other)
         clean = {k: v for k, v in raw.items() if v != 0}
         if clean != {k: v for k, v in checked.items() if v != 0}:
             raise CliError(4, "closed form and tensor oracle disagree")

@@ -28,9 +28,9 @@ Index-2 coefficients come in two modes: a closed per-handle formula
 and the bimodule-tensor oracle, which is the ground truth the closed
 form is tested against.
 
-``normalized_map`` rescales by the invariant of the closed-off
-cobordism, which is built in for single-step programs and must be
-supplied as a surgery presentation otherwise.
+``normalized_map`` rescales by ``closure_factor``, the invariant of the
+closed-off cobordism: built in for programs of at most one step, it
+must be supplied as a surgery presentation otherwise.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ __all__ = [
     "Index2",
     "CobordismProgram",
     "ProgramError",
+    "MissingClosureError",
     "validate",
     "canonical_context",
     "context_transfer",
@@ -82,6 +83,8 @@ __all__ = [
     "compose_maps",
     "apply_map",
     "monoidal_product",
+    "closed_off_lens",
+    "closure_factor",
     "normalized_map",
     "load_program",
 ]
@@ -90,6 +93,10 @@ __all__ = [
 class ProgramError(ValueError):
     """A program is not a well-formed morphism between its declared
     objects."""
+
+
+class MissingClosureError(ProgramError):
+    """A composite program was normalized without a closure."""
 
 
 class CobObject(Value):
@@ -417,35 +424,37 @@ def monoidal_product(x1, x2):
 # -- the normalized (non-projective) functor ------------------------------
 
 
-def _builtin_closure_factor(p, step):
-    if isinstance(step, (MappingCylinder, Index1)):
-        return one(field_order(p))
-    if isinstance(step, Index2):
-        beta, alpha = step.beta, step.alpha
-        if beta < 0:
-            beta, alpha = -beta, -alpha
-        return z_lens(p, beta, alpha)
-    raise ProgramError("unknown step %r" % (step,))
+def closed_off_lens(steps):
+    """The lens space (beta, alpha), beta >= 0, that closes off a program
+    of one index-2 step, else None."""
+    if len(steps) == 1 and isinstance(steps[0], Index2):
+        sign = -1 if steps[0].beta < 0 else 1
+        return sign * steps[0].beta, sign * steps[0].alpha
+    return None
 
 
-def normalized_map(p, prog: CobordismProgram, closure=None, mode="auto"):
-    """Normalization Z(closed-off cobordism) * F_program.
-
-    The closing factor is built in for programs of at most one step;
-    longer programs must supply the linking matrix of a surgery
-    presentation of the closed-off manifold."""
-    raw = F_program(p, prog, mode)
+def closure_factor(p, prog: CobordismProgram, closure=None):
+    """Z of the closed-off cobordism: Z(closure) if given, else that of
+    :func:`closed_off_lens`, 1 for no step or one cylinder or index-1
+    step, and :class:`MissingClosureError` for a composite program."""
     if closure is not None:
-        factor = z_invariant(p, closure)
-    elif not prog.steps:
-        factor = one(field_order(p))
-    elif len(prog.steps) == 1:
-        factor = _builtin_closure_factor(p, prog.steps[0])
-    else:
-        raise ProgramError(
+        return z_invariant(p, closure)
+    lens = closed_off_lens(prog.steps)
+    if lens is not None:
+        return z_lens(p, *lens)
+    if len(prog.steps) > 1:
+        raise MissingClosureError(
             "no built-in closure for a composite program; supply a "
             "surgery presentation of the closed-off manifold"
         )
+    return one(field_order(p))
+
+
+def normalized_map(p, prog: CobordismProgram, closure=None, mode="auto"):
+    """Normalization Z(closed-off cobordism) * F_program, the factor
+    being :func:`closure_factor`."""
+    raw = F_program(p, prog, mode)
+    factor = closure_factor(p, prog, closure)
     return {k: factor * v for k, v in raw.items()}
 
 

@@ -484,16 +484,12 @@ class CycNum:
 
     # -- serialization ----------------------------------------------------
 
-    def to_json(self, digits: int | None = None) -> dict:
-        """The order and the coordinates as strings such as ``"-3/4"``,
-        with ``approx``, the display parts, when ``digits`` is given."""
-        doc = {
+    def to_json(self) -> dict:
+        """The order and the coordinates as strings such as ``"-3/4"``."""
+        return {
             "order": self.order,
             "coeffs": [_rational_str(n, d) for n, d in self._pairs()],
         }
-        if digits is not None:
-            doc["approx"] = "%s + %si" % approx_parts(self, digits)
-        return doc
 
 
 def _is_fraction(x) -> bool:
@@ -522,9 +518,16 @@ def _rational_hash(n: int, d: int) -> int:
 def _rational(c) -> tuple:
     """``c`` as a reduced pair (numerator, denominator > 0): ``c`` is an
     int, a pair of ints, or anything ``Fraction`` takes, such as a
-    string ``"-3/4"``; a float raises ``TypeError``."""
+    string ``"-3/4"``; a float raises ``TypeError``.  A string
+    [+-]digits[/digits] of ASCII digits is read on integers."""
     if isinstance(c, int):
         return c.numerator, 1  # a bool as its int
+    if isinstance(c, str):
+        top, slash, bottom = c.partition("/")
+        unsigned = top[1:] if top[:1] in ("+", "-") else top
+        if (unsigned + bottom).isascii() and unsigned.isdigit() and (
+                not slash or bottom.isdigit() and bottom.strip("0")):
+            c = int(top), int(bottom) if slash else 1
     if isinstance(c, tuple):
         n, d = c
         if d <= 0:

@@ -26,8 +26,9 @@ With m = p/4 they obey:
 
 The refinement classes are the solutions of the characteristic equation
 Sum_j B_ij s_j = B_ii (mod 2) when p = 4 (mod 8), and of the homogeneous
-equation when p = 0 (mod 8).  A refined value is one normalized parity
-sector.  At p = 8 (mod 16) a homogeneous class is offset by the least
+equation when p = 0 (mod 8); one elimination over F_2 lists, counts or
+takes the least of them, and a single class is checked by B s = rhs
+(mod 2) alone.  A refined value is one normalized parity sector.  At p = 8 (mod 16) a homogeneous class is offset by the least
 characteristic solution to reach a nonvanishing sector; at p = 0 (mod 16)
 the class is itself the parity.  So for p = 0 (mod 8) the classes pick
 out every nonvanishing sector and their values add up to the unrefined
@@ -77,6 +78,7 @@ __all__ = [
     "z_lens",
     "refinement_kind",
     "refinement_classes",
+    "refinement_count",
     "refined_invariant",
     "blow_up",
     "slide",
@@ -434,58 +436,66 @@ def refinement_kind(p):
     raise ValueError("order 2 mod 4 is not admissible")
 
 
-def _solve_mod2(B, rhs):
-    """All solutions over F_2 of B s = rhs (sorted tuples)."""
+def _echelon_mod2(B, rhs):
+    """B s = rhs over F_2 reduced from the last column: {pivot column c:
+    its row, the bits of its columns and rhs at bit n}, or None when the
+    system is inconsistent.  The row of c meets only free columns < c."""
     n = len(B)
-    rows = [
-        [B[i][j] % 2 for j in range(n)] + [rhs[i] % 2] for i in range(n)
-    ]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if rows[i][c]), None)
-        if piv is None:
+    rows = [sum(1 << j for j in range(n) if B[i][j] % 2) | rhs[i] % 2 << n
+            for i in range(n)]
+    pivots = {}
+    for c in reversed(range(n)):
+        bit = 1 << c
+        row = next((r for r in rows if r & bit), None)
+        if row is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                rows[i] = [(a + b) % 2 for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if rows[i][n]:
-            return []
+        rows.remove(row)
+        rows = [r ^ row if r & bit else r for r in rows]
+        pivots = {k: r ^ row if r & bit else r for k, r in pivots.items()}
+        pivots[c] = row
+    return None if any(rows) else pivots  # a leftover row reads 0 = 1
+
+
+def _solve_mod2(B, rhs):
+    """The solutions of B s = rhs over F_2 in increasing order: each pivot
+    coordinate depends on free ones before it only."""
+    pivots = _echelon_mod2(B, rhs)
+    if pivots is None:
+        return
+    n = len(B)
     free = [c for c in range(n) if c not in pivots]
-    sols = []
     for assign in itertools.product((0, 1), repeat=len(free)):
-        s = [0] * n
-        for c, v in zip(free, assign):
-            s[c] = v
-        for i in reversed(range(r)):
-            c = pivots[i]
-            s[c] = (rows[i][n] + sum(rows[i][j] * s[j] for j in free)) % 2
-        sols.append(tuple(s))
-    return sorted(sols)
+        bits = sum(v << c for c, v in zip(free, assign))
+        s = [bits >> c & 1 for c in range(n)]
+        for c, row in pivots.items():
+            s[c] = (row >> n ^ (row & bits).bit_count()) & 1
+        yield tuple(s)
+
+
+def _refinement_rhs(p, B):
+    """The right-hand side of the mod-2 system the classes solve."""
+    spin = refinement_kind(p) == "spin"
+    return [B[i][i] if spin else 0 for i in range(len(B))]
 
 
 def refinement_classes(p, B):
     """The mod-2 classes refining the colored sum at even order."""
     B = _check_symmetric(B)
-    kind = refinement_kind(p)
-    n = len(B)
-    if kind == "spin":
-        rhs = [B[i][i] for i in range(n)]
-    else:
-        rhs = [0] * n
-    return _solve_mod2(B, rhs)
+    return list(_solve_mod2(B, _refinement_rhs(p, B)))
+
+
+def refinement_count(B):
+    """The number 2^(n - rank of B mod 2) of refinement classes at every
+    even order: B s = diag B (mod 2) is solvable for symmetric B."""
+    B = _check_symmetric(B)
+    return 2 ** (len(B) - len(_echelon_mod2(B, [0] * len(B))))
 
 
 def _characteristic_shift(B):
-    n = len(B)
-    chars = _solve_mod2(B, [B[i][i] for i in range(n)])
-    if not chars:
-        raise ArithmeticError("characteristic system is always solvable")
-    return chars[0]
+    """The least characteristic solution s, B s = diag B (mod 2)."""
+    for shift in _solve_mod2(B, [B[i][i] for i in range(len(B))]):
+        return shift
+    raise ArithmeticError("characteristic system is always solvable")
 
 
 def refined_invariant(p, B, cls):
@@ -499,17 +509,17 @@ def refined_invariant(p, B, cls):
     p = 0 (mod 16); at both residues the values over all classes add
     up to ``z_invariant``."""
     B = _check_symmetric(B)
-    kind = refinement_kind(p)
+    rhs = _refinement_rhs(p, B)
     n = len(B)
     if len(cls) != n:
         raise ValueError("class length does not match the matrix")
-    if tuple(v % 2 for v in cls) not in refinement_classes(p, B):
+    parities = [v % 2 for v in cls]
+    if any((sum(x * s for x, s in zip(row, parities)) - r) % 2
+           for row, r in zip(B, rhs)):
         raise ValueError("not a refinement class of this presentation")
-    if kind == "spin" or p % 16 == 0:
-        parities = [v % 2 for v in cls]
-    else:
+    if p % 16 == 8:
         shift = _characteristic_shift(B)
-        parities = [(v + s) % 2 for v, s in zip(cls, shift)]
+        parities = [(v + s) % 2 for v, s in zip(parities, shift)]
     pp = p_prime(p)
     norm = _normalisation(p, signature(B) % 8, n + 1)
     return norm * _phase_sum(p, B, [range(par, pp, 2) for par in parities])

@@ -6,16 +6,29 @@ and ``decimal`` trigonometric table, which the integer versions in
 ``surgery`` and ``cyclotomic`` replaced and are checked against; the
 word-based Morita counting functions and the symplectic inverse
 J F^T (-J), which the one-pass kernel and the block transposition in
-``mcg`` replaced; and small public helpers that only the tests used.
+``mcg`` replaced; the mod-2 solver that listed every refinement class
+to check one, and the normalisation branch the command line kept beside
+``cobordism``'s; and small public helpers that only the tests used.
 """
 
+import itertools
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
-from abtqft.cyclotomic import _field, field_order, make_root
+from abtqft.cobordism import Index2
+from abtqft.cyclotomic import _field, field_order, make_root, one
 from abtqft.homology import hnf, mat_mul
 from abtqft.mcg import FreeWord
-from abtqft.surgery import _check_symmetric, _phase_sum
+from abtqft.surgery import (
+    _check_symmetric,
+    _normalisation,
+    _phase_sum,
+    p_prime,
+    refinement_kind,
+    signature,
+    z_invariant,
+    z_lens,
+)
 
 
 def root_q(p):
@@ -200,3 +213,94 @@ def symplectic_inverse(F):
     Jneg = tuple(tuple(-x for x in row) for row in J)
     Ft = tuple(tuple(F[j][i] for j in range(n)) for i in range(n))
     return mat_mul(mat_mul(J, Ft), Jneg)
+
+
+# -- parity refinements by listing every class ----------------------------
+
+
+def solve_mod2(B, rhs):
+    """All solutions over F_2 of B s = rhs (sorted tuples), pivoting
+    from the first column and sorting the list."""
+    n = len(B)
+    rows = [
+        [B[i][j] % 2 for j in range(n)] + [rhs[i] % 2] for i in range(n)
+    ]
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, n) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(n):
+            if i != r and rows[i][c]:
+                rows[i] = [(a + b) % 2 for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    for i in range(r, n):
+        if rows[i][n]:
+            return []
+    free = [c for c in range(n) if c not in pivots]
+    sols = []
+    for assign in itertools.product((0, 1), repeat=len(free)):
+        s = [0] * n
+        for c, v in zip(free, assign):
+            s[c] = v
+        for i in reversed(range(r)):
+            c = pivots[i]
+            s[c] = (rows[i][n] + sum(rows[i][j] * s[j] for j in free)) % 2
+        sols.append(tuple(s))
+    return sorted(sols)
+
+
+def refinement_classes(p, B):
+    B = _check_symmetric(B)
+    n = len(B)
+    if refinement_kind(p) == "spin":
+        return solve_mod2(B, [B[i][i] for i in range(n)])
+    return solve_mod2(B, [0] * n)
+
+
+def characteristic_shift(B):
+    """The least characteristic solution, from the sorted list of all."""
+    chars = solve_mod2(B, [B[i][i] for i in range(len(B))])
+    if not chars:
+        raise ArithmeticError("characteristic system is always solvable")
+    return chars[0]
+
+
+def refined_invariant(p, B, cls):
+    """The refined value, its class checked against the list of all."""
+    B = _check_symmetric(B)
+    kind = refinement_kind(p)
+    n = len(B)
+    if len(cls) != n:
+        raise ValueError("class length does not match the matrix")
+    if tuple(v % 2 for v in cls) not in refinement_classes(p, B):
+        raise ValueError("not a refinement class of this presentation")
+    if kind == "spin" or p % 16 == 0:
+        parities = [v % 2 for v in cls]
+    else:
+        shift = characteristic_shift(B)
+        parities = [(v + s) % 2 for v, s in zip(cls, shift)]
+    pp = p_prime(p)
+    norm = _normalisation(p, signature(B) % 8, n + 1)
+    return norm * _phase_sum(p, B, [range(par, pp, 2) for par in parities])
+
+
+# -- the normalisation branch of the command line -------------------------
+
+
+def closure_factor(p, steps, closure=None):
+    """Z of the closed-off cobordism as the command line computed it: the
+    closure's invariant, one for no step or one cylinder or index-1
+    step, the lens space of a lone index-2 step with beta >= 0, and None
+    for a composite program without a closure."""
+    if closure is not None:
+        return z_invariant(p, closure)
+    if len(steps) > 1:
+        return None
+    if len(steps) == 1 and isinstance(steps[0], Index2):
+        sign = -1 if steps[0].beta < 0 else 1
+        return z_lens(p, sign * steps[0].beta, sign * steps[0].alpha)
+    return one(field_order(p))

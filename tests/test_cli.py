@@ -27,6 +27,8 @@ from abtqft.cobordism import (
 )
 from abtqft.cyclotomic import (
     _field,
+    _rational,
+    approx_parts,
     eta_kappa,
     field_order,
     from_rational,
@@ -56,6 +58,7 @@ from abtqft.surgery import (
     z_invariant,
     z_lens,
 )
+import reference
 
 
 def _run(capsys, argv, expect=0):
@@ -608,20 +611,28 @@ def test_scalar_documents_round_trip():
 
 
 def test_json_rationals_read_as_fraction_reads_them():
-    # the plain forms are read on integers, the rest by Fraction
+    # the plain forms are read on integers, the rest by Fraction; the
+    # CLI hands the strings to the one reader in cyclotomic
     for text in ("3", "-3/4", "+6/8", "-0/5", "007/014", " 1.5e1 ", "1_0/4"):
         r = Fraction(text)
-        assert cli._json_rational(text) == (r.numerator, r.denominator)
+        assert _rational(cli._json_rational(text)) == (r.numerator,
+                                                       r.denominator)
     for text, error in (("1/0", ZeroDivisionError),
                         ("3/00", ZeroDivisionError), ("abc", ValueError),
                         ("+7/-2", ValueError), ("", ValueError),
                         ("/2", ValueError), ("-", ValueError),
                         ("\u00b2/4", ValueError)):
         with pytest.raises(error) as got:
-            cli._json_rational(text)
+            _rational(cli._json_rational(text))
         with pytest.raises(error) as want:
             Fraction(text)
         assert str(got.value) == str(want.value)
+
+
+def test_scalar_doc_approx_is_the_display_parts():
+    x = eta_kappa(5)[0] * make_root(40, 3)
+    approx = cli.scalar_doc(x, 7)["approx"]
+    assert (approx["re"], approx["im"]) == approx_parts(x, 7)
 
 
 def test_digits_are_capped(tmp_path, capsys):
@@ -694,7 +705,8 @@ START_UP = {
     "lens": ([["lens", "7", "3", "--p", "5"],
               ["lens", "11", "3", "--p", "45"]], None, _SURGERY),
     "tqft": ([["tqft", "DOC", "--p", "5", "--normalized", "--closure",
-               "CLOSURE"]],
+               "CLOSURE"],
+              ["tqft", "DOC", "--p", "5", "--vector", "VECTOR"]],
              _surgery_program([0, 1]),
              {"cli", "cyclotomic", "value", "cobordism", "heisenberg",
               "homology", "surgery"}),
@@ -718,6 +730,10 @@ def test_cli_start_up_imports(tmp_path, command):
                       {"B": [[2, 1, 0], [1, 2, 3], [0, 3, 9]],
                        "fixed_colors": {"1": 4}}),
         "CLOSURE": _doc(tmp_path, "closure.json", {"B": [[0, 1], [1, 3]]}),
+        # ASCII rationals are read on integers, without fractions
+        "VECTOR": _doc(tmp_path, "vector.json", {"entries": [
+            {"label": [0], "value": "-3/4"}, {"label": [1], "value": "+2"},
+            {"label": [2], "value": "007/014"}]}),
     }
     argvs = [[paths.get(a, a) for a in argv] for argv in runs]
     code = (
@@ -1389,9 +1405,6 @@ OVER_BUDGET = [
     ("pivots", ["invariant", "--p", "13", "-"],
      {"B": [[int(abs(i - j) <= 1) for j in range(400)] for i in range(400)]},
      "signature(s) of a 400 x 400 linking matrix"),
-    ("classes", ["refine", "--p", "4", "-"],
-     {"B": [[0] * 12 for _ in range(12)]}, "refinement block of 2^12 "
-                                           "classes"),
     ("pivot_bits", ["invariant", "--p", "13", "-"],
      {"B": [[10 ** 4000 * (i == j) for j in range(40)] for i in range(40)]},
      "signature(s) of a 40 x 40 linking matrix"),
@@ -1428,9 +1441,16 @@ OVER_BUDGET = [
 ]
 
 
+# a refinement block far over the budget by its 2^15 signatures (11 s),
+# though its colour sums, 2^15 colourings, fit
+REFINEMENT_OVER_BUDGET = (
+    "refinement", ["refine", "--p", "4", "-"],
+    {"B": [[0] * 15 for _ in range(15)]}, "refinement block of 2^15 classes")
+
+
 @pytest.mark.parametrize("argv, doc, step", [
     pytest.param(argv, doc, step, id=kind)
-    for kind, argv, doc, step in OVER_BUDGET])
+    for kind, argv, doc, step in OVER_BUDGET + [REFINEMENT_OVER_BUDGET]])
 def test_each_kind_of_work_is_refused_before_it_runs(monkeypatch, capsys,
                                                      argv, doc, step):
     def not_run(*args, **kwargs):
@@ -1447,6 +1467,63 @@ def test_each_kind_of_work_is_refused_before_it_runs(monkeypatch, capsys,
 
 def test_every_kind_of_work_has_a_refusal_test():
     assert {kind for kind, *_ in OVER_BUDGET} == set(cli.NS_PER_ITEM)
+
+
+def _never(monkeypatch, *names):
+    def not_run(*args, **kwargs):
+        raise AssertionError("a step ran for a job refused before it")
+
+    for name in names:
+        monkeypatch.setattr(name, not_run)
+
+
+def test_program_is_priced_before_it_is_built(monkeypatch, capsys):
+    # building a genus-200 identity program took 1.7 s in hnf before the
+    # budget refused it
+    _never(monkeypatch, "abtqft.cobordism.hnf", "abtqft.cobordism.validate",
+           "abtqft.cobordism.F_program")
+    g200 = _standard_object(200)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        {"source": g200, "steps": [], "target": g200})))
+    _refused(capsys, ["tqft", "--p", "3", "-"],
+             "validating 0 step(s) up to genus 200")
+
+
+def test_verify_at_even_order_is_refused_first(monkeypatch, capsys):
+    # before the field, the document or any map is built
+    _never(monkeypatch, "abtqft.cli._Work.field", "abtqft.cli._read_doc",
+           "abtqft.cobordism.load_program", "abtqft.cobordism.F_program")
+    for p in ("4", "8"):
+        report = _run(capsys, ["tqft", "--p", p, "--verify", "-"], expect=3)
+        assert "needs odd p" in report["error"]
+
+
+def test_composite_without_closure_is_refused_before_its_map(monkeypatch,
+                                                             capsys):
+    _never(monkeypatch, "abtqft.cobordism.F_program")
+    for p in ("3", "8"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_COMPOSITE)))
+        report = _run(capsys, ["tqft", "--p", p, "--normalized", "-"],
+                      expect=5)
+        assert "no built-in closure" in report["error"]
+
+
+def test_largest_refinement_block_at_p4_is_admitted():
+    # 4,096 classes of the 12 x 12 zero matrix: once refused because each
+    # class re-solved the mod-2 system to list them all
+    B = [[0] * 12 for _ in range(12)]
+    start = time.perf_counter()
+    proc = _process(["refine", "--p", "4", "-"], {"B": B})
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 2.5
+    block = json.loads(proc.stdout)["refinement"]
+    classes = [tuple(c["class"]) for c in block["classes"]]
+    assert classes == reference.refinement_classes(4, B)
+    for i in (0, 1, 2 ** 11, len(classes) - 1):
+        assert cli.parse_scalar(block["classes"][i]["value"]) == (
+            reference.refined_invariant(4, B, classes[i]))
+    assert block["sum_matches_total"] is True
 
 
 def test_unknown_command_is_a_usage_error(capsys):

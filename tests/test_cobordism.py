@@ -19,9 +19,11 @@ from abtqft.cobordism import (
     Index1,
     Index2,
     MappingCylinder,
+    MissingClosureError,
     ProgramError,
     apply_map,
     canonical_context,
+    closure_factor,
     compose_maps,
     context_transfer,
     identity_map,
@@ -41,6 +43,7 @@ from abtqft.homology import (
 )
 from abtqft.mcg import MappingClass, twist_generators
 from abtqft.surgery import z_invariant, z_lens
+import reference
 
 TORUS = CobObject(g=1, L=((1, 0),))
 POINT = CobObject(g=0, L=())
@@ -460,6 +463,37 @@ def test_normalized_map_builtins():
     composite = CobordismProgram(TORUS, (Index1(), Index2(1, 1, 0)), TORUS)
     with pytest.raises(ProgramError, match="closure"):
         normalized_map(p, composite)
+
+
+@st.composite
+def _short_programs(draw):
+    """Programs of at most one step on the torus, the step drawn from
+    each kind, and now and then a second step."""
+    steps = []
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+        kind = draw(st.sampled_from(["cylinder", "index1", "index2"]))
+        if kind == "cylinder":
+            steps.append(MappingCylinder(draw(st.sampled_from(
+                [TWIST, SWAP_AXES, ((1, 1), (0, 1))]))))
+        elif kind == "index1":
+            steps.append(Index1())
+        else:
+            alpha = draw(st.integers(-9, 9))
+            beta = draw(st.integers(-9, 9))
+            assume(gcd(alpha, beta) == 1)
+            steps.append(Index2(0, alpha, beta))
+    return CobordismProgram(TORUS, tuple(steps), TORUS)
+
+
+@given(st.sampled_from([3, 4, 5, 7, 8, 12]), _short_programs(),
+       st.sampled_from([None, (), ((2,),), ((0, 1), (1, 3))]))
+def test_closure_factor_is_the_command_line_branch(p, prog, closure):
+    want = reference.closure_factor(p, prog.steps, closure)
+    if want is None:
+        with pytest.raises(MissingClosureError, match="closure"):
+            closure_factor(p, prog, closure)
+    else:
+        assert closure_factor(p, prog, closure) == want
 
 
 def test_spread_surgery_class_is_rejected():

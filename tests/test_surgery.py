@@ -32,6 +32,7 @@ from abtqft.surgery import (
     z_invariant,
     z_lens,
 )
+import reference
 from reference import bracket, fraction_signature
 
 
@@ -251,6 +252,58 @@ def test_refinement_classes():
     assert refinement_classes(12, ((0,),)) == [(0,), (1,)]
     assert refinement_classes(12, ((2,),)) == [(0,), (1,)]
     assert refinement_classes(12, ((2, 1), (1, 2))) == [(0, 0)]
+
+
+# the classes and refined values against the solver that listed every
+# class to check one; n is capped so that the enumerator's share of one
+# example, p'^n colourings over all classes, stays near 20,000
+REFINEMENT_ORDERS = {4: 7, 8: 7, 12: 5, 16: 4, 24: 4}
+
+
+@st.composite
+def _refinement_cases(draw):
+    p = draw(st.sampled_from(sorted(REFINEMENT_ORDERS)))
+    return p, draw(_symmetric_matrices(REFINEMENT_ORDERS[p], 4))
+
+
+@settings(max_examples=100)
+@given(_refinement_cases())
+def test_refinement_classes_match_the_listing_reference(case):
+    p, B = case
+    classes = refinement_classes(p, B)
+    assert classes == reference.refinement_classes(p, B)
+    assert len(classes) == surgery.refinement_count(B)
+    diagonal = [B[i][i] for i in range(len(B))]
+    assert (surgery._characteristic_shift(B)
+            == reference.characteristic_shift(B))
+    assert list(surgery._solve_mod2(B, diagonal)) == reference.solve_mod2(
+        B, diagonal)
+
+
+@settings(max_examples=60)
+@given(_refinement_cases())
+def test_refined_values_match_the_listing_reference(case):
+    p, B = case
+    for cls in refinement_classes(p, B):
+        got = refined_invariant(p, B, cls)
+        want = reference.refined_invariant(p, B, cls)
+        assert (got.num, got.den) == (want.num, want.den), (p, B, cls)
+
+
+@settings(max_examples=100)
+@given(_refinement_cases(), st.data())
+def test_non_classes_are_refused_as_the_reference_refuses_them(case, data):
+    p, B = case
+    n = len(B)
+    cls = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n,
+                                   max_size=n)))
+    expected = reference.refinement_classes(p, B)
+    if tuple(v % 2 for v in cls) in expected:
+        return
+    for solver in (refined_invariant, reference.refined_invariant):
+        with pytest.raises(ValueError, match="^not a refinement class of "
+                                             "this presentation$"):
+            solver(p, B, cls)
 
 
 def test_refined_invariant_rejects_non_classes():
