@@ -79,7 +79,7 @@ NS_PER_ITEM = {
     "entries": 300,        # map entry built or multiplied x phi
     "printed": 2000,       # printed map or vector entry x (phi + 64)
     "frame": 450,          # g^3 of a genus-g frame or class check
-    "steps": 50000,        # program step x (g^3 + 32): validated twice, pushed
+    "steps": 10000,        # program step x (g^3 + 32): one walk carries the frames
     "letters": 250,        # composed image letter, and one pass over it
 }
 BUDGET_US = 2 * 10 ** 6
@@ -525,7 +525,7 @@ def cmd_tqft(args):
     if args.closure is not None:
         closure = _matrix_from(_read_doc(args.closure))
     try:
-        validate(prog)
+        walk = validate(prog)
     except ProgramError as exc:
         raise CliError(4, str(exc))
     route = args.mode if args.mode != "auto" else "closed" if odd else "oracle"
@@ -544,11 +544,9 @@ def cmd_tqft(args):
     try:
         factor = (closure_factor(args.p, prog, closure)
                   if args.normalized else None)
-        raw = m = F_program(args.p, prog, route)
+        raw = m = F_program(args.p, walk, route)
     except MissingClosureError as exc:
         raise CliError(5, str(exc))
-    except ProgramError as exc:
-        raise CliError(4, str(exc))
     except ValueError as exc:
         raise CliError(2, str(exc))
     if factor is not None:
@@ -556,8 +554,7 @@ def cmd_tqft(args):
     report = {"command": "tqft", "p": args.p, "mode": args.mode,
               "normalized": bool(args.normalized)}
     if args.verify:
-        # the first route has validated the program and carried its frames
-        checked = F_program(args.p, prog, other)
+        checked = F_program(args.p, walk, other)
         clean = {k: v for k, v in raw.items() if v != 0}
         if clean != {k: v for k, v in checked.items() if v != 0}:
             raise CliError(4, "closed form and tensor oracle disagree")

@@ -7,21 +7,22 @@ between a declared source and target.  Step payloads are written in
 the ambient handle coordinates of the surface they act on: cylinder
 matrices act on ``(a_1..a_g, b_1..b_g)``, an index-1 step inserts a
 handle slot, and an index-2 step removes its designated slot, the
-surgery class being ``alpha*m_k + beta*l_k`` there.  Validation pushes
-the source Lagrangian through the steps' correspondences and demands
-that it land on the declared target.
+surgery class being ``alpha*m_k + beta*l_k`` there.
 
-The functor starts from the canonical frame of the source object (the
-Lagrangian basis plus its symplectic complement) and lets every step
-carry the frame along: a cylinder pushes the whole frame forward, an
-index-1 step adjoins the new slot pair, an index-2 step consumes the
-frame pair spanning the surgery class and projects the rest to the
-surviving slots.  In the carried frame each step map is elementary --
-identity, label inclusion, or a per-handle coefficient -- and the
-final answer is rewritten into the canonical frame of the target, so
-composite maps are frame-independent.  An index-2 class spread over
-several frame pairs is out of scope and reported as such; insert a
-conjugating cylinder first.
+One p-free walk, :func:`validate`, checks a program and carries its
+frame, starting from the canonical frame of the source object (the
+Lagrangian basis plus its symplectic complement): a cylinder pushes the
+whole frame forward, an index-1 step adjoins the new slot pair, an
+index-2 step consumes the frame pair spanning the surgery class and
+projects the rest to the surviving slots.  The carried Lagrangian is
+the source Lagrangian pushed through the steps' correspondences; it
+must land on the declared target.  An index-2 class spread over
+several frame pairs is out of scope and refused; insert a conjugating
+cylinder first.  :func:`F_program` evaluates the walk at an order p.
+In the carried frame each step map is elementary -- identity, label
+inclusion, or a per-handle coefficient -- and the final answer is
+rewritten into the canonical frame of the target, so composite maps are
+frame-independent.
 
 Index-2 coefficients come in two modes: a closed per-handle formula
 (odd p only; for p divisible by 4 the exponent is ambiguous by a sign)
@@ -41,9 +42,11 @@ from .cyclotomic import field_order, one, p_prime, q_power
 from .heisenberg import (
     HeisContext,
     apply_map,
+    closed_context,
     compose_maps,
     identity_map,
     induced_map_oracle,
+    labels,
     to_finite,
 )
 from .homology import (
@@ -55,9 +58,6 @@ from .homology import (
     intersection,
     is_lagrangian,
     is_symplectic,
-    lagrangian_compose,
-    standard_dual,
-    standard_lagrangian,
     symplectic_dual_basis,
 )
 from .surgery import z_invariant, z_lens
@@ -71,6 +71,7 @@ __all__ = [
     "CobordismProgram",
     "ProgramError",
     "MissingClosureError",
+    "ValidatedProgram",
     "validate",
     "canonical_context",
     "context_transfer",
@@ -146,58 +147,14 @@ class CobordismProgram(Value):
         set_field(self, "target", target)
 
 
-def _ambient_correspondence(step, g):
-    """The step's correspondence in ambient slot coordinates; only its
-    lattice matters for validation."""
-    if isinstance(step, MappingCylinder):
-        if len(step.matrix) != 2 * g:
-            raise ValueError("cylinder matrix size does not match genus")
-        return cylinder_correspondence(
-            step.matrix, standard_lagrangian(g), standard_dual(g)
-        )
-    if isinstance(step, Index1):
-        return index1_correspondence(
-            standard_lagrangian(g), standard_dual(g), step.position
-        )
-    if isinstance(step, Index2):
-        if not (0 <= step.handle < g):
-            raise ValueError("surgery handle out of range")
-        return index2_correspondence(g, step.handle, step.alpha, step.beta)
-    raise ValueError("unknown step %r" % (step,))
-
-
-def validate(prog: CobordismProgram):
-    """Push the source Lagrangian through all steps.  Returns the list
-    of intermediate Lagrangians (ends included); raises
-    :class:`ProgramError` naming the first failing step.
-    """
-    g = prog.source.g
-    L = prog.source.L
-    chain = [L]
-    for i, step in enumerate(prog.steps):
-        try:
-            corr = _ambient_correspondence(step, g)
-        except (ValueError, AssertionError) as exc:
-            raise ProgramError("step %d: %s" % (i, exc)) from exc
-        L = lagrangian_compose(corr, L)
-        g = corr.g_plus
-        chain.append(L)
-    if g != prog.target.g or L != prog.target.L:
-        raise ProgramError(
-            "step %d: program ends at genus %d with Lagrangian %r, the "
-            "declared target is genus %d with Lagrangian %r"
-            % (len(prog.steps), g, L, prog.target.g, prog.target.L)
-        )
-    return chain
+def _context(p, L, Ldual):
+    return HeisContext(p=p, g_minus=0, g_plus=len(L), L=L, Ldual=Ldual)
 
 
 def canonical_context(p, obj: CobObject):
     """The reference frame of an object: its Lagrangian basis together
     with the complementary basis produced by symplectic completion."""
-    if obj.g == 0:
-        return HeisContext(p=p, g_minus=0, g_plus=0, L=(), Ldual=())
-    U, W = symplectic_dual_basis(obj.L, obj.g)
-    return HeisContext(p=p, g_minus=0, g_plus=obj.g, L=U, Ldual=W)
+    return _context(p, *symplectic_dual_basis(obj.L, obj.g))
 
 
 def context_transfer(ctx_from, ctx_to):
@@ -230,10 +187,7 @@ def F_cylinder(p, ctx, matrix, ctx_plus=None):
     the source frame, the default) this is the identity; an explicit
     target context rewrites the labels there."""
     corr = cylinder_correspondence(matrix, ctx.L, ctx.Ldual)
-    pushed = HeisContext(
-        p=p, g_minus=0, g_plus=ctx.g,
-        L=corr.target_L, Ldual=corr.target_Ldual,
-    )
+    pushed = _context(p, corr.target_L, corr.target_Ldual)
     if ctx_plus is None:
         return identity_map(pushed), pushed
     return context_transfer(pushed, ctx_plus), ctx_plus
@@ -243,17 +197,17 @@ def F_index1(p, ctx, position=None):
     """Map of an index-1 surgery: labels gain a zero component at the
     new handle slot."""
     corr = index1_correspondence(ctx.L, ctx.Ldual, position)
-    out_ctx = HeisContext(
-        p=p, g_minus=0, g_plus=ctx.g + 1,
-        L=corr.target_L, Ldual=corr.target_Ldual,
-    )
-    pos = ctx.g if position is None else position
+    out_ctx = _context(p, corr.target_L, corr.target_Ldual)
+    return _inclusion(p, ctx.g, position), out_ctx
+
+
+def _inclusion(p, g, position):
+    """Label map of an index-1 step from genus g: each label gains a zero
+    component at the new slot (appended when ``position`` is None)."""
+    pos = g if position is None else position
     unit = one(field_order(p))
-    m = {}
-    for c in ctx.labels():
-        z = c[:pos] + (0,) + c[pos:]
-        m[(z, c)] = unit
-    return m, out_ctx
+    return {(c[:pos] + (0,) + c[pos:], c): unit
+            for c in labels(p_prime(p), g)}
 
 
 def _closed_coeff(p, alpha, beta, k):
@@ -308,12 +262,7 @@ def F_index2(p, ctx, handle, alpha, beta, mode="auto"):
     if gcd(alpha, beta) != 1:
         raise ValueError("surgery class must be primitive")
     m = _surgery_map(p, ctx, handle, alpha, beta, mode)
-    gp = ctx.g - 1
-    out_ctx = HeisContext(
-        p=p, g_minus=0, g_plus=gp,
-        L=standard_lagrangian(gp), Ldual=standard_dual(gp),
-    )
-    return m, out_ctx
+    return m, closed_context(p, ctx.g - 1)
 
 
 def _project_off(vec, gamma, g, slot, alpha, beta):
@@ -334,63 +283,111 @@ def _project_off(vec, gamma, g, slot, alpha, beta):
     return tuple(y[i] for i in keep) + tuple(y[g + i] for i in keep)
 
 
-def _program_index2(p, ctx, step: Index2, mode):
-    """Program semantics of an index-2 step: the class alpha*m_k +
-    beta*l_k of the designated ambient slot, computed in the carried
-    frame and projected back to the surviving slots."""
-    g = ctx.g
-    k, alpha, beta = step.handle, step.alpha, step.beta
-    gamma = tuple(
-        alpha * (1 if i == k else 0) + beta * (1 if i == g + k else 0)
-        for i in range(2 * g)
-    )
-    a = tuple(intersection(gamma, w) for w in ctx.Ldual)
-    b = tuple(intersection(u, gamma) for u in ctx.L)
-    support = [i for i in range(g) if a[i] or b[i]]
-    if len(support) != 1:
-        raise ProgramError(
-            "surgery class meets %d pairs of the carried frame; only "
-            "single-handle classes are supported, conjugate by a "
-            "mapping cylinder first" % len(support)
+# -- one walk over a program -----------------------------------------------
+
+
+class ValidatedProgram(Value):
+    """A program :func:`validate` accepted: the Lagrangian (``chain``, in
+    Hermite normal form) and the frame (L, Ldual) carried to each point
+    between steps, ends included, and per step (j, a_j, b_j), the
+    surgered frame pair and the class in it, or None if not index-2."""
+
+    __slots__ = ("program", "chain", "frames", "surgeries")
+
+    def __init__(self, program, chain, frames, surgeries):
+        set_field(self, "program", program)
+        set_field(self, "chain", chain)
+        set_field(self, "frames", frames)
+        set_field(self, "surgeries", surgeries)
+
+
+def _push(step, L, Ldual):
+    """The next frame and the ``surgeries`` entry of one checked step:
+    a cylinder or index-1 step moves the frame as its correspondence
+    does; an index-2 class alpha*m_k + beta*l_k must meet one frame pair
+    j, and the other pairs are projected off it."""
+    g = len(L)
+    if isinstance(step, MappingCylinder):
+        if len(step.matrix) != 2 * g:
+            raise ProgramError("cylinder matrix size does not match genus")
+        corr = cylinder_correspondence(step.matrix, L, Ldual)
+    elif isinstance(step, Index1):
+        if step.position is not None and not 0 <= step.position <= g:
+            raise ProgramError("insertion position out of range")
+        corr = index1_correspondence(L, Ldual, step.position)
+    elif isinstance(step, Index2):
+        if not 0 <= step.handle < g:
+            raise ProgramError("surgery handle out of range")
+        k, alpha, beta = step.handle, step.alpha, step.beta
+        gamma = tuple(alpha * (i == k) + beta * (i == g + k)
+                      for i in range(2 * g))
+        a = tuple(intersection(gamma, w) for w in Ldual)
+        b = tuple(intersection(u, gamma) for u in L)
+        support = [i for i in range(g) if a[i] or b[i]]
+        if len(support) != 1:
+            raise ProgramError(
+                "surgery class meets %d pairs of the carried frame; only "
+                "single-handle classes are supported, conjugate by a "
+                "mapping cylinder first" % len(support)
+            )
+        j = support[0]
+        frame = tuple(
+            tuple(_project_off(rows[i], gamma, g, k, alpha, beta)
+                  for i in range(g) if i != j)
+            for rows in (L, Ldual)
         )
-    j = support[0]
-    m = _surgery_map(p, ctx, j, a[j], b[j], mode)
-    keep = [i for i in range(g) if i != j]
-    out_ctx = HeisContext(
-        p=p, g_minus=0, g_plus=g - 1,
-        L=tuple(
-            _project_off(ctx.L[i], gamma, g, k, alpha, beta) for i in keep
-        ),
-        Ldual=tuple(
-            _project_off(ctx.Ldual[i], gamma, g, k, alpha, beta)
-            for i in keep
-        ),
-    )
-    return m, out_ctx
+        return frame, (j, a[j], b[j])
+    else:
+        raise ProgramError("unknown step %r" % (step,))
+    return (corr.target_L, corr.target_Ldual), None
 
 
-def F_program(p, prog: CobordismProgram, mode="auto"):
-    """Composite map of a validated program, between the canonical
-    frames of its source and target objects."""
-    validate(prog)
-    ctx = canonical_context(p, prog.source)
-    total = identity_map(ctx)
+def validate(prog: CobordismProgram):
+    """Carry the canonical frame of the source across every step and
+    check that its Lagrangian lands on the declared target; p-free.
+    Returns a :class:`ValidatedProgram`; raises :class:`ProgramError`
+    naming the first failing step."""
+    source = prog.source
+    frames, surgeries = [symplectic_dual_basis(source.L, source.g)], []
     for i, step in enumerate(prog.steps):
-        if isinstance(step, MappingCylinder):
-            m, ctx = F_cylinder(p, ctx, step.matrix)
+        try:
+            frame, surgery = _push(step, *frames[-1])
+        except ProgramError as exc:
+            raise ProgramError("step %d: %s" % (i, exc)) from exc
+        frames.append(frame)
+        surgeries.append(surgery)
+    chain = tuple(hnf(L) for L, _ in frames)
+    g, L, target = len(frames[-1][0]), chain[-1], prog.target
+    if g != target.g or L != target.L:
+        raise ProgramError(
+            "step %d: program ends at genus %d with Lagrangian %r, the "
+            "declared target is genus %d with Lagrangian %r"
+            % (len(prog.steps), g, L, target.g, target.L)
+        )
+    return ValidatedProgram(prog, chain, tuple(frames), tuple(surgeries))
+
+
+def F_program(p, prog, mode="auto"):
+    """Composite map of a :class:`ValidatedProgram`, or of a bare program
+    validated first, between the canonical frames of its source and
+    target.  Between carried frames a cylinder is the identity, an
+    index-1 step the label inclusion and an index-2 step the surgery
+    map of its frame pair."""
+    walk = prog if isinstance(prog, ValidatedProgram) else validate(prog)
+    total = identity_map(canonical_context(p, walk.program.source))
+    for step, frame, surgery in zip(walk.program.steps, walk.frames,
+                                    walk.surgeries):
+        if surgery is not None:
+            m = _surgery_map(p, _context(p, *frame), *surgery, mode)
         elif isinstance(step, Index1):
-            m, ctx = F_index1(p, ctx, step.position)
-        elif isinstance(step, Index2):
-            try:
-                m, ctx = _program_index2(p, ctx, step, mode)
-            except ProgramError as exc:
-                raise ProgramError("step %d: %s" % (i, exc)) from exc
+            m = _inclusion(p, len(frame[0]), step.position)
         else:
-            raise ProgramError("unknown step %r" % (step,))
+            continue
         total = compose_maps(m, total)
-    final = canonical_context(p, prog.target)
-    if ctx.L != final.L or ctx.Ldual != final.Ldual:
-        total = compose_maps(context_transfer(ctx, final), total)
+    final = canonical_context(p, walk.program.target)
+    if walk.frames[-1] != (final.L, final.Ldual):
+        last = _context(p, *walk.frames[-1])
+        total = compose_maps(context_transfer(last, final), total)
     return total
 
 

@@ -148,10 +148,14 @@ def _phase_sum(p, B, ranges):
     """sum of q^(c^T B c) over the colorings c in product(*ranges), one
     range of colors per component of the symmetric matrix B.  This is
     the one enumerator behind every colored sum at even order, and the
-    reference for the Gauss sums at odd order."""
+    reference for the Gauss sums at odd order.  Only c^T B c mod p
+    counts, so the entries are first reduced to residues in
+    (-p/2, p/2]."""
     n = len(B)
     M = field_order(p)
     step = M // p
+    h = (p - 1) // 2
+    B = [[(v + h) % p - h for v in row] for row in B]
     counts = {}
     for colors in itertools.product(*ranges):
         e = 0

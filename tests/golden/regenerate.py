@@ -1,10 +1,12 @@
-"""Rewrite ``expected.json``: the exit code, standard output and standard
-error of ``abtqft.cli.main`` on every case of ``cases.json``.
+"""Record in ``expected.json`` the exit code, standard output and standard
+error of ``abtqft.cli.main`` on each case of ``cases.json`` that has no
+record yet; the records already there are kept as they are.
 
 Run from the root of a source checkout whose reports are the reference:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
+To record a case again, delete its entry from ``expected.json`` first.
 Each case runs in this directory, so its document paths are relative
 to it; a case with ``stdin`` reads that file as its standard input.
 """
@@ -43,14 +45,16 @@ def load_cases():
 
 
 def main():
-    expected = {}
-    for case in load_cases():
+    path = HERE / "expected.json"
+    expected = json.loads(path.read_text()) if path.exists() else {}
+    new = [case for case in load_cases() if case["name"] not in expected]
+    for case in new:
         code, out, err = replay(case)
         expected[case["name"]] = {"exit": code, "stdout": out, "stderr": err}
-    with open(HERE / "expected.json", "w") as fh:
+    with open(path, "w") as fh:
         json.dump(expected, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print("%d cases" % len(expected))
+    print("%d new of %d cases" % (len(new), len(expected)))
 
 
 if __name__ == "__main__":

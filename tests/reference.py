@@ -8,21 +8,39 @@ word-based Morita counting functions and the symplectic inverse
 J F^T (-J), which the one-pass kernel and the block transposition in
 ``mcg`` replaced; the mod-2 solver that listed every refinement class
 to check one, and the normalisation branch the command line kept beside
-``cobordism``'s; and small public helpers that only the tests used.
+``cobordism``'s; the colour enumerator on the unreduced matrix, which
+``surgery._phase_sum`` now runs on residues mod p; the validation that
+pushed the source Lagrangian through each step's ambient
+correspondence, which the walk carrying the frames in ``cobordism``
+replaced; and small public helpers that only the tests used.
 """
 
 import itertools
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
-from abtqft.cobordism import Index2
-from abtqft.cyclotomic import _field, field_order, make_root, one
-from abtqft.homology import hnf, mat_mul
+from abtqft.cobordism import Index1, Index2, MappingCylinder, ProgramError
+from abtqft.cyclotomic import (
+    _field,
+    exponent_sum,
+    field_order,
+    make_root,
+    one,
+)
+from abtqft.homology import (
+    cylinder_correspondence,
+    hnf,
+    index1_correspondence,
+    index2_correspondence,
+    lagrangian_compose,
+    mat_mul,
+    standard_dual,
+    standard_lagrangian,
+)
 from abtqft.mcg import FreeWord
 from abtqft.surgery import (
     _check_symmetric,
     _normalisation,
-    _phase_sum,
     p_prime,
     refinement_kind,
     signature,
@@ -42,7 +60,26 @@ def bracket(p, B, colors):
     B = _check_symmetric(B)
     if len(colors) != len(B):
         raise ValueError("need one color per component")
-    return _phase_sum(p, B, [(c,) for c in colors])
+    return phase_sum(p, B, [(c,) for c in colors])
+
+
+def phase_sum(p, B, ranges):
+    """sum of q^(c^T B c) over the colorings c in product(*ranges),
+    multiplying out the entries of B as they are given."""
+    n = len(B)
+    M = field_order(p)
+    step = M // p
+    counts = {}
+    for colors in itertools.product(*ranges):
+        e = 0
+        for i in range(n):
+            ci = colors[i]
+            if ci:
+                row = B[i]
+                e += ci * sum(row[j] * colors[j] for j in range(n))
+        key = (e % p) * step
+        counts[key] = counts.get(key, 0) + 1
+    return exponent_sum(M, counts)
 
 
 def row_span_equal(A, B):
@@ -285,7 +322,7 @@ def refined_invariant(p, B, cls):
         parities = [(v + s) % 2 for v, s in zip(cls, shift)]
     pp = p_prime(p)
     norm = _normalisation(p, signature(B) % 8, n + 1)
-    return norm * _phase_sum(p, B, [range(par, pp, 2) for par in parities])
+    return norm * phase_sum(p, B, [range(par, pp, 2) for par in parities])
 
 
 # -- the normalisation branch of the command line -------------------------
@@ -304,3 +341,58 @@ def closure_factor(p, steps, closure=None):
         sign = -1 if steps[0].beta < 0 else 1
         return z_lens(p, sign * steps[0].beta, sign * steps[0].alpha)
     return one(field_order(p))
+
+
+# -- validation by ambient correspondences --------------------------------
+
+
+def _ambient_correspondence(step, g):
+    """The step's correspondence in ambient slot coordinates; only its
+    lattice matters for validation."""
+    if isinstance(step, MappingCylinder):
+        if len(step.matrix) != 2 * g:
+            raise ValueError("cylinder matrix size does not match genus")
+        return cylinder_correspondence(
+            step.matrix, standard_lagrangian(g), standard_dual(g)
+        )
+    if isinstance(step, Index1):
+        return index1_correspondence(
+            standard_lagrangian(g), standard_dual(g), step.position
+        )
+    if isinstance(step, Index2):
+        if not (0 <= step.handle < g):
+            raise ValueError("surgery handle out of range")
+        return index2_correspondence(g, step.handle, step.alpha, step.beta)
+    raise ValueError("unknown step %r" % (step,))
+
+
+def ambient_chain(source, steps):
+    """The source Lagrangian pushed through the steps' ambient
+    correspondences with ``lagrangian_compose``: the list of (genus,
+    Lagrangian) after each step, ends included.  Raises ``ProgramError``
+    naming the first failing step."""
+    g, L = source.g, source.L
+    chain = [(g, L)]
+    for i, step in enumerate(steps):
+        try:
+            corr = _ambient_correspondence(step, g)
+        except (ValueError, AssertionError) as exc:
+            raise ProgramError("step %d: %s" % (i, exc)) from exc
+        L = lagrangian_compose(corr, L)
+        g = corr.g_plus
+        chain.append((g, L))
+    return chain
+
+
+def validate(prog):
+    """The list of intermediate Lagrangians of :func:`ambient_chain`,
+    checked against the declared target."""
+    chain = ambient_chain(prog.source, prog.steps)
+    g, L = chain[-1]
+    if g != prog.target.g or L != prog.target.L:
+        raise ProgramError(
+            "step %d: program ends at genus %d with Lagrangian %r, the "
+            "declared target is genus %d with Lagrangian %r"
+            % (len(prog.steps), g, L, prog.target.g, prog.target.L)
+        )
+    return [L for _, L in chain]

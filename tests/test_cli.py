@@ -1428,8 +1428,8 @@ OVER_BUDGET = [
      "1 Weil intertwiner(s) of genus 1 averaging 61^4 terms each"),
     ("steps", ["tqft", "--p", "3", "-"],
      {"source": _standard_object(1),
-      "steps": [{"kind": "cylinder", "matrix": [[1, 0], [1, 1]]}] * 4000,
-      "target": _standard_object(1)}, "validating 4000 step(s) up to "
+      "steps": [{"kind": "cylinder", "matrix": [[1, 0], [1, 1]]}] * 20000,
+      "target": _standard_object(1)}, "validating 20000 step(s) up to "
                                       "genus 1"),
     ("frame", ["mcg", "--p", "5", "-"],
      {"op": "theta", "g": 400,
@@ -1524,6 +1524,33 @@ def test_largest_refinement_block_at_p4_is_admitted():
         assert cli.parse_scalar(block["classes"][i]["value"]) == (
             reference.refined_invariant(4, B, classes[i]))
     assert block["sum_matches_total"] is True
+
+
+def _identity_cylinders(g, steps):
+    identity = [[int(i == j) for j in range(2 * g)] for i in range(2 * g)]
+    return {"source": _standard_object(g),
+            "steps": [{"kind": "cylinder", "matrix": identity}] * steps,
+            "target": _standard_object(g)}
+
+
+@pytest.mark.parametrize("g, steps", [(1, 5803), (3, 2772)])
+def test_largest_cylinder_program_is_admitted(monkeypatch, capsys, g, steps):
+    # the largest identity-cylinder programs the budget admits at p = 3,
+    # priced by `steps`, end in time in a fresh process
+    start = time.perf_counter()
+    proc = _process(["tqft", "--p", "3", "-"], _identity_cylinders(g, steps))
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 2.5
+    entries = json.loads(proc.stdout)["map"]["entries"]
+    assert len(entries) == 3 ** g
+    assert all(e["source"] == e["target"] for e in entries)
+    # one step more is refused, before any map is computed
+    monkeypatch.setattr("abtqft.cobordism.validate", lambda prog: None)
+    _never(monkeypatch, "abtqft.cobordism.F_program")
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        _identity_cylinders(g, steps + 1))))
+    _refused(capsys, ["tqft", "--p", "3", "-"])
 
 
 def test_unknown_command_is_a_usage_error(capsys):

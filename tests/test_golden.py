@@ -19,6 +19,9 @@ CASES = regenerate.load_cases()
 
 _VERIFY_EVEN = ("--verify compares the closed form against the tensor "
                 "oracle and needs odd p")
+_SPREAD = ("step 1: surgery class meets 2 pairs of the carried frame; only "
+           "single-handle classes are supported, conjugate by a mapping "
+           "cylinder first")
 # Refusals that now come before the step that refused these cases when
 # the corpus was recorded: the case, its recorded exit code, and the
 # exit code and error it gives now.
@@ -31,6 +34,11 @@ MOVED = {
     # --verify at even order is refused before the document is read
     "tqft-malformed-p8-verify": (2, 3, _VERIFY_EVEN),
     "tqft-composite-p8-normalized-verify": (5, 3, _VERIFY_EVEN),
+    # a surgery class spread over two frame pairs is refused by the
+    # program's one walk, before the routes are priced and before the
+    # walk reaches the target
+    "tqft-spread-p13-oracle": (6, 4, _SPREAD),
+    "tqft-spread-wrong-target-p3": (4, 4, _SPREAD),
 }
 
 
