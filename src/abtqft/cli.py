@@ -79,7 +79,9 @@ NS_PER_ITEM = {
     "entries": 300,        # map entry built or multiplied x phi
     "printed": 2000,       # printed map or vector entry x (phi + 64)
     "frame": 450,          # g^3 of a genus-g frame or class check
-    "steps": 10000,        # program step x (g^3 + 32): one walk carries the frames
+    "steps": 2500,         # program step x (g^3 + 32): the walk's frames
+    "words": 10,           # g^3 x words of a carried x a cylinder entry per
+                           # step; g^4 x 64 x carried words^2 at the end
     "letters": 250,        # composed image letter, and one pass over it
 }
 BUDGET_US = 2 * 10 ** 6
@@ -488,19 +490,42 @@ def cmd_lens(args):
 # -- tqft ------------------------------------------------------------------
 
 
+def _column_bits(rows):
+    """Bits by which a row vector times integer rows can grow: those of
+    the largest column sum of absolute values, less one; 0 if the rows
+    are malformed, which ``load_program`` reports."""
+    try:
+        return (max(sum(abs(json_int(v)) for v in column)
+                    for column in zip(*rows)) - 1).bit_length()
+    except (TypeError, ValueError):
+        return 0
+
+
 def _charge_validation(work, doc):
-    """Charge validating the program of ``doc`` from its shape, before
-    any object is built; ``load_program`` reports a malformed one."""
+    """Charge validating the program of ``doc`` from its shape and its
+    entries, before any object is built: each step's frame work at the
+    largest genus the program reaches, the products of carried entries
+    by cylinder entries, and the Hermite forms of the carried Lagrangian
+    at the end.  The carried entries have at most the source's column
+    bits plus each cylinder's; ``load_program`` reports a malformed
+    program."""
     try:
         g, steps = json_int(doc["source"]["g"]), doc.get("steps", [])
     except (KeyError, TypeError):
         return
     if g < 0 or not isinstance(steps, list):
         return
-    top = g + sum(isinstance(s, dict) and s.get("kind") == "index1"
-                  for s in steps)
+    top, bits, words = g, _column_bits(doc["source"].get("L")), 0
+    for s in steps:
+        kind = s.get("kind") if isinstance(s, dict) else None
+        g += (kind == "index1") - (kind == "index2")
+        top = max(top, g)
+        grow = _column_bits(s.get("matrix")) if kind == "cylinder" else 0
+        bits += grow
+        words += (bits // 64 + 1) * (grow // 64 + 1)
     work.add("validating %d step(s) up to genus %d" % (len(steps), top),
-             steps=(len(steps) + 2) * (top ** 3 + 32))
+             steps=(len(steps) + 2) * (top ** 3 + 32),
+             words=top ** 3 * (words + 64 * top * (bits // 64 + 1) ** 2))
 
 
 def cmd_tqft(args):

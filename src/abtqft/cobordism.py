@@ -52,8 +52,10 @@ from .heisenberg import (
 from .homology import (
     combine,
     cylinder_correspondence,
+    cylinder_frame,
     hnf,
     index1_correspondence,
+    index1_frame,
     index2_correspondence,
     intersection,
     is_lagrangian,
@@ -287,34 +289,33 @@ def _project_off(vec, gamma, g, slot, alpha, beta):
 
 
 class ValidatedProgram(Value):
-    """A program :func:`validate` accepted: the Lagrangian (``chain``, in
-    Hermite normal form) and the frame (L, Ldual) carried to each point
-    between steps, ends included, and per step (j, a_j, b_j), the
-    surgered frame pair and the class in it, or None if not index-2."""
+    """A program :func:`validate` accepted, with what :func:`F_program`
+    reads of its walk: per step, the carried frame (L, Ldual) and the
+    class coordinates (j, a_j, b_j) of an index-2 step, None for other
+    steps; and the frame carried to the end."""
 
-    __slots__ = ("program", "chain", "frames", "surgeries")
+    __slots__ = ("program", "surgeries", "frame")
 
-    def __init__(self, program, chain, frames, surgeries):
+    def __init__(self, program, surgeries, frame):
         set_field(self, "program", program)
-        set_field(self, "chain", chain)
-        set_field(self, "frames", frames)
         set_field(self, "surgeries", surgeries)
+        set_field(self, "frame", frame)
 
 
 def _push(step, L, Ldual):
     """The next frame and the ``surgeries`` entry of one checked step:
-    a cylinder or index-1 step moves the frame as its correspondence
-    does; an index-2 class alpha*m_k + beta*l_k must meet one frame pair
-    j, and the other pairs are projected off it."""
+    a cylinder or index-1 step moves the frame to the target frame of
+    its correspondence; an index-2 class alpha*m_k + beta*l_k must meet
+    one frame pair j, and the other pairs are projected off it."""
     g = len(L)
     if isinstance(step, MappingCylinder):
         if len(step.matrix) != 2 * g:
             raise ProgramError("cylinder matrix size does not match genus")
-        corr = cylinder_correspondence(step.matrix, L, Ldual)
+        frame = cylinder_frame(step.matrix, L, Ldual)
     elif isinstance(step, Index1):
         if step.position is not None and not 0 <= step.position <= g:
             raise ProgramError("insertion position out of range")
-        corr = index1_correspondence(L, Ldual, step.position)
+        frame = index1_frame(L, Ldual, step.position)
     elif isinstance(step, Index2):
         if not 0 <= step.handle < g:
             raise ProgramError("surgery handle out of range")
@@ -336,35 +337,43 @@ def _push(step, L, Ldual):
                   for i in range(g) if i != j)
             for rows in (L, Ldual)
         )
-        return frame, (j, a[j], b[j])
+        return frame, (L, Ldual, j, a[j], b[j])
     else:
         raise ProgramError("unknown step %r" % (step,))
-    return (corr.target_L, corr.target_Ldual), None
+    return frame, None
+
+
+def _show(rows):
+    """``repr`` of integer rows, or their size when an entry has more
+    digits than the interpreter converts to a string."""
+    try:
+        return repr(rows)
+    except ValueError:
+        return "(%d rows of entries up to %d bits)" % (
+            len(rows), max(abs(v).bit_length() for r in rows for v in r))
 
 
 def validate(prog: CobordismProgram):
     """Carry the canonical frame of the source across every step and
-    check that its Lagrangian lands on the declared target; p-free.
-    Returns a :class:`ValidatedProgram`; raises :class:`ProgramError`
-    naming the first failing step."""
+    check that its Lagrangian, in Hermite normal form, is the declared
+    target's; p-free.  Returns a :class:`ValidatedProgram`; raises
+    :class:`ProgramError` naming the first failing step."""
     source = prog.source
-    frames, surgeries = [symplectic_dual_basis(source.L, source.g)], []
+    frame, surgeries = symplectic_dual_basis(source.L, source.g), []
     for i, step in enumerate(prog.steps):
         try:
-            frame, surgery = _push(step, *frames[-1])
+            frame, surgery = _push(step, *frame)
         except ProgramError as exc:
             raise ProgramError("step %d: %s" % (i, exc)) from exc
-        frames.append(frame)
         surgeries.append(surgery)
-    chain = tuple(hnf(L) for L, _ in frames)
-    g, L, target = len(frames[-1][0]), chain[-1], prog.target
+    g, L, target = len(frame[0]), hnf(frame[0]), prog.target
     if g != target.g or L != target.L:
         raise ProgramError(
-            "step %d: program ends at genus %d with Lagrangian %r, the "
-            "declared target is genus %d with Lagrangian %r"
-            % (len(prog.steps), g, L, target.g, target.L)
+            "step %d: program ends at genus %d with Lagrangian %s, the "
+            "declared target is genus %d with Lagrangian %s"
+            % (len(prog.steps), g, _show(L), target.g, _show(target.L))
         )
-    return ValidatedProgram(prog, chain, tuple(frames), tuple(surgeries))
+    return ValidatedProgram(prog, tuple(surgeries), frame)
 
 
 def F_program(p, prog, mode="auto"):
@@ -374,19 +383,21 @@ def F_program(p, prog, mode="auto"):
     index-1 step the label inclusion and an index-2 step the surgery
     map of its frame pair."""
     walk = prog if isinstance(prog, ValidatedProgram) else validate(prog)
-    total = identity_map(canonical_context(p, walk.program.source))
-    for step, frame, surgery in zip(walk.program.steps, walk.frames,
-                                    walk.surgeries):
-        if surgery is not None:
-            m = _surgery_map(p, _context(p, *frame), *surgery, mode)
-        elif isinstance(step, Index1):
-            m = _inclusion(p, len(frame[0]), step.position)
+    source = walk.program.source
+    total, g = identity_map(canonical_context(p, source)), source.g
+    for step, surgery in zip(walk.program.steps, walk.surgeries):
+        if isinstance(step, Index1):
+            m, g = _inclusion(p, g, step.position), g + 1
+        elif surgery is not None:
+            L, Ldual, *coordinates = surgery
+            m, g = _surgery_map(p, _context(p, L, Ldual), *coordinates,
+                                mode), g - 1
         else:
             continue
         total = compose_maps(m, total)
     final = canonical_context(p, walk.program.target)
-    if walk.frames[-1] != (final.L, final.Ldual):
-        last = _context(p, *walk.frames[-1])
+    if walk.frame != (final.L, final.Ldual):
+        last = _context(p, *walk.frame)
         total = compose_maps(context_transfer(last, final), total)
     return total
 

@@ -42,7 +42,9 @@ __all__ = [
     "symplectic_complete",
     "Correspondence",
     "cylinder_correspondence",
+    "cylinder_frame",
     "index1_correspondence",
+    "index1_frame",
     "index2_correspondence",
     "lagrangian_compose",
     "compose_correspondences",
@@ -506,10 +508,16 @@ def cylinder_correspondence(F, L_rows, Ldual_rows):
     if not is_symplectic(F):
         raise ValueError("cylinder matrix does not preserve the form")
     U, W = _freeze(L_rows), _freeze(Ldual_rows)
-    fU = tuple(combine(u, F) for u in U)
-    fW = tuple(combine(w, F) for w in W)
+    fU, fW = cylinder_frame(F, U, W)
     return _frame_correspondence(U, W, g, zip(U, W, fU, fW), None,
                                  range(g, 2 * g), (fU, fW))
+
+
+def cylinder_frame(F, L_rows, Ldual_rows):
+    """The target frame (f(L), f(Ldual)) of the mapping cylinder of F,
+    without building its correspondence."""
+    return tuple(tuple(combine(v, F) for v in rows)
+                 for rows in (L_rows, Ldual_rows))
 
 
 def _embed_handle(v, g, pos):
@@ -520,6 +528,22 @@ def _embed_handle(v, g, pos):
     return a[:pos] + (0,) + a[pos:] + b[:pos] + (0,) + b[pos:]
 
 
+def index1_frame(L_rows, Ldual_rows, position=None):
+    """The target frame of an index-1 surgery, without its
+    correspondence: the source frame embedded, with the new meridian mu
+    and longitude lambda as the pair at the new slot (default:
+    appended)."""
+    g = len(L_rows)
+    pos = g if position is None else position
+    if not (0 <= pos <= g):
+        raise ValueError("insertion position out of range")
+    rows = [[_embed_handle(v, g, pos) for v in r]
+            for r in (L_rows, Ldual_rows)]
+    for k, r in zip((pos, g + 1 + pos), rows):
+        r.insert(pos, tuple(int(i == k) for i in range(2 * g + 2)))
+    return tuple(map(tuple, rows))
+
+
 def index1_correspondence(L_rows, Ldual_rows, position=None):
     """Correspondence of an index-1 surgery: a new handle appears at
     the given slot (default: appended), with meridian mu added to L_C
@@ -527,18 +551,14 @@ def index1_correspondence(L_rows, Ldual_rows, position=None):
     U, W = _freeze(L_rows), _freeze(Ldual_rows)
     g = len(U)
     gp = g + 1
+    target = index1_frame(U, W, position)
     pos = g if position is None else position
-    if not (0 <= pos <= g):
-        raise ValueError("insertion position out of range")
-    mu = tuple(1 if k == pos else 0 for k in range(2 * gp))
-    lam = tuple(1 if k == gp + pos else 0 for k in range(2 * gp))
-    eU = [_embed_handle(u, g, pos) for u in U]
-    eW = [_embed_handle(w, g, pos) for w in W]
+    mu, lam = (r[pos] for r in target)
+    eU, eW = (r[:pos] + r[pos + 1:] for r in target)
     # dual rows of plus type, listed in target handle-slot order
     slot_rows = [g + j for j in range(pos)] + [2 * g] + [
         g + j for j in range(pos, g)
     ]
-    target = (eU[:pos] + [mu] + eU[pos:], eW[:pos] + [lam] + eW[pos:])
     return _frame_correspondence(
         U, W, gp, zip(U, W, eU, eW),
         (_pad(None, mu, g, gp), _pad(None, lam, g, gp)), slot_rows, target)

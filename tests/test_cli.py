@@ -39,7 +39,9 @@ from abtqft.cyclotomic import (
 )
 from abtqft.heisenberg import closed_context, finite_mul, to_finite
 from abtqft.homology import (
+    combine,
     cylinder_correspondence,
+    hnf,
     index1_correspondence,
     intersection,
 )
@@ -1017,6 +1019,13 @@ def _standard_object(g):
                           for i in range(g)]}
 
 
+def _identity_cylinders(g, steps):
+    identity = [[int(i == j) for j in range(2 * g)] for i in range(2 * g)]
+    return {"source": _standard_object(g),
+            "steps": [{"kind": "cylinder", "matrix": identity}] * steps,
+            "target": _standard_object(g)}
+
+
 def test_tqft_labels_over_the_budget_are_refused(tmp_path, capsys):
     # 13^6 = 4.8 M labels at the source; this ran past 10 s before
     six = _standard_object(6)
@@ -1426,10 +1435,13 @@ OVER_BUDGET = [
     ("terms", ["mcg", "--p", "61", "-"],
      {"op": "weil", "g": 1, "f": {"word": ["tb"]}},
      "1 Weil intertwiner(s) of genus 1 averaging 61^4 terms each"),
-    ("steps", ["tqft", "--p", "3", "-"],
+    ("steps", ["tqft", "--p", "3", "-"], _identity_cylinders(1, 80000),
+     "validating 80000 step(s) up to genus 1"),
+    ("words", ["tqft", "--p", "3", "-"],
      {"source": _standard_object(1),
-      "steps": [{"kind": "cylinder", "matrix": [[1, 0], [1, 1]]}] * 20000,
-      "target": _standard_object(1)}, "validating 20000 step(s) up to "
+      "steps": [{"kind": "cylinder",
+                 "matrix": [[10 ** 4000, 10 ** 4000 - 1], [1, 1]]}] * 20,
+      "target": _standard_object(1)}, "validating 20 step(s) up to "
                                       "genus 1"),
     ("frame", ["mcg", "--p", "5", "-"],
      {"op": "theta", "g": 400,
@@ -1477,16 +1489,38 @@ def _never(monkeypatch, *names):
         monkeypatch.setattr(name, not_run)
 
 
-def test_program_is_priced_before_it_is_built(monkeypatch, capsys):
+@pytest.mark.parametrize("doc, step", [
+    ({"source": _standard_object(200), "steps": [],
+      "target": _standard_object(200)}, "validating 0 step(s) up to "
+                                        "genus 200"),
+    *[(doc, step) for kind, _, doc, step in OVER_BUDGET
+      if kind in ("steps", "words")]])
+def test_program_is_priced_before_it_is_built(monkeypatch, capsys, doc,
+                                              step):
     # building a genus-200 identity program took 1.7 s in hnf before the
-    # budget refused it
-    _never(monkeypatch, "abtqft.cobordism.hnf", "abtqft.cobordism.validate",
+    # budget refused it; too many steps, or too many bits of the carried
+    # entries, are refused from the document too
+    _never(monkeypatch, "abtqft.cobordism.hnf",
+           "abtqft.cobordism.load_program", "abtqft.cobordism.validate",
            "abtqft.cobordism.F_program")
-    g200 = _standard_object(200)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    _refused(capsys, ["tqft", "--p", "3", "-"], step)
+
+
+def test_program_is_priced_at_the_largest_genus_it_reaches(monkeypatch,
+                                                           capsys):
+    # 40 index-1/index-2 pairs never leave genus 2; priced at the source
+    # genus plus the index-1 steps, genus 41, they were refused (56.5 s
+    # predicted), and they run in 0.03 s
+    pair = [{"kind": "index1"},
+            {"kind": "index2", "handle": 1, "gamma": [1, 0]}]
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
-        {"source": g200, "steps": [], "target": g200})))
-    _refused(capsys, ["tqft", "--p", "3", "-"],
-             "validating 0 step(s) up to genus 200")
+        {"source": _standard_object(1), "steps": pair * 40,
+         "target": _standard_object(1)})))
+    start = time.perf_counter()
+    entries = _run(capsys, ["tqft", "--p", "3", "-"])["map"]["entries"]
+    assert time.perf_counter() - start < 1.0
+    assert len(entries) == 3
 
 
 def test_verify_at_even_order_is_refused_first(monkeypatch, capsys):
@@ -1526,31 +1560,57 @@ def test_largest_refinement_block_at_p4_is_admitted():
     assert block["sum_matches_total"] is True
 
 
-def _identity_cylinders(g, steps):
-    identity = [[int(i == j) for j in range(2 * g)] for i in range(2 * g)]
+def _transvection(v, sign):
+    """The matrix of x -> x + sign (x . v) v, acting on row vectors."""
+    n = len(v)
+    return [[int(i == j) + sign * intersection(
+        tuple(int(k == i) for k in range(n)), v) * v[j] for j in range(n)]
+        for i in range(n)]
+
+
+def _twist_cylinders(g, steps):
+    """Cylinders on a hyperbolic word of twists, so the carried entries
+    grow at every step: along a_k and inversely along b_k on each
+    handle, then along a_k - a_(k+1); the target is the standard
+    Lagrangian pushed through them."""
+    unit = [tuple(int(i == j) for j in range(2 * g)) for i in range(2 * g)]
+    word = [_transvection(unit[k + h * g], 1 - 2 * h)
+            for k in range(g) for h in (0, 1)]
+    word += [_transvection(tuple(a - b for a, b in zip(unit[k], unit[k + 1])),
+                           1) for k in range(g - 1)]
+    matrices = [word[i % len(word)] for i in range(steps)]
+    L = unit[:g]
+    for F in matrices:
+        L = [combine(u, F) for u in L]
     return {"source": _standard_object(g),
-            "steps": [{"kind": "cylinder", "matrix": identity}] * steps,
-            "target": _standard_object(g)}
+            "steps": [{"kind": "cylinder", "matrix": F} for F in matrices],
+            "target": {"g": g, "L": [list(r) for r in hnf(L)]}}
 
 
-@pytest.mark.parametrize("g, steps", [(1, 5803), (3, 2772)])
-def test_largest_cylinder_program_is_admitted(monkeypatch, capsys, g, steps):
-    # the largest identity-cylinder programs the budget admits at p = 3,
-    # priced by `steps`, end in time in a fresh process
+@pytest.mark.parametrize("g, program, steps", [
+    (1, _identity_cylinders, 20631), (3, _identity_cylinders, 7194),
+    (1, _twist_cylinders, 19693), (3, _twist_cylinders, 5083)])
+def test_largest_cylinder_program_is_admitted(monkeypatch, capsys, g,
+                                              program, steps):
+    # the largest programs the budget admits at p = 3, priced by `steps`
+    # and, as the twists grow the carried entries, by `words`, end in
+    # time in a fresh process
     start = time.perf_counter()
-    proc = _process(["tqft", "--p", "3", "-"], _identity_cylinders(g, steps))
+    proc = _process(["tqft", "--p", "3", "-"], program(g, steps))
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0, proc.stderr
     assert elapsed < 2.5
     entries = json.loads(proc.stdout)["map"]["entries"]
-    assert len(entries) == 3 ** g
-    assert all(e["source"] == e["target"] for e in entries)
+    labels = set(itertools.product(range(3), repeat=g))
+    assert {tuple(e["source"]) for e in entries} == labels
+    assert {tuple(e["target"]) for e in entries} == labels
+    if program is _identity_cylinders:
+        assert all(e["source"] == e["target"] for e in entries)
     # one step more is refused, before any map is computed
-    monkeypatch.setattr("abtqft.cobordism.validate", lambda prog: None)
     _never(monkeypatch, "abtqft.cobordism.F_program")
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
-        _identity_cylinders(g, steps + 1))))
-    _refused(capsys, ["tqft", "--p", "3", "-"])
+        program(g, steps + 1))))
+    _refused(capsys, ["tqft", "--p", "3", "-"], within=2.5)
 
 
 def test_unknown_command_is_a_usage_error(capsys):

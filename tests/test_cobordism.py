@@ -1,6 +1,7 @@
 import doctest
 import itertools
 import random
+import sys
 from math import gcd
 
 import pytest
@@ -96,7 +97,7 @@ def test_object_and_step_validation():
 
 def test_validate_empty_and_mismatch():
     prog = CobordismProgram(TORUS, (), TORUS)
-    assert validate(prog).chain == (((1, 0),),)
+    assert hnf(validate(prog).frame[0]) == ((1, 0),)
     bad = CobordismProgram(TORUS, (), CobObject(1, ((0, 1),)))
     with pytest.raises(ProgramError):
         validate(bad)
@@ -111,15 +112,36 @@ def test_validate_empty_and_mismatch():
         validate(wrong_size)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on int to str conversion")
+def test_mismatch_names_a_lagrangian_too_long_to_print():
+    # the refusal's message raised ValueError once the carried Lagrangian
+    # had an entry of more digits than the interpreter converts
+    N = 10 ** 1000
+    big = MappingCylinder(((N, N - 1), (1, 1)))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ProgramError, match=(
+                r"^step 5: program ends at genus 1 with Lagrangian \(1 rows "
+                r"of entries up to 16\d\d\d bits\), the declared target "
+                r"is genus 1 with Lagrangian \(\(1, 0\),\)$")):
+            validate(CobordismProgram(TORUS, (big,) * 5, TORUS))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_validate_cancelling_pair_chain():
     # a new handle then surgery on its meridian returns to the start,
     # whatever the Lagrangian was
     for L in (((1, 0),), ((1, 1),), ((0, 1),)):
         obj = CobObject(1, L)
         prog = CobordismProgram(obj, (Index1(), Index2(1, 1, 0)), obj)
-        chain = validate(prog).chain
-        assert chain[0] == chain[-1] == obj.L
-        assert len(chain[1]) == 2
+        assert hnf(validate(prog).frame[0]) == obj.L
+        # in between, the new meridian joins the embedded Lagrangian
+        (a, b), = obj.L
+        mid = CobObject(2, ((a, 0, b, 0), (0, 1, 0, 0)))
+        validate(CobordismProgram(obj, (Index1(),), mid))
 
 
 def test_cylinder_identity_and_functoriality():
@@ -535,7 +557,7 @@ def test_load_program():
     }
     prog = load_program(doc)
     assert prog.steps == (Index1(0), Index2(0, 1, 0))
-    assert validate(prog).chain[-1] == ((1, 0),)
+    assert hnf(validate(prog).frame[0]) == ((1, 0),)
     with pytest.raises(ProgramError, match="step 0"):
         load_program({
             "source": {"g": 0, "L": []},
@@ -617,15 +639,16 @@ def _step_of(exc):
 @settings(max_examples=200, deadline=None)
 @given(_programs())
 def test_walk_validates_as_the_ambient_reference(prog):
-    """The walk gives the reference's chain, or refuses with its
-    message; the one exception is a class spread over two frame pairs,
-    which the walk refuses where the reference goes on."""
+    """The walk carries the reference's Lagrangian to every step (each
+    prefix validates against it), or refuses with its message; the one
+    exception is a class spread over two frame pairs, which the walk
+    refuses where the reference goes on."""
     try:
         want = reference.validate(prog)
     except ProgramError as exc:
         want = exc
     try:
-        got = validate(prog)
+        validate(prog)
     except ProgramError as exc:
         if "conjugate" in str(exc):
             event("spread class")
@@ -636,7 +659,9 @@ def test_walk_validates_as_the_ambient_reference(prog):
         assert str(exc) == str(want)
     else:
         event("valid")
-        assert list(got.chain) == want
+        for i, L in enumerate(want):
+            validate(CobordismProgram(prog.source, prog.steps[:i],
+                                      CobObject(len(L), L)))
 
 
 def _two_adic(n):
@@ -672,7 +697,7 @@ def test_program_maps_compose(route, factors):
         assume(False)
     # the oracle's designated-class assertion, a known defect at even p
     assume(p % 2 or not any(
-        s and _two_adic(s[2]) == _two_adic(p // 2)
+        s and _two_adic(s[4]) == _two_adic(p // 2)
         for walk in walks for s in walk.surgeries))
     event("p=%d %s, an index-2 step in P2: %s"
           % (p, mode, any(walks[2].surgeries)))

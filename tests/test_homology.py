@@ -12,9 +12,11 @@ from abtqft.homology import (
     combine,
     compose_correspondences,
     cylinder_correspondence,
+    cylinder_frame,
     hnf,
     identity_matrix,
     index1_correspondence,
+    index1_frame,
     index2_correspondence,
     intersection,
     is_lagrangian,
@@ -466,6 +468,12 @@ def _same_fields(got, ref):
         assert repr(getattr(got, name)) == repr(getattr(ref, name)), name
 
 
+def _same_frame(frame, corr):
+    # the frame a program's walk carries is the correspondence's target
+    target = (corr.target_L, corr.target_Ldual)
+    assert frame == target and repr(frame) == repr(target)
+
+
 def test_constructors_match_the_references_field_by_field():
     rng = random.Random(20)
     count = 0
@@ -480,12 +488,14 @@ def test_constructors_match_the_references_field_by_field():
             for factors in ((1, 2, 4) if g else ())]
         for U, W in frames:
             for F in twists if g else ():
-                _same_fields(cylinder_correspondence(F, U, W),
-                             _cylinder_reference(F, U, W))
+                corr = cylinder_correspondence(F, U, W)
+                _same_fields(corr, _cylinder_reference(F, U, W))
+                _same_frame(cylinder_frame(F, U, W), corr)
                 count += 1
             for pos in list(range(g + 1)) + [None]:
-                _same_fields(index1_correspondence(U, W, pos),
-                             _index1_reference(U, W, pos))
+                corr = index1_correspondence(U, W, pos)
+                _same_fields(corr, _index1_reference(U, W, pos))
+                _same_frame(index1_frame(U, W, pos), corr)
                 count += 1
             for k in range(g):
                 for alpha, beta in GAMMAS:
