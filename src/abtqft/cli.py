@@ -220,32 +220,6 @@ def _lens_chain(beta, alpha):
         iter_continued_fraction(beta, alpha % beta), 300)))
 
 
-def _charge_program(work, p, phi, prog, routes):
-    """Charge each route of F_program over the program: each step maps
-    the labels of its genus into a map of at most one entry per source
-    label, and the oracle's index-2 step from genus g tensors p'^(3g-1)
-    pairs of 2g relation rows each."""
-    from .cobordism import Index1, Index2
-
-    pp, g = p_prime(p), prog.source.g
-    top, labels, pairs, rows = g, 0, 0, 0
-    for step in prog.steps:
-        labels += _power(pp, g) + _power(pp, prog.source.g)
-        if isinstance(step, Index2):
-            pairs += _power(pp, 3 * g - 1)
-            rows += 2 * g * _power(pp, 3 * g - 1)
-        g += isinstance(step, Index1) - isinstance(step, Index2)
-        top = max(top, g)
-    labels += _power(pp, g)
-    for route in sorted(routes):
-        work.add("the %s route over the genus-%d Schrodinger module, "
-                 "%d^%d labels" % (route, top, pp, top),
-                 entries=labels * phi)
-    if "oracle" in routes:
-        work.add("the tensor oracle over %d tensor pairs" % pairs,
-                 tensor_pairs=rows * phi)
-
-
 def _charge_heis(work, p, g, op):
     """Charge a heis job: a genus-g frame, and on the Schrodinger module
     the field and its p'^g labels, or a commutant's p'^(2g) unknowns."""
@@ -501,23 +475,35 @@ def _column_bits(rows):
         return 0
 
 
-def _charge_validation(work, doc):
+def _charge_validation(work, doc, p):
     """Charge validating the program of ``doc`` from its shape and its
     entries, before any object is built: each step's frame work at the
     largest genus the program reaches, the products of carried entries
     by cylinder entries, and the Hermite forms of the carried Lagrangian
     at the end.  The carried entries have at most the source's column
     bits plus each cylinder's; ``load_program`` reports a malformed
-    program."""
+    program.  Return, from the same walk, what the routes of
+    ``F_program`` cost at order p: the largest genus; the labels of the
+    maps built, at most one entry per source label for each index-1 or
+    index-2 step and for the final change of frame (a cylinder builds
+    none); and the tensor pairs of the oracle's index-2 steps, p'^(3g-1)
+    from genus g, with their 2g relation rows each."""
     try:
         g, steps = json_int(doc["source"]["g"]), doc.get("steps", [])
     except (KeyError, TypeError):
-        return
+        return None
     if g < 0 or not isinstance(steps, list):
-        return
+        return None
+    pp, source = p_prime(p), g
     top, bits, words = g, _column_bits(doc["source"].get("L")), 0
+    labels = pairs = rows = 0
     for s in steps:
         kind = s.get("kind") if isinstance(s, dict) else None
+        if kind in ("index1", "index2"):
+            labels += _power(pp, g) + _power(pp, source)
+        if kind == "index2":
+            pairs += _power(pp, 3 * g - 1)
+            rows += 2 * g * _power(pp, 3 * g - 1)
         g += (kind == "index1") - (kind == "index2")
         top = max(top, g)
         grow = _column_bits(s.get("matrix")) if kind == "cylinder" else 0
@@ -526,6 +512,20 @@ def _charge_validation(work, doc):
     work.add("validating %d step(s) up to genus %d" % (len(steps), top),
              steps=(len(steps) + 2) * (top ** 3 + 32),
              words=top ** 3 * (words + 64 * top * (bits // 64 + 1) ** 2))
+    return top, labels + _power(pp, g), pairs, rows
+
+
+def _charge_routes(work, p, phi, items, routes):
+    """Charge each route of ``F_program`` the map entries, and the
+    oracle its relation rows, that ``_charge_validation`` returned."""
+    top, labels, pairs, rows = items
+    for route in sorted(routes):
+        work.add("the %s route over the genus-%d Schrodinger module, "
+                 "%d^%d labels" % (route, top, p_prime(p), top),
+                 entries=labels * phi)
+    if "oracle" in routes:
+        work.add("the tensor oracle over %d tensor pairs" % pairs,
+                 tensor_pairs=rows * phi)
 
 
 def cmd_tqft(args):
@@ -541,7 +541,7 @@ def cmd_tqft(args):
                           "tensor oracle and needs odd p")
     phi = work.field(args.p)
     doc = _read_doc(args.input)
-    _charge_validation(work, doc)
+    items = _charge_validation(work, doc, args.p)
     try:
         prog = load_program(doc)
     except ProgramError as exc:
@@ -555,8 +555,8 @@ def cmd_tqft(args):
         raise CliError(4, str(exc))
     route = args.mode if args.mode != "auto" else "closed" if odd else "oracle"
     other = "oracle" if route == "closed" else "closed"
-    _charge_program(work, args.p, phi, prog,
-                    {route, other} if args.verify else {route})
+    _charge_routes(work, args.p, phi, items,
+                   {route, other} if args.verify else {route})
     # the map has one entry per source label at most
     labels = _power(p_prime(args.p), prog.source.g)
     if args.normalized:

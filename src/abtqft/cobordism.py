@@ -18,10 +18,11 @@ projects the rest to the surviving slots.  The carried Lagrangian is
 the source Lagrangian pushed through the steps' correspondences; it
 must land on the declared target.  An index-2 class spread over
 several frame pairs is out of scope and refused; insert a conjugating
-cylinder first.  :func:`F_program` evaluates the walk at an order p.
-In the carried frame each step map is elementary -- identity, label
-inclusion, or a per-handle coefficient -- and the final answer is
-rewritten into the canonical frame of the target, so composite maps are
+cylinder first.  :func:`F_program` evaluates the walk at an order p
+and is the only functor on programs: in the carried frame a cylinder
+adds no map, an index-1 step is the label inclusion and an index-2 step
+a per-handle coefficient; the composite is rewritten once into the
+canonical frame of the target (:func:`context_transfer`), so it is
 frame-independent.
 
 Index-2 coefficients come in two modes: a closed per-handle formula
@@ -42,19 +43,16 @@ from .cyclotomic import field_order, one, p_prime, q_power
 from .heisenberg import (
     HeisContext,
     apply_map,
-    closed_context,
     compose_maps,
     identity_map,
     induced_map_oracle,
     labels,
-    to_finite,
+    split_coords,
 )
 from .homology import (
     combine,
-    cylinder_correspondence,
     cylinder_frame,
     hnf,
-    index1_correspondence,
     index1_frame,
     index2_correspondence,
     intersection,
@@ -77,9 +75,6 @@ __all__ = [
     "validate",
     "canonical_context",
     "context_transfer",
-    "F_cylinder",
-    "F_index1",
-    "F_index2",
     "F_program",
     # the sparse maps of heisenberg, re-exported
     "identity_map",
@@ -161,8 +156,10 @@ def canonical_context(p, obj: CobObject):
 
 def context_transfer(ctx_from, ctx_to):
     """Monomial change of frame between two contexts with the same
-    Lagrangian: each label rewrites through the integral class
-    sum c_i Ldual_i of the old frame."""
+    Lagrangian.  A label c names the integral class sum c_i Ldual_i of
+    the old frame; its split coordinates (alpha, beta) in the new frame
+    are c times those of the old dual vectors, found once, so c goes to
+    beta mod p' with phase q^(alpha . beta)."""
     if ctx_from.p != ctx_to.p or ctx_from.g != ctx_to.g:
         raise ValueError("contexts live on different surfaces")
     if hnf(ctx_from.L) != hnf(ctx_to.L):
@@ -170,37 +167,25 @@ def context_transfer(ctx_from, ctx_to):
             "frames have different Lagrangians; a transfer is only "
             "monomial along a fixed Lagrangian"
         )
+    p, g = ctx_from.p, ctx_from.g
+    pp = p_prime(p)
+    coords = [tuple(v % p for v in alpha + beta) for alpha, beta in (
+        split_coords(ctx_to, w) for w in ctx_from.Ldual)]
     out = {}
     seen = set()
     for c in ctx_from.labels():
-        k, _, beta = to_finite(ctx_to, 0, combine(c, ctx_from.Ldual))
-        out[(beta, c)] = q_power(ctx_from.p, k)
-        seen.add(beta)
+        x = combine(c, coords)
+        alpha, beta = x[:g], x[g:]
+        label = tuple(b % pp for b in beta)
+        out[(label, c)] = q_power(p, sum(
+            a * b for a, b in zip(alpha, beta)) % p)
+        seen.add(label)
     if len(seen) != len(out):
         raise ArithmeticError("transfer must be a relabeling")
     return out
 
 
-# -- the functor on simple steps ------------------------------------------
-
-
-def F_cylinder(p, ctx, matrix, ctx_plus=None):
-    """Map of a mapping cylinder.  In the pushed frame (the image of
-    the source frame, the default) this is the identity; an explicit
-    target context rewrites the labels there."""
-    corr = cylinder_correspondence(matrix, ctx.L, ctx.Ldual)
-    pushed = _context(p, corr.target_L, corr.target_Ldual)
-    if ctx_plus is None:
-        return identity_map(pushed), pushed
-    return context_transfer(pushed, ctx_plus), ctx_plus
-
-
-def F_index1(p, ctx, position=None):
-    """Map of an index-1 surgery: labels gain a zero component at the
-    new handle slot."""
-    corr = index1_correspondence(ctx.L, ctx.Ldual, position)
-    out_ctx = _context(p, corr.target_L, corr.target_Ldual)
-    return _inclusion(p, ctx.g, position), out_ctx
+# -- the step maps in a carried frame --------------------------------------
 
 
 def _inclusion(p, g, position):
@@ -248,23 +233,6 @@ def _surgery_map(p, ctx, j, alpha, beta, mode):
             continue
         m[(c[:j] + c[j + 1:], c)] = coeff
     return m
-
-
-def F_index2(p, ctx, handle, alpha, beta, mode="auto"):
-    """Map of an index-2 surgery on gamma = alpha u_k + beta w_k, the
-    (u, w) being the frame of ctx.  The surviving frame pairs become
-    the handles of the target in their own coordinates.
-
-    mode 'closed' uses the per-handle exponent formula (odd p only),
-    'oracle' the bimodule tensor; 'auto' picks closed when it is well
-    defined.
-    """
-    if not (0 <= handle < ctx.g):
-        raise ValueError("surgery handle out of range")
-    if gcd(alpha, beta) != 1:
-        raise ValueError("surgery class must be primitive")
-    m = _surgery_map(p, ctx, handle, alpha, beta, mode)
-    return m, closed_context(p, ctx.g - 1)
 
 
 def _project_off(vec, gamma, g, slot, alpha, beta):

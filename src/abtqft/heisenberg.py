@@ -109,8 +109,6 @@ def closed_context(p, g):
 def correspondence_context(p, corr: Correspondence):
     """Context on the boundary of a simple cobordism, in the
     pairing-identity order fixed by the correspondence."""
-    if corr.adapted is None:
-        raise ValueError("composite correspondences carry no adapted basis")
     return HeisContext(
         p=p,
         g_minus=corr.g_minus,

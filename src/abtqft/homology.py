@@ -10,10 +10,13 @@ Maps act on row vectors from the right: the matrix of ``g o f`` is
 ``F @ G``.
 
 A boundary ``-Sigma_- + Sigma_+`` carries the difference form; the
-correspondence constructors return bases of ``L_C`` together with a
-complementary basis in *pairing-identity order* (the i-th basis vector
-of the complement pairs to 1 with the i-th vector of ``L_C`` and to 0
-with the others), which is exactly what a Heisenberg context needs.
+correspondence constructors of the three simple cobordisms return bases
+of ``L_C`` together with a complementary basis in *pairing-identity
+order* (the i-th basis vector of the complement pairs to 1 with the
+i-th vector of ``L_C`` and to 0 with the others), which is exactly what
+a Heisenberg context needs.  Correspondences are never composed: a
+program carries its frame through ``cylinder_frame``, ``index1_frame``
+and the surgery projection of ``cobordism``.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ __all__ = [
     "index1_frame",
     "index2_correspondence",
     "lagrangian_compose",
-    "compose_correspondences",
 ]
 
 
@@ -406,25 +408,23 @@ def symplectic_complete(gamma):
 
 
 class Correspondence(Value):
-    """A Lagrangian correspondence with a chosen complementary basis.
+    """The Lagrangian correspondence of a simple cobordism with a chosen
+    complementary basis.
 
     ``adapted`` and ``adapted_dual`` are ordered bases of L_C and of a
     complement satisfying the pairing identity for the difference form;
     ``plus_block`` indexes the dual rows of the form (0, y) whose plus
-    parts are the target dual basis.  Composite correspondences carry
-    only the canonical lattice basis.
+    parts are the target dual basis.
     """
 
-    __slots__ = ("g_minus", "g_plus", "basis", "adapted", "adapted_dual",
+    __slots__ = ("g_minus", "g_plus", "adapted", "adapted_dual",
                  "plus_block", "source_L", "source_Ldual", "target_L",
                  "target_Ldual")
 
-    def __init__(self, g_minus, g_plus, basis, adapted=None,
-                 adapted_dual=None, plus_block=None, source_L=None,
-                 source_Ldual=None, target_L=None, target_Ldual=None):
+    def __init__(self, g_minus, g_plus, adapted, adapted_dual, plus_block,
+                 source_L, source_Ldual, target_L, target_Ldual):
         set_field(self, "g_minus", g_minus)
         set_field(self, "g_plus", g_plus)
-        set_field(self, "basis", basis)
         set_field(self, "adapted", adapted)
         set_field(self, "adapted_dual", adapted_dual)
         set_field(self, "plus_block", plus_block)
@@ -432,9 +432,6 @@ class Correspondence(Value):
         set_field(self, "source_Ldual", source_Ldual)
         set_field(self, "target_L", target_L)
         set_field(self, "target_Ldual", target_Ldual)
-
-    def width(self):
-        return 2 * self.g_minus + 2 * self.g_plus
 
 
 def _check_adapted(corr: Correspondence):
@@ -486,7 +483,6 @@ def _frame_correspondence(U, W, g_plus, graph, extra, plus_block, target):
     corr = Correspondence(
         g_minus=g,
         g_plus=g_plus,
-        basis=hnf(rows),
         adapted=_freeze(rows),
         adapted_dual=_freeze(dual),
         plus_block=tuple(plus_block),
@@ -596,10 +592,9 @@ def lagrangian_compose(corr, L_rows):
     >>> lagrangian_compose(idcyl, standard_lagrangian(1))
     ((1, 0),)
     """
-    if isinstance(corr, Correspondence):
-        gm, gp, basis = corr.g_minus, corr.g_plus, corr.basis
-    else:
+    if not isinstance(corr, Correspondence):
         raise TypeError("first argument must be a Correspondence")
+    gm, gp = corr.g_minus, corr.g_plus
     L = _freeze(L_rows)
     width = 2 * gm + 2 * gp
     ambient = [
@@ -608,36 +603,12 @@ def lagrangian_compose(corr, L_rows):
         tuple(1 if j == 2 * gm + i else 0 for j in range(width))
         for i in range(2 * gp)
     ]
-    meet = lattice_intersect(basis, ambient)
+    meet = lattice_intersect(corr.adapted, ambient)
     plus_parts = [row[2 * gm:] for row in meet]
     projected = hnf(plus_parts)
     if not projected:
         return ()
     return saturate(projected)
-
-
-def compose_correspondences(corr2, corr1):
-    """Geometric composition of correspondences (saturated).
-
-    The middle surface sits in the two boundaries with opposite
-    orientations, so classes glue when they cancel: the matching
-    condition is y_1 + y_2 = 0, which is what keeps the composite of
-    two mapping-cylinder correspondences the cylinder of the composite
-    map."""
-    if corr1.g_plus != corr2.g_minus:
-        raise ValueError("middle genera do not match")
-    gm, gmid, gp = corr1.g_minus, corr1.g_plus, corr2.g_plus
-    A = corr1.basis
-    B = corr2.basis
-    kernel = left_kernel([row[2 * gm:] for row in A]
-                         + [row[: 2 * gmid] for row in B])
-    A_minus = [row[: 2 * gm] for row in A]
-    B_plus = [row[2 * gmid:] for row in B]
-    na = len(A)
-    out = [combine(krow[:na], A_minus) + combine(krow[na:], B_plus)
-           for krow in kernel]
-    basis = saturate(hnf(out)) if out else ()
-    return Correspondence(g_minus=gm, g_plus=gp, basis=basis)
 
 
 if __name__ == "__main__":

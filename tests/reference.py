@@ -12,7 +12,9 @@ to check one, and the normalisation branch the command line kept beside
 ``surgery._phase_sum`` now runs on residues mod p; the validation that
 pushed the source Lagrangian through each step's ambient
 correspondence, which the walk carrying the frames in ``cobordism``
-replaced; and small public helpers that only the tests used.
+replaced; the change of frame that split each label's class on its
+own, which ``cobordism.context_transfer`` replaced by splitting the old
+dual vectors once; and small public helpers that only the tests used.
 """
 
 import itertools
@@ -26,9 +28,12 @@ from abtqft.cyclotomic import (
     field_order,
     make_root,
     one,
+    q_power,
 )
+from abtqft.heisenberg import to_finite
 from abtqft.homology import (
     cylinder_correspondence,
+    combine,
     hnf,
     index1_correspondence,
     index2_correspondence,
@@ -396,3 +401,20 @@ def validate(prog):
             % (len(prog.steps), g, L, prog.target.g, prog.target.L)
         )
     return [L for _, L in chain]
+
+
+# -- the change of frame, one label at a time -----------------------------
+
+
+def context_transfer(ctx_from, ctx_to):
+    """The monomial change of frame along a fixed Lagrangian, each label
+    c rewritten through the finite image of its class sum c_i Ldual_i."""
+    if ctx_from.p != ctx_to.p or ctx_from.g != ctx_to.g:
+        raise ValueError("contexts live on different surfaces")
+    if hnf(ctx_from.L) != hnf(ctx_to.L):
+        raise ValueError("frames have different Lagrangians")
+    out = {}
+    for c in ctx_from.labels():
+        k, _, beta = to_finite(ctx_to, 0, combine(c, ctx_from.Ldual))
+        out[(beta, c)] = q_power(ctx_from.p, k)
+    return out

@@ -1355,11 +1355,10 @@ def _work_of(charge):
 def _predictions(p, n, g, runs):
     """The predicted work of one job of each kind at order p, n
     components, genus g and ``runs`` oracle runs or extra intertwiners."""
-    program = load_program({"source": _standard_object(g),
-                            "steps": [{"kind": "index1"},
-                                      {"kind": "index2", "handle": g,
-                                       "gamma": [0, 1]}],
-                            "target": _standard_object(g)})
+    program = {"source": _standard_object(g),
+               "steps": [{"kind": "index1"},
+                         {"kind": "index2", "handle": g, "gamma": [0, 1]}],
+               "target": _standard_object(g)}
     routes = {"closed", "oracle"} if runs else {"closed"}
     charges = [
         lambda w: (w.field(p), cli._charge_invariant(w, p, [[3] * n] * n,
@@ -1367,7 +1366,8 @@ def _predictions(p, n, g, runs):
         lambda w: cli._charge_invariant(w, p, [[2] * n] * n, signatures=2,
                                         refine=True),
         lambda w: cli._charge_weil(w, p, g, runs + 1),
-        lambda w: cli._charge_program(w, p, w.field(p), program, routes),
+        lambda w: cli._charge_routes(w, p, w.field(p), cli._charge_validation(
+            w, program, p), routes),
     ] + [lambda w, op=op: cli._charge_heis(w, p, g, op)
          for op in ("mul", "inverse", "act", "matrix", "commutant")]
     return [_work_of(charge) for charge in charges]
@@ -1568,18 +1568,10 @@ def _transvection(v, sign):
         for i in range(n)]
 
 
-def _twist_cylinders(g, steps):
-    """Cylinders on a hyperbolic word of twists, so the carried entries
-    grow at every step: along a_k and inversely along b_k on each
-    handle, then along a_k - a_(k+1); the target is the standard
-    Lagrangian pushed through them."""
-    unit = [tuple(int(i == j) for j in range(2 * g)) for i in range(2 * g)]
-    word = [_transvection(unit[k + h * g], 1 - 2 * h)
-            for k in range(g) for h in (0, 1)]
-    word += [_transvection(tuple(a - b for a, b in zip(unit[k], unit[k + 1])),
-                           1) for k in range(g - 1)]
-    matrices = [word[i % len(word)] for i in range(steps)]
-    L = unit[:g]
+def _pushed_program(g, matrices):
+    """Cylinders on ``matrices`` from the standard object of genus g to
+    the standard Lagrangian pushed through them."""
+    L = [tuple(int(i == j) for j in range(2 * g)) for i in range(g)]
     for F in matrices:
         L = [combine(u, F) for u in L]
     return {"source": _standard_object(g),
@@ -1587,30 +1579,90 @@ def _twist_cylinders(g, steps):
             "target": {"g": g, "L": [list(r) for r in hnf(L)]}}
 
 
+def _twist_cylinders(g, steps):
+    """Cylinders on a hyperbolic word of twists, so the carried entries
+    grow at every step: along a_k and inversely along b_k on each
+    handle, then along a_k - a_(k+1)."""
+    unit = [tuple(int(i == j) for j in range(2 * g)) for i in range(2 * g)]
+    word = [_transvection(unit[k + h * g], 1 - 2 * h)
+            for k in range(g) for h in (0, 1)]
+    word += [_transvection(tuple(a - b for a, b in zip(unit[k], unit[k + 1])),
+                           1) for k in range(g - 1)]
+    return _pushed_program(g, [word[i % len(word)] for i in range(steps)])
+
+
+def _transvection_cylinders(g, steps, bound=10 ** 15):
+    """Cylinders on transvections along vectors with entries below
+    ``bound``, drawn with ``random.Random(5)``: the entries the walk
+    carries, and the final change of frame reads, grow fast."""
+    rng = random.Random(5)
+    return _pushed_program(g, [
+        _transvection([rng.randrange(bound) for _ in range(2 * g)], 1)
+        for _ in range(steps)])
+
+
+def _long_transvection_cylinders(g, steps):
+    return _transvection_cylinders(g, steps, 10 ** 30)
+
+
+@contextlib.contextmanager
+def _long_integers():
+    """Integers of any length through ``json`` in this process: a long
+    program's target can have more digits than the interpreter's
+    default limit converts.  An interpreter older than the limit has
+    none to lift."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_genus_eight_transvections_end_in_time():
+    # eight cylinders on 15-digit transvections at genus 8: the final
+    # change of frame once rewrote each of the 3^8 labels through the
+    # carried 786-bit entries, and this job, admitted, ran for 3.5-6.3 s
+    start = time.perf_counter()
+    proc = _process(["tqft", "--p", "3", "-"], _transvection_cylinders(8, 8))
+    assert proc.returncode in (0, 6), proc.stderr
+    assert time.perf_counter() - start < 2.5
+
+
 @pytest.mark.parametrize("g, program, steps", [
-    (1, _identity_cylinders, 20631), (3, _identity_cylinders, 7194),
-    (1, _twist_cylinders, 19693), (3, _twist_cylinders, 5083)])
+    (1, _identity_cylinders, 24231), (3, _identity_cylinders, 13505),
+    (5, _identity_cylinders, 4985), (8, _identity_cylinders, 757),
+    (1, _twist_cylinders, 22759), (3, _twist_cylinders, 6692),
+    (5, _twist_cylinders, 2390), (8, _twist_cylinders, 517),
+    (8, _transvection_cylinders, 11), (5, _long_transvection_cylinders, 21)])
 def test_largest_cylinder_program_is_admitted(monkeypatch, capsys, g,
                                               program, steps):
     # the largest programs the budget admits at p = 3, priced by `steps`
-    # and, as the twists grow the carried entries, by `words`, end in
-    # time in a fresh process
-    start = time.perf_counter()
-    proc = _process(["tqft", "--p", "3", "-"], program(g, steps))
-    elapsed = time.perf_counter() - start
-    assert proc.returncode == 0, proc.stderr
-    assert elapsed < 2.5
-    entries = json.loads(proc.stdout)["map"]["entries"]
-    labels = set(itertools.product(range(3), repeat=g))
-    assert {tuple(e["source"]) for e in entries} == labels
-    assert {tuple(e["target"]) for e in entries} == labels
-    if program is _identity_cylinders:
-        assert all(e["source"] == e["target"] for e in entries)
-    # one step more is refused, before any map is computed
-    _never(monkeypatch, "abtqft.cobordism.F_program")
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
-        program(g, steps + 1))))
-    _refused(capsys, ["tqft", "--p", "3", "-"], within=2.5)
+    # and, as the carried entries grow, by `words`, end in time in a
+    # fresh process; the twists at genus 1 outgrow the default limit on
+    # integer digits, so the child reads its document without one
+    with _long_integers():
+        start = time.perf_counter()
+        proc = _process(["tqft", "--p", "3", "-"], program(g, steps),
+                        runner=("-X", "int_max_str_digits=0", "-m",
+                                "abtqft.cli"))
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert elapsed < 2.5
+        entries = json.loads(proc.stdout)["map"]["entries"]
+        labels = set(itertools.product(range(3), repeat=g))
+        assert {tuple(e["source"]) for e in entries} == labels
+        assert {tuple(e["target"]) for e in entries} == labels
+        if program is _identity_cylinders:
+            assert all(e["source"] == e["target"] for e in entries)
+        # one step more is refused, before any map is computed
+        _never(monkeypatch, "abtqft.cobordism.F_program")
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+            program(g, steps + 1))))
+        _refused(capsys, ["tqft", "--p", "3", "-"], within=2.5)
 
 
 def test_unknown_command_is_a_usage_error(capsys):

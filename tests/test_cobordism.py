@@ -13,9 +13,6 @@ from abtqft.cyclotomic import field_order, one, q_power
 from abtqft.cobordism import (
     CobObject,
     CobordismProgram,
-    F_cylinder,
-    F_index1,
-    F_index2,
     F_program,
     Index1,
     Index2,
@@ -33,13 +30,17 @@ from abtqft.cobordism import (
     normalized_map,
     validate,
 )
+from abtqft.cobordism import _context, _inclusion, _surgery_map
 from abtqft.heisenberg import HeisContext, induced_map_oracle
 from abtqft.homology import (
     cylinder_correspondence,
+    cylinder_frame,
     hnf,
     identity_matrix,
+    index1_frame,
     intersection,
     mat_mul,
+    standard_dual,
     standard_lagrangian,
     symplectic_dual_basis,
 )
@@ -53,6 +54,20 @@ TWIST = ((1, 0), (1, 1))       # m -> m, l -> l + m
 SWAP_AXES = ((0, 1), (-1, 0))  # m -> l, l -> -m
 
 
+def _transvection(v):
+    """The matrix of x -> x + (x . v) v, symplectic for every integer v."""
+    n = len(v)
+    return tuple(
+        tuple(
+            (1 if i == j else 0) + intersection(
+                tuple(1 if k == i else 0 for k in range(n)), v
+            ) * v[j]
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
 def _random_symplectic(rng, g, factors=3):
     n = 2 * g
     F = identity_matrix(n)
@@ -61,16 +76,7 @@ def _random_symplectic(rng, g, factors=3):
             v = tuple(rng.randint(-2, 2) for _ in range(n))
             if any(v):
                 break
-        T = tuple(
-            tuple(
-                (1 if i == j else 0) + intersection(
-                    tuple(1 if k == i else 0 for k in range(n)), v
-                ) * v[j]
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        F = mat_mul(F, T)
+        F = mat_mul(F, _transvection(v))
     return F
 
 
@@ -167,8 +173,9 @@ def test_cylinder_twist_fixed_dual():
     # fixed: b_k picks up q^(k^2)
     for p in (3, 5):
         ctx = canonical_context(p, TORUS)
-        m, out = F_cylinder(p, ctx, TWIST, ctx_plus=ctx)
-        assert out == ctx
+        prog = CobordismProgram(TORUS, (MappingCylinder(TWIST),), TORUS)
+        m = F_program(p, prog)
+        assert canonical_context(p, prog.target) == ctx
         assert m == {
             ((k,), (k,)): q_power(p, k * k) for k in range(ctx.p_prime)
         }
@@ -179,9 +186,11 @@ def test_cylinder_relabeling():
     p = 5
     ctx = canonical_context(p, TORUS)
     target = canonical_context(p, CobObject(1, ((0, 1),)))
-    m, out = F_cylinder(p, ctx, SWAP_AXES, ctx_plus=target)
+    prog = CobordismProgram(TORUS, (MappingCylinder(SWAP_AXES),),
+                            CobObject(1, ((0, 1),)))
+    m = F_program(p, prog)
     unit = one(field_order(p))
-    assert out == target
+    assert canonical_context(p, prog.target) == target
     assert set(m.values()) == {unit}
     assert sorted(z for z, _ in m) == sorted(w for _, w in m)
 
@@ -189,8 +198,9 @@ def test_cylinder_relabeling():
 def test_cylinder_lagrangian_violation():
     p = 3
     ctx = canonical_context(p, TORUS)
+    pushed = _context(p, *cylinder_frame(TWIST, ctx.L, ctx.Ldual))
     with pytest.raises(ValueError, match="Lagrangian"):
-        F_cylinder(p, ctx, TWIST, ctx_plus=canonical_context(
+        context_transfer(pushed, canonical_context(
             p, CobObject(1, ((0, 1),))
         ))
 
@@ -208,18 +218,38 @@ def test_context_transfer_roundtrip():
         context_transfer(ctx, canonical_context(p, CobObject(1, ((0, 1),))))
 
 
+@settings(max_examples=60)
+@given(p=st.sampled_from((3, 4, 5, 8, 9, 12, 15)), g=st.integers(1, 3),
+       data=st.data())
+def test_context_transfer_matches_reference(p, g, data):
+    # a frame pushed through transvections with entries up to 10^30 and
+    # the canonical frame of its Lagrangian, both ways: the same map as
+    # splitting each label's class on its own, in the same order
+    entries = st.integers(-10 ** 30, 10 ** 30)
+    vectors = data.draw(st.lists(
+        st.lists(entries, min_size=2 * g, max_size=2 * g),
+        min_size=1, max_size=3))
+    L, W = standard_lagrangian(g), standard_dual(g)
+    for v in vectors:
+        L, W = cylinder_frame(_transvection(v), L, W)
+    pushed = _context(p, L, W)
+    canonical = canonical_context(p, CobObject(g, L))
+    for a, b in ((pushed, canonical), (canonical, pushed)):
+        assert list(context_transfer(a, b).items()) == list(
+            reference.context_transfer(a, b).items())
+
+
 def test_index1_inclusion():
     p = 3
     scalar = canonical_context(p, POINT)
-    m, out = F_index1(p, scalar)
+    m = _inclusion(p, scalar.g, None)
     assert m == {((0,), ()): one(field_order(p))}
-    assert out.g == 1
-    ctx = canonical_context(p, TORUS)
-    m_app, _ = F_index1(p, ctx)
+    assert len(index1_frame(scalar.L, scalar.Ldual)[0]) == 1
+    m_app = _inclusion(p, 1, None)
     assert m_app == {
         ((k, 0), (k,)): one(field_order(p)) for k in range(3)
     }
-    m_front, _ = F_index1(p, ctx, position=0)
+    m_front = _inclusion(p, 1, 0)
     assert m_front == {
         ((0, k), (k,)): one(field_order(p)) for k in range(3)
     }
@@ -230,10 +260,11 @@ def test_index2_meridian_and_longitude():
     # longitude evaluates every label to 1
     for p in (3, 5):
         ctx = canonical_context(p, TORUS)
-        mer, out = F_index2(p, ctx, 0, 1, 0)
-        assert out.g == 0
+        prog = CobordismProgram(TORUS, (Index2(0, 1, 0),), POINT)
+        mer = F_program(p, prog)
+        assert len(validate(prog).frame[0]) == 0
         assert mer == {((), (0,)): one(field_order(p))}
-        lon, _ = F_index2(p, ctx, 0, 0, 1)
+        lon = _surgery_map(p, ctx, 0, 0, 1, "auto")
         assert lon == {
             ((), (k,)): one(field_order(p)) for k in range(ctx.p_prime)
         }
@@ -243,14 +274,14 @@ def test_index2_frozen_exponents():
     # gamma = m + 2l at p = 5: coefficient q^(-k k') with 2k' = k
     p = 5
     ctx = canonical_context(p, TORUS)
-    m, _ = F_index2(p, ctx, 0, 1, 2, mode="closed")
+    m = _surgery_map(p, ctx, 0, 1, 2, "closed")
     table = {0: 0, 1: 2, 2: 3, 3: 3, 4: 2}
     assert m == {
         ((), (k,)): q_power(p, e) for k, e in table.items()
     }
     # d = gcd(beta, p') vanishing pattern: beta = 3 at p' = 3 kills
     # every label except multiples of 3
-    m3, _ = F_index2(3, canonical_context(3, TORUS), 0, 1, 3, mode="closed")
+    m3 = _surgery_map(3, canonical_context(3, TORUS), 0, 1, 3, "closed")
     assert set(w for _, w in m3) == {(0,)}
 
 
@@ -260,8 +291,8 @@ def test_index2_closed_equals_oracle_small():
         for al, be in itertools.product(range(-3, 4), repeat=2):
             if gcd(al, be) != 1:
                 continue
-            mc, _ = F_index2(p, ctx, 0, al, be, mode="closed")
-            mo, _ = F_index2(p, ctx, 0, al, be, mode="oracle")
+            mc = _surgery_map(p, ctx, 0, al, be, "closed")
+            mo = _surgery_map(p, ctx, 0, al, be, "oracle")
             assert mc == mo, (p, al, be)
 
 
@@ -274,8 +305,8 @@ def test_index2_closed_equals_oracle_nonstandard_frame():
         for al, be in itertools.product(range(-2, 3), repeat=2):
             if gcd(al, be) != 1:
                 continue
-            mc, _ = F_index2(p, ctx, handle, al, be, mode="closed")
-            mo, _ = F_index2(p, ctx, handle, al, be, mode="oracle")
+            mc = _surgery_map(p, ctx, handle, al, be, "closed")
+            mo = _surgery_map(p, ctx, handle, al, be, "oracle")
             assert mc == mo, (handle, al, be)
 
 
@@ -283,9 +314,9 @@ def test_index2_even_order_modes():
     p = 8
     ctx = canonical_context(p, TORUS)
     with pytest.raises(ValueError, match="oracle"):
-        F_index2(p, ctx, 0, 1, 2, mode="closed")
-    auto, _ = F_index2(p, ctx, 0, 1, 2, mode="auto")
-    oracle, _ = F_index2(p, ctx, 0, 1, 2, mode="oracle")
+        _surgery_map(p, ctx, 0, 1, 2, "closed")
+    auto = _surgery_map(p, ctx, 0, 1, 2, "auto")
+    oracle = _surgery_map(p, ctx, 0, 1, 2, "oracle")
     assert auto == oracle
 
 
@@ -296,8 +327,8 @@ def test_orientation_reversal_of_surgery_class():
     ctx8 = canonical_context(8, TORUS)
     for al, be in ((1, 0), (0, 1), (1, 2), (2, 3), (3, -2)):
         for ctx, mode in ((ctx5, "closed"), (ctx5, "oracle"), (ctx8, "oracle")):
-            plus, _ = F_index2(ctx.p, ctx, 0, al, be, mode=mode)
-            minus, _ = F_index2(ctx.p, ctx, 0, -al, -be, mode=mode)
+            plus = _surgery_map(ctx.p, ctx, 0, al, be, mode)
+            minus = _surgery_map(ctx.p, ctx, 0, -al, -be, mode)
             assert plus == minus
 
 
@@ -397,8 +428,8 @@ def test_program_against_oracle_start_vector():
     p = 5
     ctx = canonical_context(p, TORUS)
     for al, be in ((1, 1), (2, 1), (1, 3)):
-        closed, _ = F_index2(p, ctx, 0, al, be, mode="closed")
-        oracle, _ = F_index2(p, ctx, 0, al, be, mode="oracle")
+        closed = _surgery_map(p, ctx, 0, al, be, "closed")
+        oracle = _surgery_map(p, ctx, 0, al, be, "oracle")
         col = {z: v for (z, w), v in closed.items() if w == (0,)}
         col_o = {z: v for (z, w), v in oracle.items() if w == (0,)}
         assert col == col_o and col
@@ -428,7 +459,8 @@ def test_program_closed_route_equals_oracle(p, word, gamma):
     if gamma is None:
         ctx = canonical_context(p, TORUS)
         corr = cylinder_correspondence(f.matrix, ctx.L, ctx.Ldual)
-        assert induced_map_oracle(p, corr) == F_cylinder(p, ctx, f.matrix)[0]
+        # between carried frames a cylinder's map is the identity
+        assert induced_map_oracle(p, corr) == identity_map(ctx)
         prog = _cylinder_program(TORUS, f.matrix)
     else:
         steps = (MappingCylinder(f.matrix),) if word else ()
@@ -537,7 +569,8 @@ def test_spread_surgery_class_is_rejected():
 def test_apply_and_compose_maps():
     p = 3
     ctx = canonical_context(p, TORUS)
-    m, _ = F_cylinder(p, ctx, TWIST, ctx_plus=ctx)
+    m = F_program(p, CobordismProgram(TORUS, (MappingCylinder(TWIST),),
+                                      TORUS))
     vec = {(1,): one(field_order(p)), (2,): q_power(p, 1)}
     out = apply_map(m, vec)
     assert out == {

@@ -10,7 +10,6 @@ from abtqft.homology import (
     _pad,
     boundary_intersection,
     combine,
-    compose_correspondences,
     cylinder_correspondence,
     cylinder_frame,
     hnf,
@@ -228,53 +227,24 @@ def test_cylinder_correspondence_identity():
     corr = cylinder_correspondence(
         identity_matrix(2), standard_lagrangian(1), standard_dual(1)
     )
-    assert row_span_equal(corr.basis, ((-1, 0, 1, 0), (0, -1, 0, 1)))
+    assert row_span_equal(hnf(corr.adapted), ((-1, 0, 1, 0), (0, -1, 0, 1)))
     assert corr.plus_block == (1,)
     assert corr.target_L == standard_lagrangian(1)
 
 
-def test_cylinder_composition_is_functorial():
-    rng = random.Random(15)
-    for _ in range(15):
-        g = rng.randint(1, 2)
-        F = _random_symplectic(rng, g)
-        G = _random_symplectic(rng, g)
-        L, W = standard_lagrangian(g), standard_dual(g)
-        cf = cylinder_correspondence(F, L, W)
-        # the middle context is the pushed one
-        cg = cylinder_correspondence(G, cf.target_L, cf.target_Ldual)
-        direct = cylinder_correspondence(mat_mul(F, G), L, W)
-        comp = compose_correspondences(cg, cf)
-        assert comp.basis == direct.basis
-
-
 def test_index1_from_empty():
     corr = index1_correspondence((), ())
-    assert corr.basis == ((1, 0),)
+    assert hnf(corr.adapted) == ((1, 0),)
     assert corr.adapted_dual == ((0, 1),)
     assert corr.g_minus == 0 and corr.g_plus == 1
 
 
 def test_index2_genus_one():
     corr = index2_correspondence(1, 0, 2, 3)
-    assert corr.basis == ((2, 3),)
+    assert hnf(corr.adapted) == ((2, 3),)
     assert corr.adapted_dual == ((-1, -2),)
     assert corr.g_plus == 0
     assert lagrangian_compose(corr, standard_lagrangian(1)) == ()
-
-
-def test_index1_index2_cancellation():
-    # adding a handle and immediately surgering its meridian is a cylinder
-    for g in (0, 1, 2):
-        L, W = standard_lagrangian(g), standard_dual(g)
-        i1 = index1_correspondence(L, W)
-        i2 = index2_correspondence(g + 1, g, 1, 0)
-        comp = compose_correspondences(i2, i1)
-        if g:
-            ident = cylinder_correspondence(identity_matrix(2 * g), L, W)
-            assert comp.basis == ident.basis
-        else:
-            assert comp.basis == ()
 
 
 def test_lagrangian_compose_properties():
@@ -290,20 +260,6 @@ def test_lagrangian_compose_properties():
         i1 = index1_correspondence(standard_lagrangian(g), standard_dual(g))
         grown = lagrangian_compose(i1, L)
         assert is_lagrangian(grown, g + 1)
-
-
-def test_compose_associativity():
-    rng = random.Random(17)
-    for _ in range(10):
-        g = rng.randint(1, 2)
-        L, W = standard_lagrangian(g), standard_dual(g)
-        c1 = cylinder_correspondence(_random_symplectic(rng, g), L, W)
-        c2 = index1_correspondence(L, W)
-        c3 = index2_correspondence(g + 1, rng.randint(0, g), 1, 0)
-        lhs = compose_correspondences(c3, compose_correspondences(c2, c1))
-        rhs = compose_correspondences(compose_correspondences(c3, c2), c1)
-        assert lhs.basis == rhs.basis
-        assert isinstance(lhs, Correspondence)
 
 
 def test_adapted_bases_pair_to_identity():
@@ -369,7 +325,7 @@ def _cylinder_reference(F, L_rows, Ldual_rows):
         _pad(None, apply(W[i]), g, g) for i in range(g)
     ]
     corr = Correspondence(
-        g_minus=g, g_plus=g, basis=hnf(rows), adapted=_freeze(rows),
+        g_minus=g, g_plus=g, adapted=_freeze(rows),
         adapted_dual=_freeze(dual), plus_block=tuple(range(g, 2 * g)),
         source_L=U, source_Ldual=W,
         target_L=tuple(apply(U[i]) for i in range(g)),
@@ -412,7 +368,7 @@ def _index1_reference(L_rows, Ldual_rows, position=None):
         emb(W[j]) for j in range(pos, g)
     ]
     corr = Correspondence(
-        g_minus=g, g_plus=gp, basis=hnf(rows), adapted=_freeze(rows),
+        g_minus=g, g_plus=gp, adapted=_freeze(rows),
         adapted_dual=_freeze(dual), plus_block=tuple(slot_rows),
         source_L=U, source_Ldual=W, target_L=tuple(slot_L),
         target_Ldual=tuple(slot_W),
@@ -449,7 +405,7 @@ def _index2_reference(g, k, alpha, beta, L_rows=None, Ldual_rows=None):
         _pad(None, tb(j), g, gp) for j in range(gp)
     ] + [_pad(tuple(-c for c in delta), None, g, gp)]
     corr = Correspondence(
-        g_minus=g, g_plus=gp, basis=hnf(rows), adapted=_freeze(rows),
+        g_minus=g, g_plus=gp, adapted=_freeze(rows),
         adapted_dual=_freeze(dual), plus_block=tuple(range(gp, 2 * gp)),
         source_L=U, source_Ldual=W,
         target_L=tuple(ta(j) for j in range(gp)),

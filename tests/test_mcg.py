@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 import reference
 from abtqft import mcg
-from abtqft.cobordism import F_cylinder, compose_maps
+from abtqft.cobordism import _context, compose_maps, context_transfer
 from abtqft.cyclotomic import CycNum, field_order, one, q_power
 from abtqft.heisenberg import closed_context, monomial_of, to_finite
 from abtqft.homology import (
     combine,
+    cylinder_frame,
     identity_matrix,
     intersection,
     is_symplectic,
@@ -525,7 +526,8 @@ def test_weil_matches_cylinder_functor():
             w = MappingClass.identity(1)
             for _ in range(3):
                 w = w * f
-                m, _ = F_cylinder(p, ctx, w.matrix, ctx)
+                m = context_transfer(_context(p, *cylinder_frame(
+                    w.matrix, ctx.L, ctx.Ldual)), ctx)
                 S = weil_intertwiner(w.matrix, ctx)
                 assert {k: v for k, v in m.items() if v != 0} == S
 

@@ -112,14 +112,13 @@ class MonomialOp:
 class Correspondence:
     g_minus: int
     g_plus: int
-    basis: tuple
-    adapted: tuple | None = None
-    adapted_dual: tuple | None = None
-    plus_block: tuple | None = None
-    source_L: tuple | None = None
-    source_Ldual: tuple | None = None
-    target_L: tuple | None = None
-    target_Ldual: tuple | None = None
+    adapted: tuple
+    adapted_dual: tuple
+    plus_block: tuple
+    source_L: tuple
+    source_Ldual: tuple
+    target_L: tuple
+    target_Ldual: tuple
 
 
 @dataclass(frozen=True)
@@ -228,13 +227,14 @@ VALID = [
     ("MonomialOp", lambda ns: ns.MonomialOp(3, (((0,), (1,), 2),))),
     ("MonomialOp", lambda ns: ns.MonomialOp(p=5, entries=())),
     ("MonomialOp", lambda ns: ns.MonomialOp(3, ())),
-    ("Correspondence", lambda ns: ns.Correspondence(0, 1, TORUS)),
     ("Correspondence", lambda ns: ns.Correspondence(
-        g_minus=1, g_plus=1, basis=E2, adapted=E2, adapted_dual=F2,
+        0, 1, TORUS, ((0, 1),), (0,), (), (), TORUS, ((0, 1),))),
+    ("Correspondence", lambda ns: ns.Correspondence(
+        g_minus=1, g_plus=1, adapted=E2, adapted_dual=F2,
         plus_block=(1,), source_L=TORUS, source_Ldual=((0, 1),),
         target_L=TORUS, target_Ldual=((0, 1),))),
-    ("Correspondence", lambda ns: ns.Correspondence(1, 0, TORUS, None, None,
-                                                    (), TORUS)),
+    ("Correspondence", lambda ns: ns.Correspondence(1, 0, TORUS, None, (),
+                                                    TORUS, None, (), ())),
     ("FreeWord", lambda ns: ns.FreeWord()),
     ("FreeWord", lambda ns: ns.FreeWord((1, 2, -2, 2))),
     ("FreeWord", lambda ns: ns.FreeWord(letters=[3, -4])),
