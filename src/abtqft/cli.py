@@ -85,6 +85,12 @@ NS_PER_ITEM = {
     "letters": 250,        # composed image letter, and one pass over it
 }
 BUDGET_US = 2 * 10 ** 6
+# The most digits an integer of a ``tqft`` program may have, past the
+# interpreter's default limit of 4,300: ``words`` charges one genus-1
+# cylinder with entries of 33,774 digits over the budget, so every source
+# and cylinder entry of an admitted program is read, while a longer
+# integer, whose reading is quadratic in its digits, is refused unread.
+_PROGRAM_DIGITS = 40000
 _OVER = 2 ** 64  # more items of any kind than the budget admits
 
 
@@ -112,7 +118,14 @@ def _object(pairs):
     return obj if len(obj) == len(pairs) else _Repeated(obj)
 
 
-def _read_doc(path):
+def _read_doc(path, digits=0):
+    """The JSON object in ``path`` ('-' for standard input), with
+    integers of up to ``digits`` digits where the interpreter's own
+    limit is lower."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    lift = 0 < limit < digits
+    if lift:
+        sys.set_int_max_str_digits(digits)
     try:
         if path == "-":
             doc = json.load(sys.stdin, object_pairs_hook=_object)
@@ -121,6 +134,9 @@ def _read_doc(path):
                 doc = json.load(fh, object_pairs_hook=_object)
     except (OSError, ValueError) as exc:
         raise CliError(2, "cannot read input document: %s" % (exc,))
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
     if not isinstance(doc, dict):
         raise CliError(2, "input document must be a JSON object, got %s"
                           % type(doc).__name__)
@@ -540,7 +556,7 @@ def cmd_tqft(args):
         raise CliError(3, "--verify compares the closed form against the "
                           "tensor oracle and needs odd p")
     phi = work.field(args.p)
-    doc = _read_doc(args.input)
+    doc = _read_doc(args.input, _PROGRAM_DIGITS)
     items = _charge_validation(work, doc, args.p)
     try:
         prog = load_program(doc)

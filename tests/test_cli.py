@@ -771,7 +771,7 @@ def _cli_env():
 def _process(argv, doc=None, runner=("-m", "abtqft.cli")):
     return subprocess.run(
         [sys.executable, *runner, *argv], capture_output=True, text=True,
-        input="" if doc is None else json.dumps(doc), env=_cli_env(),
+        input="" if doc is None else _dumps(doc), env=_cli_env(),
         timeout=120)
 
 
@@ -1605,19 +1605,16 @@ def _long_transvection_cylinders(g, steps):
     return _transvection_cylinders(g, steps, 10 ** 30)
 
 
-@contextlib.contextmanager
-def _long_integers():
-    """Integers of any length through ``json`` in this process: a long
-    program's target can have more digits than the interpreter's
-    default limit converts.  An interpreter older than the limit has
-    none to lift."""
+def _dumps(doc):
+    """``json.dumps`` of a test's input document, whose integers may have
+    more digits than the interpreter writes by default; the program
+    reads it under its own limits."""
     if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
+        return json.dumps(doc)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        yield
+        return json.dumps(doc)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -1642,27 +1639,47 @@ def test_largest_cylinder_program_is_admitted(monkeypatch, capsys, g,
                                               program, steps):
     # the largest programs the budget admits at p = 3, priced by `steps`
     # and, as the carried entries grow, by `words`, end in time in a
-    # fresh process; the twists at genus 1 outgrow the default limit on
-    # integer digits, so the child reads its document without one
-    with _long_integers():
-        start = time.perf_counter()
-        proc = _process(["tqft", "--p", "3", "-"], program(g, steps),
-                        runner=("-X", "int_max_str_digits=0", "-m",
-                                "abtqft.cli"))
-        elapsed = time.perf_counter() - start
-        assert proc.returncode == 0, proc.stderr
-        assert elapsed < 2.5
-        entries = json.loads(proc.stdout)["map"]["entries"]
-        labels = set(itertools.product(range(3), repeat=g))
-        assert {tuple(e["source"]) for e in entries} == labels
-        assert {tuple(e["target"]) for e in entries} == labels
-        if program is _identity_cylinders:
-            assert all(e["source"] == e["target"] for e in entries)
-        # one step more is refused, before any map is computed
-        _never(monkeypatch, "abtqft.cobordism.F_program")
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
-            program(g, steps + 1))))
-        _refused(capsys, ["tqft", "--p", "3", "-"], within=2.5)
+    # fresh process; the twists' target at genus 1 has 4,757 digits, more
+    # than the interpreter reads by default
+    start = time.perf_counter()
+    proc = _process(["tqft", "--p", "3", "-"], program(g, steps))
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 2.5
+    entries = json.loads(proc.stdout)["map"]["entries"]
+    labels = set(itertools.product(range(3), repeat=g))
+    assert {tuple(e["source"]) for e in entries} == labels
+    assert {tuple(e["target"]) for e in entries} == labels
+    if program is _identity_cylinders:
+        assert all(e["source"] == e["target"] for e in entries)
+    # one step more is refused, before any map is computed
+    _never(monkeypatch, "abtqft.cobordism.F_program")
+    monkeypatch.setattr("sys.stdin", io.StringIO(_dumps(
+        program(g, steps + 1))))
+    _refused(capsys, ["tqft", "--p", "3", "-"], within=2.5)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on int to str conversion")
+@pytest.mark.parametrize("digits, code", [(33774, 6), (40000, 6),
+                                          (40001, 2)])
+def test_program_entries_are_read_as_far_as_the_budget_admits(
+        monkeypatch, capsys, digits, code):
+    # one genus-1 cylinder [[N, N - 1], [1, 1]] with N = 10^(digits - 1):
+    # its entries are read past the interpreter's limit of 4,300 digits
+    # as far as the budget could admit them, and the price refuses them
+    # (exit 6) before the reading bound does (exit 2)
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        '{"source": {"g": 1, "L": [[1, 0]]}, "steps": [{"kind": '
+        '"cylinder", "matrix": [[1%s, %s], [1, 1]]}], "target": {"g": 1, '
+        '"L": [[1, 0]]}}' % ("0" * (digits - 1), "9" * (digits - 1))))
+    if code == 6:
+        _refused(capsys, ["tqft", "--p", "3", "-"], "validating 1 step(s)")
+    else:
+        report = _run(capsys, ["tqft", "--p", "3", "-"], expect=2)
+        assert report["error"].startswith("cannot read input document")
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_unknown_command_is_a_usage_error(capsys):
