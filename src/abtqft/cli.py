@@ -493,28 +493,29 @@ def _column_bits(rows):
 
 def _charge_validation(work, doc, p):
     """Charge validating the program of ``doc`` from its shape and its
-    entries, before any object is built: each step's frame work at the
-    largest genus the program reaches, the products of carried entries
-    by cylinder entries, and the Hermite forms of the carried Lagrangian
-    at the end.  The carried entries have at most the source's column
-    bits plus each cylinder's; ``load_program`` reports a malformed
-    program.  Return, from the same walk, what the routes of
-    ``F_program`` cost at order p: the largest genus; the labels of the
-    maps built, at most one entry per source label for each index-1 or
-    index-2 step and for the final change of frame (a cylinder builds
-    none); and the tensor pairs of the oracle's index-2 steps, p'^(3g-1)
-    from genus g, with their 2g relation rows each."""
+    entries, before any object is built: first, from the step kinds
+    alone, each step's frame work at the largest genus the program
+    reaches, so an over-long program is refused before its cylinders
+    are read; then the products of carried entries by cylinder entries,
+    and the Hermite forms of the carried Lagrangian at the end.  The
+    carried entries have at most the source's column bits plus each
+    cylinder's; ``load_program`` reports a malformed program.  Return,
+    from the first walk, what the routes of ``F_program`` cost at order
+    p: the largest genus; the labels of the maps built, at most one
+    entry per source label for each index-1 or index-2 step and for the
+    final change of frame (a cylinder builds none); and the tensor pairs
+    of the oracle's index-2 steps, p'^(3g-1) from genus g, with their 2g
+    relation rows each."""
     try:
         g, steps = json_int(doc["source"]["g"]), doc.get("steps", [])
     except (KeyError, TypeError):
         return None
     if g < 0 or not isinstance(steps, list):
         return None
-    pp, source = p_prime(p), g
-    top, bits, words = g, _column_bits(doc["source"].get("L")), 0
+    kinds = [s.get("kind") if isinstance(s, dict) else None for s in steps]
+    pp, source, top = p_prime(p), g, g
     labels = pairs = rows = 0
-    for s in steps:
-        kind = s.get("kind") if isinstance(s, dict) else None
+    for kind in kinds:
         if kind in ("index1", "index2"):
             labels += _power(pp, g) + _power(pp, source)
         if kind == "index2":
@@ -522,12 +523,15 @@ def _charge_validation(work, doc, p):
             rows += 2 * g * _power(pp, 3 * g - 1)
         g += (kind == "index1") - (kind == "index2")
         top = max(top, g)
+    step = "validating %d step(s) up to genus %d" % (len(steps), top)
+    work.add(step, steps=(len(steps) + 2) * (top ** 3 + 32))
+    bits, words = _column_bits(doc["source"].get("L")), 0
+    for s, kind in zip(steps, kinds):
         grow = _column_bits(s.get("matrix")) if kind == "cylinder" else 0
         bits += grow
         words += (bits // 64 + 1) * (grow // 64 + 1)
-    work.add("validating %d step(s) up to genus %d" % (len(steps), top),
-             steps=(len(steps) + 2) * (top ** 3 + 32),
-             words=top ** 3 * (words + 64 * top * (bits // 64 + 1) ** 2))
+    work.add(step, words=top ** 3 * (words
+                                     + 64 * top * (bits // 64 + 1) ** 2))
     return top, labels + _power(pp, g), pairs, rows
 
 

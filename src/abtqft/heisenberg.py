@@ -287,13 +287,28 @@ def right_act_boundary(corr_ctx, minus_elem):
 # -- sparse elimination over the cyclotomic field -------------------------
 
 
+def _monomial_rows(p, relations):
+    """The sparse rows q^e1 [k1] - q^e2 [k2] of two-term monomial
+    relations, from tuples (k1, e1, k2, e2), skipping rows that cancel.
+    A generator, so ``_echelonize`` eliminates each row as it is made
+    and never holds more than its pivots."""
+    for k1, e1, k2, e2 in relations:
+        lead, dec = q_power(p, e1), q_power(p, e2)
+        if k1 != k2:
+            yield {k1: lead, k2: -dec}
+        else:
+            lead = lead - dec
+            if lead != 0:
+                yield {k1: lead}
+
+
 def _echelonize(rows, col_rank):
-    """Reduce sparse relation rows (dicts col -> CycNum) to a pivot map
-    col -> expansion, where each expansion writes the pivot column as a
-    combination of non-pivot columns.  ``col_rank`` orders the columns;
-    pivots prefer low rank.  Relation rows repeat a few pivot values
-    many times, so each distinct pivot value is inverted once per call
-    (``negated_inverses``)."""
+    """Reduce sparse relation rows (dicts col -> CycNum, consumed in
+    order, each one mutated) to a pivot map col -> expansion, where each
+    expansion writes the pivot column as a combination of non-pivot
+    columns.  ``col_rank`` orders the columns; pivots prefer low rank.
+    Relation rows repeat a few pivot values many times, so each distinct
+    pivot value is inverted once per call (``negated_inverses``)."""
     pivots = {}
     negated_inverses = {}
 
@@ -308,7 +323,6 @@ def _echelonize(rows, col_rank):
                 target[c2] = acc
 
     for row in rows:
-        row = dict(row)
         while True:
             live = [c for c in row if c in pivots]
             if not live:
@@ -369,32 +383,17 @@ def _tensor_quotient(p, corr: Correspondence):
             order[pr] = rank
             rank += 1
 
-    generators = [
-        (0, row) for row in ctx_minus.L
-    ] + [
-        (0, row) for row in ctx_minus.Ldual
-    ]
-    rows = []
-    for gen in generators:
-        left = monomial_of(ctx_c, right_act_boundary(ctx_c, gen))
-        right = monomial_of(ctx_minus, to_finite(ctx_minus, *gen))
-        left_d = left.as_dict()
-        right_d = right.as_dict()
-        for z, w in pairs:
-            zt, ze = left_d[z]
-            wt, we = right_d[w]
-            row = {(zt, w): q_power(p, ze)}
-            key = (z, wt)
-            dec = q_power(p, we)
-            if key in row:
-                row[key] = row[key] - dec
-            else:
-                row[key] = -dec
-            row = {c: v for c, v in row.items() if v != 0}
-            if row:
-                rows.append(row)
+    def relations():
+        # (B.h) x w = B x (h.w) for each generator h of the incoming group
+        for gen in tuple(ctx_minus.L) + tuple(ctx_minus.Ldual):
+            left = monomial_of(ctx_c, right_act_boundary(ctx_c, (0, gen)))
+            right = monomial_of(ctx_minus, to_finite(ctx_minus, 0, gen))
+            left, right = left.as_dict(), right.as_dict()
+            for z, w in pairs:
+                (zt, ze), (wt, we) = left[z], right[w]
+                yield (zt, w), ze, (z, wt), we
 
-    pivots = _echelonize(rows, lambda c: order[c])
+    pivots = _echelonize(_monomial_rows(p, relations()), lambda c: order[c])
     return pairs, designated, pivots, ctx_c
 
 
@@ -441,34 +440,24 @@ def induced_map_oracle(p, corr: Correspondence):
 
 
 def commutant_dim(ops, all_labels):
-    """Dimension of the joint commutant of monomial operators."""
+    """Dimension of the joint commutant of monomial operators: the
+    unknowns M[r, c] with q^e(c) M[r, pi(c)] = q^e(s) M[s, c] for each
+    operator b_c -> q^e(c) b_pi(c), where s = pi^-1(r)."""
     n = len(all_labels)
     index = {lab: i for i, lab in enumerate(all_labels)}
-    rows = []
-    for op in ops:
+
+    def relations(op):
         d = op.as_dict()
-        perm = {c: t for c, (t, _) in d.items()}
-        inv_perm = {t: c for c, t in perm.items()}
+        inv_perm = {t: c for c, (t, _) in d.items()}
         for r in all_labels:
+            src = inv_perm[r]
             for c in all_labels:
-                # q^e(c) M[r, pi(c)] - q^e(pi^-1 r) M[pi^-1 r, c] = 0
-                _, e_c = d[c]
-                src = inv_perm[r]
-                _, e_src = d[src]
-                row = {}
-                key1 = (index[r], index[perm[c]])
-                row[key1] = q_power(op.p, e_c)
-                key2 = (index[src], index[c])
-                dec = q_power(op.p, e_src)
-                if key2 in row:
-                    row[key2] = row[key2] - dec
-                else:
-                    row[key2] = -dec
-                row = {k: v for k, v in row.items() if v != 0}
-                if row:
-                    rows.append(row)
-    pivots = _echelonize(rows, lambda c: c)
-    return n * n - len(pivots)
+                yield ((index[r], index[d[c][0]]), d[c][1],
+                       (index[src], index[c]), d[src][1])
+
+    rows = itertools.chain.from_iterable(
+        _monomial_rows(op.p, relations(op)) for op in ops)
+    return n * n - len(_echelonize(rows, lambda c: c))
 
 
 if __name__ == "__main__":

@@ -42,8 +42,6 @@ __all__ = [
     "boundary_word",
     "MappingClass",
     "twist_generators",
-    "BraidWord",
-    "braid_phi",
     "morita_d",
     "theta",
     "t_dual",
@@ -309,62 +307,6 @@ def twist_generators(g):
         }
         return lib
     raise ValueError("twist library covers genus 1 and 2 only")
-
-
-# -- the braid-group quotient ----------------------------------------------
-
-
-class BraidWord(Value):
-    """A word in surface braid letters s<i>, a<r>, b<r> ('-' inverts).
-
-    >>> BraidWord(("s1", "-a2")).letters
-    ('s1', '-a2')
-    """
-
-    __slots__ = ("letters",)
-
-    def __init__(self, letters=()):
-        letters = tuple(letters)
-        set_field(self, "letters", letters)
-        for tok in letters:
-            body = tok[1:] if tok.startswith("-") else tok
-            if (len(body) < 2 or body[0] not in "sab"
-                    or not body[1:].isdigit() or int(body[1:]) < 1):
-                raise ValueError("bad braid letter %r" % (tok,))
-
-
-def braid_phi(word, g):
-    """Image of a braid word in the integral Heisenberg group.
-
-    Every braid generator s<i> maps to the central (1, 0), the surface
-    letters a<r>, b<r> to (0, a_r), (0, b_r), and products follow the
-    group law (k, x)(l, y) = (k + l + x.y, x + y).
-
-    >>> braid_phi(("s1",), 1)
-    (1, (0, 0))
-    >>> braid_phi(("a1", "b1", "-a1", "-b1"), 1)
-    (2, (0, 0))
-    >>> lhs = braid_phi(("s1", "b2", "s1", "a2", "s1"), 2)
-    >>> lhs == braid_phi(("a2", "s1", "b2"), 2)
-    True
-    """
-    letters = word.letters if isinstance(word, BraidWord) else BraidWord(
-        tuple(word)).letters
-    k, x = 0, (0,) * (2 * g)
-    for tok in letters:
-        sign = -1 if tok.startswith("-") else 1
-        body = tok[1:] if sign < 0 else tok
-        kind, idx = body[0], int(body[1:])
-        if kind == "s":
-            k += sign
-            continue
-        if idx > g:
-            raise ValueError("letter %r outside genus %d" % (tok, g))
-        y = [0] * (2 * g)
-        y[idx - 1 if kind == "a" else g + idx - 1] = sign
-        k += intersection(x, y)
-        x = tuple(u + v for u, v in zip(x, y))
-    return (k, x)
 
 
 # -- the crossed homomorphism ----------------------------------------------

