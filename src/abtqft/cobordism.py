@@ -38,6 +38,7 @@ must be supplied as a surgery presentation otherwise.
 from __future__ import annotations
 
 from math import gcd
+from operator import index
 
 from .cyclotomic import field_order, one, p_prime, q_power
 from .heisenberg import (
@@ -111,7 +112,7 @@ class MappingCylinder(Value):
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        matrix = tuple(tuple(int(v) for v in r) for r in matrix)
+        matrix = tuple(tuple(index(v) for v in r) for r in matrix)
         set_field(self, "matrix", matrix)
         if not is_symplectic(matrix):
             raise ValueError("cylinder matrix must preserve the form")
@@ -351,8 +352,10 @@ def F_program(p, prog, mode="auto"):
     index-1 step the label inclusion and an index-2 step the surgery
     map of its frame pair."""
     walk = prog if isinstance(prog, ValidatedProgram) else validate(prog)
-    source = walk.program.source
-    total, g = identity_map(canonical_context(p, source)), source.g
+    final = canonical_context(p, walk.program.target)
+    g = walk.program.source.g
+    unit = one(field_order(p))
+    total = {(c, c): unit for c in labels(p_prime(p), g)}
     for step, surgery in zip(walk.program.steps, walk.surgeries):
         if isinstance(step, Index1):
             m, g = _inclusion(p, g, step.position), g + 1
@@ -363,7 +366,6 @@ def F_program(p, prog, mode="auto"):
         else:
             continue
         total = compose_maps(m, total)
-    final = canonical_context(p, walk.program.target)
     if walk.frame != (final.L, final.Ldual):
         last = _context(p, *walk.frame)
         total = compose_maps(context_transfer(last, final), total)

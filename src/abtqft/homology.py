@@ -4,8 +4,11 @@ correspondences between surface homology groups.
 Homology classes are integer row vectors in coordinates
 ``(a_1, ..., a_g, b_1, ..., b_g)`` with the intersection form
 ``a_i . b_i = 1``.  Sublattices are stored as Hermite-normal-form row
-bases, which gives decidable equality; saturation (primitive hull) is
-computed by a double kernel, so no Smith-form machinery is needed.
+bases, which gives decidable equality.  A Lagrangian is primitive when
+its transposed Hermite basis has the identity as Hermite form, and its
+dual basis is read off the transform of one more Hermite form; the
+double-kernel saturation (primitive hull) serves only
+``lagrangian_compose``, so no Smith-form machinery is needed.
 Maps act on row vectors from the right: the matrix of ``g o f`` is
 ``F @ G``.
 
@@ -22,6 +25,7 @@ and the surgery projection of ``cobordism``.
 from __future__ import annotations
 
 from math import gcd
+from operator import index
 
 from .value import Value, set_field
 
@@ -36,7 +40,6 @@ __all__ = [
     "identity_matrix",
     "hnf",
     "left_kernel",
-    "solve_left",
     "lattice_intersect",
     "saturate",
     "is_lagrangian",
@@ -57,7 +60,7 @@ __all__ = [
 
 
 def _freeze(rows):
-    return tuple(tuple(int(c) for c in row) for row in rows)
+    return tuple(tuple(index(c) for c in row) for row in rows)
 
 
 def mat_transpose(A):
@@ -147,15 +150,23 @@ def hnf(rows, with_transform=False):
     above each pivot; zero rows are dropped from the basis.
 
     With ``with_transform`` also returns the unimodular U with
-    ``U @ rows == stacked(H, zero rows)``.
+    ``U @ rows == stacked(H, zero rows)``, and the rank: the row
+    operations then run over [rows | I], and over the rows alone
+    otherwise.  Rows of different lengths raise ``ValueError``.
 
     >>> hnf(((2, 4), (1, 1)))
     ((1, 1), (0, 2))
+    >>> hnf(((2, 4), (1, 1)), with_transform=True)
+    (((1, 1), (0, 2)), ((0, 1), (1, -2)), 2)
     """
-    A = [list(r) for r in rows]
+    A = [list(r) for r in _freeze(rows)]
     n = len(A)
     m = len(A[0]) if n else 0
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    if any(len(row) != m for row in A):
+        raise ValueError("rows must have equal length")
+    if with_transform:
+        for i, row in enumerate(A):
+            row.extend(int(i == j) for j in range(n))
     r = 0
     for c in range(m):
         while True:
@@ -165,16 +176,13 @@ def hnf(rows, with_transform=False):
             i0 = min(nz, key=lambda i: abs(A[i][c]))
             if i0 != r:
                 A[r], A[i0] = A[i0], A[r]
-                U[r], U[i0] = U[i0], U[r]
+            pivot = A[r]
             done = True
             for i in range(r + 1, n):
                 if A[i][c]:
-                    qd = A[i][c] // A[r][c]
+                    qd = A[i][c] // pivot[c]
                     if qd:
-                        for j in range(m):
-                            A[i][j] -= qd * A[r][j]
-                        for j in range(n):
-                            U[i][j] -= qd * U[r][j]
+                        A[i] = [a - qd * b for a, b in zip(A[i], pivot)]
                     if A[i][c]:
                         done = False
             if done:
@@ -182,18 +190,15 @@ def hnf(rows, with_transform=False):
         if r < n and A[r][c]:
             if A[r][c] < 0:
                 A[r] = [-v for v in A[r]]
-                U[r] = [-v for v in U[r]]
+            pivot = A[r]
             for i in range(r):
-                qd = A[i][c] // A[r][c]
+                qd = A[i][c] // pivot[c]
                 if qd:
-                    for j in range(m):
-                        A[i][j] -= qd * A[r][j]
-                    for j in range(n):
-                        U[i][j] -= qd * U[r][j]
+                    A[i] = [a - qd * b for a, b in zip(A[i], pivot)]
             r += 1
-    basis = _freeze(A[:r])
+    basis = tuple(tuple(row[:m]) for row in A[:r])
     if with_transform:
-        return basis, _freeze(U), r
+        return basis, tuple(tuple(row[m:]) for row in A), r
     return basis
 
 
@@ -208,33 +213,6 @@ def left_kernel(A):
         return ()
     _, U, rank = hnf(A, with_transform=True)
     return hnf(U[rank:])
-
-
-def solve_left(A, b):
-    """An integer solution x of x @ A == b, or None."""
-    A = _freeze(A)
-    if not A:
-        return None if any(b) else ()
-    H, U, rank = hnf(A, with_transform=True)
-    m = len(A[0])
-    res = [int(v) for v in b]
-    y = [0] * rank
-    pivots = []
-    for i in range(rank):
-        col = next(j for j in range(m) if H[i][j])
-        pivots.append(col)
-    for i in range(rank):
-        c = pivots[i]
-        if res[c] % H[i][c]:
-            return None
-        q = res[c] // H[i][c]
-        y[i] = q
-        if q:
-            for j in range(m):
-                res[j] -= q * H[i][j]
-    if any(res):
-        return None
-    return combine(y, U)
 
 
 def lattice_intersect(A, B):
@@ -273,24 +251,31 @@ def saturate(A):
 def is_lagrangian(basis, g):
     """True iff the rows span a rank-g isotropic direct summand of Z^2g.
 
+    A rank-g row lattice is a direct summand exactly when the columns of
+    its Hermite form span Z^g, that is when the transposed form has the
+    identity as its own Hermite form.
+
     >>> is_lagrangian(standard_lagrangian(2), 2)
     True
     >>> is_lagrangian(((1, 0), (0, 1)), 1)
     False
     >>> is_lagrangian(((1, 2),), 1)
     True
+    >>> is_lagrangian(((2, 4),), 1)
+    False
     """
     basis = _freeze(basis)
     if any(len(row) != 2 * g for row in basis):
         return False
     H = hnf(basis)
-    if len(H) != g:
-        return False
-    for i in range(len(H)):
-        for j in range(i + 1, len(H)):
-            if intersection(H[i], H[j]):
-                return False
-    return saturate(basis) == H
+    return (_isotropic_of_rank(H, g)
+            and hnf(mat_transpose(H)) == identity_matrix(g))
+
+
+def _isotropic_of_rank(H, g):
+    """Are the rows of a Hermite basis g vectors that pair to zero?"""
+    return len(H) == g and not any(
+        intersection(H[i], H[j]) for i in range(g) for j in range(i + 1, g))
 
 
 def _is_symplectic_basis(rows, modulus=None, form=intersection):
@@ -330,25 +315,23 @@ def symplectic_dual_basis(L_rows, g):
     """A complementary Lagrangian basis (w_1..w_g) with u_i . w_j = delta.
 
     Input rows must span a Lagrangian; the returned pair (U, W) has
-    ``U[i] . W[j] = delta_ij``, W isotropic, and stacked (U, W) a basis
-    of the full lattice.
+    ``U = hnf(L_rows)``, ``U[i] . W[j] = delta_ij``, W isotropic, and
+    stacked (U, W) a basis of the full lattice.  The pairing matrix P,
+    whose row j holds (U[i] . e_j)_i, has the identity as its Hermite
+    form exactly when U is primitive; the first g rows of its transform
+    then solve x @ P = e_i, and an isotropy correction along U makes
+    them pair to zero.
     """
     U = hnf(L_rows)
-    if not is_lagrangian(U, g):
+    if any(len(u) != 2 * g for u in U) or not _isotropic_of_rank(U, g):
         raise ValueError("input is not a Lagrangian basis")
-    # solve U . w_j = e_j one column at a time
-    pair_matrix = tuple(
-        tuple(intersection(U[i], tuple(1 if k == j else 0 for k in range(2 * g)))
-              for i in range(g))
-        for j in range(2 * g)
-    )  # (2g x g): row j holds (U[i] . e_j)_i
-    W = []
-    for jcol in range(g):
-        target = tuple(1 if i == jcol else 0 for i in range(g))
-        x = solve_left(pair_matrix, target)
-        if x is None:
-            raise ArithmeticError("no integral dual vector; lattice not primitive")
-        W.append(x)
+    # u . a_j = -u_(g+j) and u . b_j = u_j
+    pair_matrix = mat_transpose([tuple(-v for v in u[g:]) + u[:g]
+                                 for u in U])
+    H, T, _ = hnf(pair_matrix, with_transform=True)
+    if H != identity_matrix(g):
+        raise ValueError("input is not a Lagrangian basis")
+    W = T[:g]
     # isotropy correction W' = W + C.U with C - C^T = -S, S = pairwise form
     W2 = tuple(
         combine((1,) + tuple(-intersection(W[i], W[j])

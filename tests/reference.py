@@ -14,7 +14,12 @@ pushed the source Lagrangian through each step's ambient
 correspondence, which the walk carrying the frames in ``cobordism``
 replaced; the change of frame that split each label's class on its
 own, which ``cobordism.context_transfer`` replaced by splitting the old
-dual vectors once; and small public helpers that only the tests used.
+dual vectors once; the Hermite form that updated a separate transform
+whether or not it was asked for, the primitivity test by double-kernel
+saturation and the dual basis solved one column at a time, which
+``homology`` replaced by one Hermite form of the transposed basis and
+one of the pairing matrix; and small public helpers that only the tests
+used.
 """
 
 import itertools
@@ -32,13 +37,16 @@ from abtqft.cyclotomic import (
 )
 from abtqft.heisenberg import to_finite
 from abtqft.homology import (
+    _is_symplectic_basis,
     cylinder_correspondence,
     combine,
     hnf,
     index1_correspondence,
     index2_correspondence,
+    intersection,
     lagrangian_compose,
     mat_mul,
+    saturate,
     standard_dual,
     standard_lagrangian,
 )
@@ -418,3 +426,129 @@ def context_transfer(ctx_from, ctx_to):
         k, _, beta = to_finite(ctx_to, 0, combine(c, ctx_from.Ldual))
         out[(beta, c)] = q_power(ctx_from.p, k)
     return out
+
+
+# -- Lagrangian frames by saturation and one dual vector at a time ---------
+
+
+def separate_transform_hnf(rows, with_transform=False):
+    """The row Hermite normal form as ``homology.hnf`` computed it: the
+    transform kept as a separate n x n matrix and updated beside the
+    rows whether or not it was asked for."""
+    A = [list(r) for r in rows]
+    n = len(A)
+    m = len(A[0]) if n else 0
+    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    r = 0
+    for c in range(m):
+        while True:
+            nz = [i for i in range(r, n) if A[i][c]]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(A[i][c]))
+            if i0 != r:
+                A[r], A[i0] = A[i0], A[r]
+                U[r], U[i0] = U[i0], U[r]
+            done = True
+            for i in range(r + 1, n):
+                if A[i][c]:
+                    qd = A[i][c] // A[r][c]
+                    if qd:
+                        for j in range(m):
+                            A[i][j] -= qd * A[r][j]
+                        for j in range(n):
+                            U[i][j] -= qd * U[r][j]
+                    if A[i][c]:
+                        done = False
+            if done:
+                break
+        if r < n and A[r][c]:
+            if A[r][c] < 0:
+                A[r] = [-v for v in A[r]]
+                U[r] = [-v for v in U[r]]
+            for i in range(r):
+                qd = A[i][c] // A[r][c]
+                if qd:
+                    for j in range(m):
+                        A[i][j] -= qd * A[r][j]
+                    for j in range(n):
+                        U[i][j] -= qd * U[r][j]
+            r += 1
+    basis = tuple(tuple(row) for row in A[:r])
+    if with_transform:
+        return basis, tuple(tuple(row) for row in U), r
+    return basis
+
+
+def solve_left(A, b):
+    """An integer solution x of x @ A == b, or None."""
+    A = tuple(tuple(row) for row in A)
+    if not A:
+        return None if any(b) else ()
+    H, U, rank = separate_transform_hnf(A, with_transform=True)
+    m = len(A[0])
+    res = [int(v) for v in b]
+    y = [0] * rank
+    pivots = []
+    for i in range(rank):
+        col = next(j for j in range(m) if H[i][j])
+        pivots.append(col)
+    for i in range(rank):
+        c = pivots[i]
+        if res[c] % H[i][c]:
+            return None
+        q = res[c] // H[i][c]
+        y[i] = q
+        if q:
+            for j in range(m):
+                res[j] -= q * H[i][j]
+    if any(res):
+        return None
+    return combine(y, U)
+
+
+def is_lagrangian(basis, g):
+    """Rank g, isotropic, and equal to its saturation by a double
+    kernel."""
+    basis = tuple(tuple(row) for row in basis)
+    if any(len(row) != 2 * g for row in basis):
+        return False
+    H = hnf(basis)
+    if len(H) != g:
+        return False
+    for i in range(len(H)):
+        for j in range(i + 1, len(H)):
+            if intersection(H[i], H[j]):
+                return False
+    return saturate(basis) == H
+
+
+def symplectic_dual_basis(L_rows, g):
+    """The complementary basis found by solving U . w_j = e_j one column
+    at a time, then corrected along U to be isotropic."""
+    U = separate_transform_hnf(L_rows)
+    if not is_lagrangian(U, g):
+        raise ValueError("input is not a Lagrangian basis")
+    pair_matrix = tuple(
+        tuple(intersection(U[i], tuple(1 if k == j else 0
+                                       for k in range(2 * g)))
+              for i in range(g))
+        for j in range(2 * g)
+    )
+    W = []
+    for jcol in range(g):
+        target = tuple(1 if i == jcol else 0 for i in range(g))
+        x = solve_left(pair_matrix, target)
+        if x is None:
+            raise ArithmeticError("no integral dual vector; lattice not "
+                                  "primitive")
+        W.append(x)
+    W2 = tuple(
+        combine((1,) + tuple(-intersection(W[i], W[j])
+                             for j in range(i + 1, g)), (W[i],) + U[i + 1:])
+        for i in range(g)
+    )
+    if not _is_symplectic_basis(U + W2):
+        raise ArithmeticError("dual basis does not complete a symplectic "
+                              "basis")
+    return U, W2

@@ -197,6 +197,10 @@ def test_tqft_error_codes(tmp_path, capsys):
         "source": {"g": 1, "L": [[1, 0]]}, "steps": [],
         "target": {"g": 0, "L": []}})
     _run(capsys, ["tqft", mismatch, "--p", "3"], expect=4)
+    ragged = _doc(tmp_path, "r.json", {
+        "source": {"g": 2, "L": [[1, 0, 0, 0], [1]]}, "steps": [],
+        "target": {"g": 2, "L": [[1, 0, 0, 0], [0, 1, 0, 0]]}})
+    _run(capsys, ["tqft", ragged, "--p", "3"], expect=2)
     composite = _doc(tmp_path, "c.json", {
         "source": {"g": 1, "L": [[1, 0]]},
         "steps": [{"kind": "index1"},

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from abtqft import cobordism
+from abtqft import cobordism, homology
 from abtqft.cyclotomic import field_order, one, q_power
 from abtqft.cobordism import (
     CobObject,
@@ -39,6 +39,7 @@ from abtqft.homology import (
     identity_matrix,
     index1_frame,
     intersection,
+    is_lagrangian,
     mat_mul,
     standard_dual,
     standard_lagrangian,
@@ -99,6 +100,48 @@ def test_object_and_step_validation():
         Index2(0, 2, 4)
     # hnf canonicalization on construction
     assert CobObject(g=1, L=((-1, 0),)).L == ((1, 0),)
+
+
+def test_float_entries_are_refused_not_truncated():
+    with pytest.raises(TypeError):
+        MappingCylinder(((1.7, 0), (0, 1.2)))
+    with pytest.raises(TypeError):
+        CobObject(1, ((1.5, 0),))
+    # the library reads booleans as the integers they are
+    assert MappingCylinder(((True, False), (False, True))).matrix == ((1, 0),
+                                                                      (0, 1))
+    assert CobObject(1, ((True, False),)) == TORUS
+
+
+def _count_hermite_forms(monkeypatch):
+    """Wrap ``homology.hnf`` wherever a module of the package holds it;
+    the returned list grows by one entry per Hermite form."""
+    calls, original = [], hnf
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (homology, cobordism):
+        monkeypatch.setattr(module, "hnf", counted)
+    return calls
+
+
+def test_frames_take_two_hermite_forms(monkeypatch):
+    g = 3
+    L = mat_mul(standard_lagrangian(g), _random_symplectic(random.Random(7), g))
+    prog = CobordismProgram(CobObject(2, standard_lagrangian(2)),
+                            (Index2(0, 1, 0),), TORUS)
+    calls = _count_hermite_forms(monkeypatch)
+    symplectic_dual_basis(L, g)
+    assert len(calls) == 2
+    del calls[:]
+    assert is_lagrangian(L, g)
+    assert len(calls) == 2
+    del calls[:]
+    assert F_program(3, prog, "closed")
+    # the source's frame and the walk's end, then the target's frame
+    assert len(calls) == 5
 
 
 def test_validate_empty_and_mismatch():
@@ -467,6 +510,29 @@ def test_program_closed_route_equals_oracle(p, word, gamma):
         prog = CobordismProgram(TORUS, steps + (Index2(0, *gamma),), POINT)
     closed = F_program(p, prog, "closed")
     assert closed and closed == F_program(p, prog, "oracle")
+
+
+_HANDLE_TWISTS = ("ta1", "ta1'", "tb1", "tb1'", "ta2", "ta2'", "tb2", "tb2'")
+
+
+@settings(max_examples=150, deadline=None)
+@given(word=st.lists(st.sampled_from(_HANDLE_TWISTS), max_size=4),
+       handle=st.integers(0, 1), gamma=_PRIMITIVE)
+def test_genus_two_closed_route_equals_oracle(word, handle, gamma):
+    """Genus-2 programs at p = 3, 243 tensor pairs each: a cylinder on a
+    word of per-handle twists, which keeps the carried frame split, so
+    that the primitive class of the index-2 step after it meets one
+    frame pair."""
+    lib = twist_generators(2)
+    f = MappingClass.identity(2)
+    for name in word:
+        f = f * lib[name]
+    source = CobObject(2, standard_lagrangian(2))
+    steps = (MappingCylinder(f.matrix), Index2(handle, *gamma))
+    g, L = reference.ambient_chain(source, steps)[-1]
+    prog = CobordismProgram(source, steps, CobObject(g, L))
+    closed = F_program(3, prog, "closed")
+    assert closed and closed == F_program(3, prog, "oracle")
 
 
 def test_monoidal_product():

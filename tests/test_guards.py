@@ -10,10 +10,15 @@ diagonalization for the prime 2; its other check, a pivot row left
 uncleared, cannot fail once the pivot has the least valuation.  Three
 more guards have no case because no input reaches them: the
 unimodularity of ``symplectic_complete`` (the extended Euclid gives it), the output check
-of ``symplectic_dual_basis`` (its input is checked to be a Lagrangian,
-and the isotropy correction then makes the basis symplectic), and the
-agreement of the three closed forms in ``cocycle_c`` (for any integer
-matrix they are the same bilinear expression).
+of ``symplectic_dual_basis`` (its input is checked to be of rank g and
+isotropic, and its pairing matrix to have the identity as Hermite form,
+so the transform rows pair to the identity with the Lagrangian and the
+isotropy correction makes the basis symplectic), and the agreement of
+the three closed forms in ``cocycle_c`` (for any integer matrix they are
+the same bilinear expression).  ``symplectic_dual_basis`` has no
+"no integral dual vector" guard: a Lagrangian that is not a direct
+summand fails the Hermite-form check and raises the documented
+``ValueError``, as it did before through ``is_lagrangian``.
 """
 
 import os

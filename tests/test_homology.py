@@ -25,13 +25,13 @@ from abtqft.homology import (
     left_kernel,
     mat_mul,
     saturate,
-    solve_left,
     standard_dual,
     standard_lagrangian,
     symplectic_complete,
     symplectic_dual_basis,
 )
-from reference import row_span_equal
+import reference
+from reference import row_span_equal, solve_left
 
 
 def _random_transvection(rng, g):
@@ -464,6 +464,139 @@ def test_constructors_match_the_references_field_by_field():
                              _index2_reference(g, 0, 1, 0))
                 count += 1
     assert count > 300
+
+
+# -- references: the Hermite form with a separate transform, primitivity
+# -- by saturation and the dual basis solved one column at a time
+
+
+def _big_symplectic(rng, g):
+    """A word of one to four transvections x -> x + k (x.v) v, v with
+    entries in {-1, 0, 1}, whose product has entries of up to about 30
+    digits."""
+    digits, factors = rng.randint(1, 30), rng.randint(1, 4)
+    F = identity_matrix(2 * g)
+    for _ in range(factors if g else 0):
+        v = (0,) * (2 * g)
+        while not any(v):
+            v = tuple(rng.randint(-1, 1) for _ in range(2 * g))
+        k = rng.randint(-10 ** (digits // factors), 10 ** (digits // factors))
+        F = mat_mul(F, tuple(
+            tuple(int(i == j) + k * intersection(unit, v) * v[j]
+                  for j in range(2 * g))
+            for i, unit in enumerate(identity_matrix(2 * g))))
+    return F
+
+
+def test_hnf_transform_matches_the_plain_form_and_the_reference():
+    rng = random.Random(21)
+    cases = [(), ((),), ((), ()), ((0, 0), (0, 0)), ((0, 0, 0),),
+             ((0, 1), (0, 0), (2, 3))]
+    for _ in range(300):
+        n, m = rng.randint(0, 6), rng.randint(0, 6)
+        rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(m)]
+                for _ in range(n)]
+        if n and rng.random() < 0.3:
+            rows[rng.randrange(n)] = [0] * m
+        cases.append(tuple(map(tuple, rows)))
+    for rows in cases:
+        H, U, rank = hnf(rows, with_transform=True)
+        assert H == hnf(rows) and rank == len(H)
+        assert (H, U, rank) == reference.separate_transform_hnf(rows, True)
+        assert H == reference.separate_transform_hnf(rows)
+        if rows and rows[0]:
+            assert mat_mul(U, rows) == H + ((0,) * len(rows[0]),) * (
+                len(rows) - rank)
+
+
+def test_hnf_refuses_rows_of_different_lengths():
+    for rows in (((1, 0, 0, 0), (1,)), ((1,), (1, 0))):
+        try:
+            hnf(rows)
+        except ValueError as exc:
+            assert str(exc) == "rows must have equal length"
+        else:
+            raise AssertionError("ragged rows must be refused")
+
+
+def test_is_lagrangian_matches_the_saturation_reference():
+    rng = random.Random(22)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        g = rng.randint(0, 3)
+        n = rng.choice((g, g, g - 1, g + 1)) if g else rng.randint(0, 1)
+        width = 2 * g if rng.random() < 0.9 else 2 * g + 1
+        if rng.random() < 0.5 and g:
+            L = mat_mul(standard_lagrangian(g), _random_symplectic(rng, g))
+            rows = [list(r) for r in L]
+            if rng.random() < 0.5:
+                rows[rng.randrange(g)] = [rng.randint(-3, 3) * v
+                                          for v in rows[rng.randrange(g)]]
+        else:
+            rows = [[rng.randint(-2, 2) for _ in range(width)]
+                    for _ in range(max(n, 0))]
+        basis = tuple(map(tuple, rows))
+        got = is_lagrangian(basis, g)
+        assert got == reference.is_lagrangian(basis, g), (basis, g)
+        seen[got] += 1
+    assert min(seen.values()) > 50
+
+
+def test_symplectic_dual_basis_matches_the_per_column_reference():
+    rng = random.Random(23)
+    largest = 0
+    for count in range(520):
+        g = count % 6
+        F = _big_symplectic(rng, g)
+        L = mat_mul(standard_lagrangian(g), F)
+        got = symplectic_dual_basis(L, g)
+        ref = reference.symplectic_dual_basis(L, g)
+        assert got == ref and repr(got) == repr(ref)
+        largest = max([largest] + [len(str(abs(v))) for r in L for v in r])
+    assert largest >= 25
+
+
+def _refused(L, g):
+    for dual_basis in (symplectic_dual_basis,
+                       reference.symplectic_dual_basis):
+        try:
+            dual_basis(L, g)
+        except ValueError as exc:
+            assert str(exc) == "input is not a Lagrangian basis"
+        else:
+            raise AssertionError("%r is not a Lagrangian of genus %d"
+                                 % (L, g))
+
+
+def test_non_lagrangians_raise_the_same_message():
+    _refused(((2, 0),), 1)                            # 2 a_1
+    _refused(((2, 0, 0, 0), (0, 1, 0, 0)), 2)
+    _refused(((1, 0, 0, 0),), 2)                      # rank 1
+    _refused(((1, 0, 0, 0), (0, 0, 1, 0)), 2)         # a_1 . b_1 = 1
+    rng = random.Random(24)
+    for _ in range(60):
+        g = rng.randint(1, 4)
+        F = _big_symplectic(rng, g)
+        U = mat_mul(standard_lagrangian(g), F)
+        W = mat_mul(standard_dual(g), F)
+        k = rng.randint(2, 5)
+        _refused(U[:-1], g)                            # rank deficient
+        _refused(U[:-1] + (combine((1,) * (g - 1), U[:-1]),), g)
+        _refused((combine((k,), U[:1]),) + U[1:], g)   # not primitive
+        if g > 1:
+            _refused((W[1],) + U[1:], g)               # u_2 . w_2 = 1
+            _refused((combine((1, 1), U[:2]), combine((1, -1), U[:2]))
+                     + U[2:], g)                       # index 2
+
+
+def test_float_entries_are_refused():
+    try:
+        is_symplectic(((1.9, 0), (0, 1.0)))
+    except TypeError:
+        pass
+    else:
+        raise AssertionError("a float entry must not be truncated")
+    assert is_symplectic(((True, False), (False, True)))
 
 
 def test_doctests():

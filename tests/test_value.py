@@ -1,7 +1,9 @@
 """The value classes against frozen-dataclass references.
 
 Each reference below is the frozen dataclass the class used to be, with
-its old ``__post_init__``.  Every case is built once from the package's
+its old ``__post_init__``; matrix entries are read with
+``operator.index``, as the classes now read them, so a float or a string
+raises ``TypeError`` rather than being truncated or parsed.  Every case is built once from the package's
 classes and once from the references; construction, validation errors,
 equality, hashes and reprs must agree, and assignment must fail.
 """
@@ -15,6 +17,7 @@ import subprocess
 import sys
 from dataclasses import dataclass, field
 from math import gcd
+from operator import index
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -50,7 +53,8 @@ class MappingCylinder:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "matrix", tuple(tuple(int(v) for v in r) for r in self.matrix)
+            self, "matrix",
+            tuple(tuple(index(v) for v in r) for r in self.matrix)
         )
         if not is_symplectic(self.matrix):
             raise ValueError("cylinder matrix must preserve the form")
