@@ -113,26 +113,20 @@ def test_float_entries_are_refused_not_truncated():
     assert CobObject(1, ((True, False),)) == TORUS
 
 
-def _count_hermite_forms(monkeypatch):
-    """Wrap ``homology.hnf`` wherever a module of the package holds it;
-    the returned list grows by one entry per Hermite form."""
-    calls, original = [], hnf
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for module in (homology, cobordism):
-        monkeypatch.setattr(module, "hnf", counted)
-    return calls
-
-
 def test_frames_take_two_hermite_forms(monkeypatch):
     g = 3
     L = mat_mul(standard_lagrangian(g), _random_symplectic(random.Random(7), g))
     prog = CobordismProgram(CobObject(2, standard_lagrangian(2)),
                             (Index2(0, 1, 0),), TORUS)
-    calls = _count_hermite_forms(monkeypatch)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return hnf(*args, **kwargs)
+
+    # wherever a module of the package holds ``homology.hnf``
+    for module in (homology, cobordism):
+        monkeypatch.setattr(module, "hnf", counted)
     symplectic_dual_basis(L, g)
     assert len(calls) == 2
     del calls[:]

@@ -34,8 +34,8 @@ import reference
 from reference import row_span_equal, solve_left
 
 
-def _random_transvection(rng, g):
-    # x -> x + (x.v) v is symplectic for every integer v
+def _random_transvection(rng, g, k=1):
+    # x -> x + k (x.v) v is symplectic for every integer v and k
     n = 2 * g
     while True:
         v = tuple(rng.randint(-2, 2) for _ in range(n))
@@ -43,7 +43,8 @@ def _random_transvection(rng, g):
             break
     basis = identity_matrix(n)
     return tuple(
-        tuple(basis[i][j] + intersection(basis[i], v) * v[j] for j in range(n))
+        tuple(basis[i][j] + k * intersection(basis[i], v) * v[j]
+              for j in range(n))
         for i in range(n)
     )
 
@@ -471,20 +472,13 @@ def test_constructors_match_the_references_field_by_field():
 
 
 def _big_symplectic(rng, g):
-    """A word of one to four transvections x -> x + k (x.v) v, v with
-    entries in {-1, 0, 1}, whose product has entries of up to about 30
-    digits."""
+    """A word of one to four transvections by large multiples k, whose
+    product has entries of up to about 30 digits."""
     digits, factors = rng.randint(1, 30), rng.randint(1, 4)
     F = identity_matrix(2 * g)
     for _ in range(factors if g else 0):
-        v = (0,) * (2 * g)
-        while not any(v):
-            v = tuple(rng.randint(-1, 1) for _ in range(2 * g))
         k = rng.randint(-10 ** (digits // factors), 10 ** (digits // factors))
-        F = mat_mul(F, tuple(
-            tuple(int(i == j) + k * intersection(unit, v) * v[j]
-                  for j in range(2 * g))
-            for i, unit in enumerate(identity_matrix(2 * g))))
+        F = mat_mul(F, _random_transvection(rng, g, k))
     return F
 
 
