@@ -14,8 +14,10 @@ Before each expensive step a command adds the step's predicted run
 time, its items of each kind of work priced by ``NS_PER_ITEM``, to the
 job's total in integer microseconds (``_Work.add``); the step that
 takes the total over ``BUDGET_US`` is refused with exit 6, naming the
-step, its parameters, the predicted work and the budget.  This module
-parses, prices and prints; the rules it applies live in the engine.
+step, its parameters, the predicted work and the budget.  The items come
+from the work function beside each kernel, such as
+``surgery.signature_work``.  This module parses, prices and prints; the
+rules it applies and the work they take live in the engine.
 
 The command line is ``abtqft COMMAND [ARGUMENTS]``.  Options and
 positionals mix in any order; an option takes its value as the next
@@ -44,8 +46,6 @@ import json
 import os
 import re
 import sys
-from itertools import islice
-from math import gcd
 from types import SimpleNamespace
 
 # Each command imports the engine modules it runs inside its handler, so
@@ -54,10 +54,11 @@ from types import SimpleNamespace
 from .cyclotomic import (
     CycNum,
     approx_parts,
-    cyclotomic_polynomial,
+    field_degree,
     field_order,
     from_rational,
     p_prime,
+    p_prime_power,
     q_power,
 )
 from .value import json_int
@@ -91,7 +92,6 @@ BUDGET_US = 2 * 10 ** 6
 # and cylinder entry of an admitted program is read, while a longer
 # integer, whose reading is quadratic in its digits, is refused unread.
 _PROGRAM_DIGITS = 40000
-_OVER = 2 ** 64  # more items of any kind than the budget admits
 
 
 class CliError(Exception):
@@ -180,90 +180,30 @@ class _Work:
         """Charge the field of order M = lcm(8, p); return its degree."""
         m = field_order(p)
         self.add("the cyclotomic field of order %d" % m, field=m * m)
-        return _degree(p)
+        return field_degree(p)
 
+    def sums(self, p, size, free=None, signatures=1):
+        """Charge the signatures and colour sum of a linking matrix."""
+        from .surgery import colour_sum_work, signature_work
 
-def _degree(p):
-    """phi(M), the degree of the field of order M = lcm(8, p)."""
-    return len(cyclotomic_polynomial(field_order(p))) - 1
+        n, bits = size
+        free = n if free is None else free
+        self.add("%d signature(s) of a %d x %d linking matrix"
+                 % (signatures, n, n), **signature_work(n, bits, signatures))
+        self.add("the Gauss sum over %d components at p = %d" % (free, p)
+                 if p % 2 else "the colour sum over %d components, %d^%d "
+                 "colourings" % (free, p_prime(p), free),
+                 **colour_sum_work(p, n, free))
 
+    def averaging(self, p, g, runs):
+        """Charge the field and ``runs`` genus-g Weil intertwiners."""
+        from .mcg import averaging_work
 
-def _power(base, exponent):
-    """base ** exponent for base >= 2, or _OVER when that is larger."""
-    return min(base ** min(exponent, 64), _OVER)
-
-
-def _charge_invariant(work, p, B, free=None, signatures=1, refine=False):
-    """Charge a closed invariant of B: its signatures, whose minors grow
-    with B's entries, the colour sum over ``free`` (all) components and
-    the refinement block: a signature and a printed value per class, and
-    colour sums that together cover the colourings once."""
-    n = len(B)
-    free = n if free is None else free
-    pp, cube = p_prime(p), n ** 3
-    bits = max((abs(x) for row in B for x in row),
-               default=0).bit_length() + 1
-    work.add("%d signature(s) of a %d x %d linking matrix"
-             % (signatures, n, n), pivots=signatures * cube,
-             pivot_bits=signatures * cube * n * bits)
-    if p % 2:
-        work.add("the Gauss sum over %d components at p = %d" % (free, p),
-                 pivots=free ** 3, histogram=free * p * p)
-    else:
-        work.add("the colour sum over %d components, %d^%d colourings"
-                 % (free, pp, free),
-                 colourings=_power(pp, free) * (n * n + 16))
-    if refine:
-        from .surgery import refinement_count
-
-        count = refinement_count(B)
-        k = min(count, _OVER)
-        work.add("the refinement block of 2^%d classes"
-                 % (count.bit_length() - 1),
-                 colourings=_power(pp, n) * (n * n + 16), pivots=k * cube,
-                 pivot_bits=k * cube * n * bits,
-                 printed=k * (_degree(p) + 64))
-
-
-def _lens_chain(beta, alpha):
-    """The linking matrix z_lens surgers for L(beta, alpha), cut at 300
-    unknots, more than the budget admits at any order."""
-    from .surgery import chain_matrix, iter_continued_fraction
-
-    if beta <= 0 or gcd(alpha, beta) != 1:
-        return ((0,),)  # S^2 x S^1, or parameters z_lens refuses
-    return chain_matrix(list(islice(
-        iter_continued_fraction(beta, alpha % beta), 300)))
-
-
-def _charge_heis(work, p, g, op):
-    """Charge a heis job: a genus-g frame, and on the Schrodinger module
-    the field and its p'^g labels, or a commutant's p'^(2g) unknowns."""
-    if op in ("mul", "inverse"):
-        work.add("the genus-%d frame" % g, frame=g ** 3)
-    elif op in ("act", "matrix", "commutant"):
-        phi, pp = work.field(p), p_prime(p)
-        labels = _power(pp, g)
-        if op == "commutant":
-            work.add("the genus-%d commutant system of %d^%d unknowns"
-                     % (g, pp, 2 * g), frame=g ** 3,
-                     entries=2 * g * labels * phi,
-                     unknowns=_power(pp, 2 * g) * phi)
-        else:
-            work.add("the genus-%d Schrodinger module's %d^%d labels"
-                     % (g, pp, g), frame=g ** 3, entries=labels * phi,
-                     printed=labels * (phi + 64))
-
-
-def _charge_weil(work, p, g, runs):
-    """Charge ``runs`` genus-g Weil intertwiners, each p'^(4g) averaging
-    terms and a normalised p'^g x p'^g matrix; return phi."""
-    phi, pp = work.field(p), p_prime(p)
-    work.add("%d Weil intertwiner(s) of genus %d averaging %d^%d terms "
-             "each" % (runs, g, pp, 4 * g), frame=g ** 3,
-             terms=runs * _power(pp, 4 * g),
-             entries=runs * _power(pp, 2 * g) * phi)
-    return phi
+        phi = self.field(p)
+        self.add("%d Weil intertwiner(s) of genus %d averaging %d^%d terms "
+                 "each" % (runs, g, p_prime(p), 4 * g),
+                 **averaging_work(p, g, runs))
+        return phi
 
 
 def scalar_doc(x, digits):
@@ -398,19 +338,27 @@ def _fixed_colors(doc, n):
     return fixed
 
 
-def cmd_invariant(args):
-    from .surgery import matrix_element, signature, z_invariant
+def cmd_invariant(args, command="invariant"):
+    from .surgery import (linking_size, matrix_element, refinement_count,
+                          refinement_work, signature, z_invariant)
 
-    work = _Work("invariant at p = %d" % args.p)
     _check_p(args.p)
+    if command == "refine" and args.p % 4:
+        raise CliError(3, "refinements need p = 0 mod 4, got %d" % args.p)
+    work = _Work("%s at p = %d" % (command, args.p))
     work.field(args.p)
     doc = _read_doc(args.input)
     B = _matrix_from(doc)
-    fixed = _fixed_colors(doc, len(B))
+    fixed = _fixed_colors(doc, len(B)) if command == "invariant" else {}
+    size = linking_size(B)
     # the report's signature, then z_invariant's or matrix_element's
-    _charge_invariant(work, args.p, B, len(B) - len(fixed), 2,
-                      refine=not fixed and args.p % 4 == 0)
-    report = {"command": "invariant", "p": args.p,
+    work.sums(args.p, size, len(B) - len(fixed), 2)
+    if not fixed and args.p % 4 == 0:
+        count = refinement_count(B)
+        work.add("the refinement block of 2^%d classes"
+                 % (count.bit_length() - 1),
+                 **refinement_work(args.p, *size, count))
+    report = {"command": command, "p": args.p,
               "size": len(B), "signature": signature(B)}
     if fixed:
         value = matrix_element(args.p, B, fixed, len(fixed))
@@ -444,30 +392,17 @@ def _refinement_block(p, B, total, digits):
 
 
 def cmd_refine(args):
-    from .surgery import signature, z_invariant
-
-    _check_p(args.p)
-    if args.p % 4:
-        raise CliError(3, "refinements need p = 0 mod 4, got %d" % args.p)
-    work = _Work("refine at p = %d" % args.p)
-    work.field(args.p)
-    doc = _read_doc(args.input)
-    B = _matrix_from(doc)
-    _charge_invariant(work, args.p, B, signatures=2, refine=True)
-    total = z_invariant(args.p, B)
-    return {"command": "refine", "p": args.p, "size": len(B),
-            "signature": signature(B),
-            "value": scalar_doc(total, args.digits),
-            "refinement": _refinement_block(args.p, B, total, args.digits)}
+    """``invariant`` without fixed colours, at p = 0 mod 4 only."""
+    return cmd_invariant(args, "refine")
 
 
 def cmd_lens(args):
-    from .surgery import z_lens
+    from .surgery import lens_size, z_lens
 
     work = _Work("lens L(%d, %d) at p = %d" % (args.beta, args.alpha, args.p))
     _check_p(args.p)
     work.field(args.p)
-    _charge_invariant(work, args.p, _lens_chain(args.beta, args.alpha))
+    work.sums(args.p, lens_size(args.beta, args.alpha))
     try:
         value = z_lens(args.p, args.beta, args.alpha)
     except ValueError as exc:
@@ -480,78 +415,12 @@ def cmd_lens(args):
 # -- tqft ------------------------------------------------------------------
 
 
-def _column_bits(rows):
-    """Bits by which a row vector times integer rows can grow: those of
-    the largest column sum of absolute values, less one; 0 if the rows
-    are malformed, which ``load_program`` reports."""
-    try:
-        return (max(sum(abs(json_int(v)) for v in column)
-                    for column in zip(*rows)) - 1).bit_length()
-    except (TypeError, ValueError):
-        return 0
-
-
-def _charge_validation(work, doc, p):
-    """Charge validating the program of ``doc`` from its shape and its
-    entries, before any object is built: first, from the step kinds
-    alone, each step's frame work at the largest genus the program
-    reaches, so an over-long program is refused before its cylinders
-    are read; then the products of carried entries by cylinder entries,
-    and the Hermite forms of the carried Lagrangian at the end.  The
-    carried entries have at most the source's column bits plus each
-    cylinder's; ``load_program`` reports a malformed program.  Return,
-    from the first walk, what the routes of ``F_program`` cost at order
-    p: the largest genus; the labels of the maps built, at most one
-    entry per source label for each index-1 or index-2 step and for the
-    final change of frame (a cylinder builds none); and the tensor pairs
-    of the oracle's index-2 steps, p'^(3g-1) from genus g, with their 2g
-    relation rows each."""
-    try:
-        g, steps = json_int(doc["source"]["g"]), doc.get("steps", [])
-    except (KeyError, TypeError):
-        return None
-    if g < 0 or not isinstance(steps, list):
-        return None
-    kinds = [s.get("kind") if isinstance(s, dict) else None for s in steps]
-    pp, source, top = p_prime(p), g, g
-    labels = pairs = rows = 0
-    for kind in kinds:
-        if kind in ("index1", "index2"):
-            labels += _power(pp, g) + _power(pp, source)
-        if kind == "index2":
-            pairs += _power(pp, 3 * g - 1)
-            rows += 2 * g * _power(pp, 3 * g - 1)
-        g += (kind == "index1") - (kind == "index2")
-        top = max(top, g)
-    step = "validating %d step(s) up to genus %d" % (len(steps), top)
-    work.add(step, steps=(len(steps) + 2) * (top ** 3 + 32))
-    bits, words = _column_bits(doc["source"].get("L")), 0
-    for s, kind in zip(steps, kinds):
-        grow = _column_bits(s.get("matrix")) if kind == "cylinder" else 0
-        bits += grow
-        words += (bits // 64 + 1) * (grow // 64 + 1)
-    work.add(step, words=top ** 3 * (words
-                                     + 64 * top * (bits // 64 + 1) ** 2))
-    return top, labels + _power(pp, g), pairs, rows
-
-
-def _charge_routes(work, p, phi, items, routes):
-    """Charge each route of ``F_program`` the map entries, and the
-    oracle its relation rows, that ``_charge_validation`` returned."""
-    top, labels, pairs, rows = items
-    for route in sorted(routes):
-        work.add("the %s route over the genus-%d Schrodinger module, "
-                 "%d^%d labels" % (route, top, p_prime(p), top),
-                 entries=labels * phi)
-    if "oracle" in routes:
-        work.add("the tensor oracle over %d tensor pairs" % pairs,
-                 tensor_pairs=rows * phi)
-
-
 def cmd_tqft(args):
     from .cobordism import (F_program, MissingClosureError, ProgramError,
                             apply_map, canonical_context, closed_off_lens,
-                            closure_factor, load_program, validate)
+                            closure_factor, entry_work, load_program,
+                            program_work, validate)
+    from .surgery import lens_size, linking_size
 
     work = _Work("tqft at p = %d" % args.p)
     _check_p(args.p)
@@ -561,7 +430,14 @@ def cmd_tqft(args):
                           "tensor oracle and needs odd p")
     phi = work.field(args.p)
     doc = _read_doc(args.input, _PROGRAM_DIGITS)
-    items = _charge_validation(work, doc, args.p)
+    price = program_work(doc, args.p)
+    if price is not None:
+        steps, top, frames, maps, oracle, pairs = price
+        # the frames first, so an over-long program is refused before its
+        # cylinder entries are read
+        step = "validating %d step(s) up to genus %d" % (steps, top)
+        work.add(step, **frames)
+        work.add(step, **entry_work(doc, top))
     try:
         prog = load_program(doc)
     except ProgramError as exc:
@@ -575,15 +451,19 @@ def cmd_tqft(args):
         raise CliError(4, str(exc))
     route = args.mode if args.mode != "auto" else "closed" if odd else "oracle"
     other = "oracle" if route == "closed" else "closed"
-    _charge_routes(work, args.p, phi, items,
-                   {route, other} if args.verify else {route})
+    routes = sorted({route, other} if args.verify else {route})
+    for name in routes:
+        work.add("the %s route over the genus-%d Schrodinger module, %d^%d "
+                 "labels" % (name, top, p_prime(args.p), top), **maps)
+    if "oracle" in routes:
+        work.add("the tensor oracle over %d tensor pairs" % pairs, **oracle)
     # the map has one entry per source label at most
-    labels = _power(p_prime(args.p), prog.source.g)
+    labels = p_prime_power(args.p, prog.source.g)
     if args.normalized:
         lens = closed_off_lens(prog.steps)
         if closure is not None or lens is not None:
-            _charge_invariant(work, args.p, _lens_chain(*lens)
-                              if closure is None else closure)
+            work.sums(args.p, lens_size(*lens) if closure is None
+                      else linking_size(closure))
         work.add("normalising the map", entries=labels * phi)
     work.add("printing the map", printed=labels * (phi + 64))
     try:
@@ -635,64 +515,57 @@ def _parse_triple(doc, key, p, g):
 
 
 def cmd_heis(args):
-    from .heisenberg import (closed_context, commutant_dim, finite_inverse,
-                             finite_mul, monomial_of, schrodinger_act,
+    from .heisenberg import (closed_context, commutant_dim, commutant_work,
+                             finite_inverse, finite_mul, frame_work,
+                             module_work, monomial_of, schrodinger_act,
                              to_finite)
 
     _check_p(args.p)
     doc = _read_doc(args.input)
     op = doc.get("op")
     g = _genus(doc)
-    _charge_heis(_Work("heis %s at p = %d" % (op, args.p)), args.p, g, op)
-    if op == "mul":
+    work = _Work("heis %s at p = %d" % (op, args.p))
+    pp = p_prime(args.p)
+    report = {"command": "heis", "op": op, "p": args.p, "g": g}
+    if op in ("mul", "inverse"):
+        work.add("the genus-%d frame" % g, **frame_work(g))
         x = _parse_triple(doc, "x", args.p, g)
-        y = _parse_triple(doc, "y", args.p, g)
-        k, a, b = finite_mul(closed_context(args.p, g), x, y)
-        return {"command": "heis", "op": "mul", "p": args.p, "g": g,
-                "result": [k, list(a), list(b)]}
-    if op == "inverse":
-        x = _parse_triple(doc, "x", args.p, g)
-        k, a, b = finite_inverse(closed_context(args.p, g), x)
-        return {"command": "heis", "op": "inverse", "p": args.p, "g": g,
-                "result": [k, list(a), list(b)]}
-    if op == "act":
+        if op == "mul":
+            y = _parse_triple(doc, "y", args.p, g)
+            k, a, b = finite_mul(closed_context(args.p, g), x, y)
+        else:
+            k, a, b = finite_inverse(closed_context(args.p, g), x)
+        return dict(report, result=[k, list(a), list(b)])
+    if op in ("act", "matrix"):
+        work.field(args.p)
+        work.add("the genus-%d Schrodinger module's %d^%d labels"
+                 % (g, pp, g), **module_work(args.p, g))
         h = _parse_triple(doc, "element", args.p, g)
         ctx = closed_context(args.p, g)
-        vec = _parse_vector(doc.get("vector", {}), ctx)
-        out = schrodinger_act(ctx, h, vec)
-        return {"command": "heis", "op": "act", "p": args.p, "g": g,
-                "vector": _vector_doc(out, args.digits)}
-    if op == "matrix":
-        h = _parse_triple(doc, "element", args.p, g)
-        m = monomial_of(closed_context(args.p, g), h).as_map()
-        return {"command": "heis", "op": "matrix", "p": args.p, "g": g,
-                "map": _map_doc(m, args.digits)}
+        if op == "act":
+            vec = _parse_vector(doc.get("vector", {}), ctx)
+            return dict(report, vector=_vector_doc(
+                schrodinger_act(ctx, h, vec), args.digits))
+        return dict(report, map=_map_doc(monomial_of(ctx, h).as_map(),
+                                         args.digits))
     if op == "commutant":
+        work.field(args.p)
+        work.add("the genus-%d commutant system of %d^%d unknowns"
+                 % (g, pp, 2 * g), **commutant_work(args.p, g))
         ctx = closed_context(args.p, g)
-        basis = []
-        for i in range(2 * g):
-            e = tuple(1 if j == i else 0 for j in range(2 * g))
-            basis.append(monomial_of(ctx, to_finite(ctx, 0, e)))
-        dim = commutant_dim(basis, ctx.labels())
-        return {"command": "heis", "op": "commutant", "p": args.p, "g": g,
-                "dimension": dim}
+        basis = [monomial_of(ctx, to_finite(ctx, 0, tuple(
+            int(j == i) for j in range(2 * g)))) for i in range(2 * g)]
+        return dict(report, dimension=commutant_dim(basis, ctx.labels()))
     raise CliError(2, "unknown heis op %r" % (op,))
 
 
 # -- mcg -------------------------------------------------------------------
 
 
-def _compose(work, f, h, key, step):
-    """f after h, charged first with its image letters before reduction."""
-    sizes = [len(w.letters) for w in f.images]
-    count = sum(sizes[abs(x) - 1] for w in h.images for x in w.letters)
-    work.add("%s of mapping class %r composes %d image letters"
-             % (step, key, count), letters=count)
-    return f * h
-
-
 def _class_from(work, doc, key, genus):
-    from .mcg import FreeWord, MappingClass, twist_generators
+    from .heisenberg import frame_work
+    from .mcg import (FreeWord, MappingClass, composition_work,
+                      twist_generators)
 
     raw = doc.get(key)
     if raw is None:
@@ -713,11 +586,13 @@ def _class_from(work, doc, key, genus):
             if not isinstance(name, str) or name not in lib:
                 raise CliError(2, "unknown twist %r for genus %d"
                                % (name, genus))
-            f = _compose(work, f, lib[name], key,
-                         "twist %d (%s)" % (step, name))
+            items = composition_work(f, lib[name])
+            work.add("twist %d (%s) of mapping class %r composes %d image "
+                     "letters" % (step, name, key, items["letters"]), **items)
+            f = f * lib[name]
         return f
     if "images" in raw:
-        work.add("the genus-%d class %r" % (genus, key), frame=genus ** 3)
+        work.add("the genus-%d class %r" % (genus, key), **frame_work(genus))
         try:
             images = tuple(FreeWord(tuple(json_int(x) for x in w))
                            for w in raw["images"])
@@ -729,20 +604,20 @@ def _class_from(work, doc, key, genus):
 
 def cmd_mcg(args):
     from .heisenberg import closed_context, compose_maps
-    from .mcg import (cocycle_c, heisenberg_twist, projective_defect, t_dual,
-                      theta, weil_intertwiner)
+    from .mcg import (cocycle_c, composition_work, defect_work,
+                      heisenberg_twist, projective_defect, t_dual, theta,
+                      weil_intertwiner)
 
     _check_p(args.p)
     doc = _read_doc(args.input)
     op = doc.get("op")
     genus = _genus(doc)
     work = _Work("mcg %s at p = %d, g = %d" % (op, args.p, genus))
+    report = {"command": "mcg", "op": op, "p": args.p, "g": genus}
     if op == "theta":
         f = _class_from(work, doc, "f", genus)
         th = theta(f)
-        report = {"command": "mcg", "op": "theta", "p": args.p, "g": genus,
-                  "theta": list(th),
-                  "matrix": [list(r) for r in f.matrix]}
+        report.update(theta=list(th), matrix=[list(r) for r in f.matrix])
         if args.p % 2:
             report["t"] = list(t_dual(th, args.p))
         return report
@@ -751,20 +626,17 @@ def cmd_mcg(args):
             raise CliError(3, "the cocycle needs odd p, got %d" % args.p)
         f = _class_from(work, doc, "f", genus)
         h = _class_from(work, doc, "h", genus)
-        c = cocycle_c(f, h, args.p)
-        report = {"command": "mcg", "op": "cocycle", "p": args.p,
-                  "g": genus, "c": c}
+        report["c"] = c = cocycle_c(f, h, args.p)
         if args.verify:
-            phi = _charge_weil(work, args.p, genus, 3)
-            pp = p_prime(args.p)
-            # two products of p'^g x p'^g matrices and three twists,
-            # p'^(2g) products each
+            work.averaging(args.p, genus, 3)
             work.add("the projective defects, %d^%d products each"
-                     % (pp, 3 * genus),
-                     entries=3 * _power(pp, 3 * genus) * phi)
-            fh = _compose(work, f, h, "f h", "the product f h")
+                     % (p_prime(args.p), 3 * genus),
+                     **defect_work(args.p, genus))
+            items = composition_work(f, h)
+            work.add("the product f h of mapping class 'f h' composes %d "
+                     "image letters" % items["letters"], **items)
             ctx = closed_context(args.p, genus)
-            classes = (f, h, fh)
+            classes = (f, h, f * h)
             S = [weil_intertwiner(x.matrix, ctx) for x in classes]
             # weil_H(x) is the Heisenberg twist of x after S(x)
             H = [compose_maps(heisenberg_twist(x, ctx).as_map(), s)
@@ -785,18 +657,17 @@ def cmd_mcg(args):
                 raise CliError(2, "bad matrix: %s" % (exc,))
         else:
             fs = _class_from(work, doc, "f", genus).matrix
-        phi = _charge_weil(work, args.p, genus, 1)
-        work.add("printing the intertwiner", printed=(phi + 64) * _power(
-            p_prime(args.p), 2 * genus))
+        phi = work.averaging(args.p, genus, 1)
+        work.add("printing the intertwiner", printed=(phi + 64)
+                 * p_prime_power(args.p, 2 * genus))
         ctx = closed_context(args.p, genus)
         try:
             S = weil_intertwiner(fs, ctx)
         except ValueError as exc:
             raise CliError(2, str(exc))
-        return {"command": "mcg", "op": "weil", "p": args.p, "g": genus,
-                "matrix": [list(r) for r in fs],
-                "intertwiner": _map_doc(S, args.digits),
-                "intertwining": "verified by construction"}
+        return dict(report, matrix=[list(r) for r in fs],
+                    intertwiner=_map_doc(S, args.digits),
+                    intertwining="verified by construction")
     raise CliError(2, "unknown mcg op %r" % (op,))
 
 

@@ -40,7 +40,8 @@ from __future__ import annotations
 from math import gcd
 from operator import index
 
-from .cyclotomic import field_order, one, p_prime, q_power
+from .cyclotomic import (field_degree, field_order, one, p_prime,
+                         p_prime_power, q_power)
 from .heisenberg import (
     HeisContext,
     apply_map,
@@ -48,6 +49,8 @@ from .heisenberg import (
     identity_map,
     induced_map_oracle,
     labels,
+    oracle_pairs,
+    oracle_work,
     split_coords,
 )
 from .homology import (
@@ -81,11 +84,11 @@ __all__ = [
     "identity_map",
     "compose_maps",
     "apply_map",
-    "monoidal_product",
     "closed_off_lens",
     "closure_factor",
     "normalized_map",
     "load_program",
+    "program_work", "entry_work",
 ]
 
 
@@ -372,33 +375,6 @@ def F_program(p, prog, mode="auto"):
     return total
 
 
-# -- monoidal structure ---------------------------------------------------
-
-
-def _concat_object(o1: CobObject, o2: CobObject):
-    g = o1.g + o2.g
-    rows = []
-    for r in o1.L:
-        a, b = r[: o1.g], r[o1.g:]
-        rows.append(a + (0,) * o2.g + b + (0,) * o2.g)
-    for r in o2.L:
-        a, b = r[: o2.g], r[o2.g:]
-        rows.append((0,) * o1.g + a + (0,) * o1.g + b)
-    return CobObject(g=g, L=hnf(rows))
-
-
-def monoidal_product(x1, x2):
-    """Product of two objects, or of two maps under label
-    concatenation."""
-    if isinstance(x1, CobObject) and isinstance(x2, CobObject):
-        return _concat_object(x1, x2)
-    result = {}
-    for (z1, w1), v1 in x1.items():
-        for (z2, w2), v2 in x2.items():
-            result[(z1 + z2, w1 + w2)] = v1 * v2
-    return result
-
-
 # -- the normalized (non-projective) functor ------------------------------
 
 
@@ -482,3 +458,51 @@ def load_program(doc):
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProgramError("bad program document: %s" % (exc,)) from exc
+
+
+def program_work(doc, p):
+    """(steps, top genus, frames, maps, oracle, pairs): the items of the
+    walk, of a route and of the oracle at order p, from the step kinds of
+    ``doc`` alone; None where :func:`load_program` refuses ``doc``.  A
+    route builds an entry per source label per index step and frame."""
+    try:
+        g, steps = json_int(doc["source"]["g"]), doc.get("steps", [])
+    except (KeyError, TypeError):
+        return None
+    if g < 0 or not isinstance(steps, list):
+        return None
+    source = top = g
+    labels = pairs = rows = 0
+    for s in steps:
+        kind = s.get("kind") if isinstance(s, dict) else None
+        if kind in ("index1", "index2"):
+            labels += p_prime_power(p, g) + p_prime_power(p, source)
+        if kind == "index2":
+            pairs += oracle_pairs(p, g)
+            rows += oracle_work(p, g)["tensor_pairs"]
+        g += (kind == "index1") - (kind == "index2")
+        top = max(top, g)
+    return (len(steps), top, {"steps": (len(steps) + 2) * (top ** 3 + 32)},
+            {"entries": (labels + p_prime_power(p, g)) * field_degree(p)},
+            {"tensor_pairs": rows}, pairs)
+
+
+def _column_bits(rows):
+    """Bits by which a row vector times these rows grows; 0 if malformed."""
+    try:
+        return (max(sum(abs(json_int(v)) for v in column)
+                    for column in zip(*rows)) - 1).bit_length()
+    except (TypeError, ValueError):
+        return 0
+
+
+def entry_work(doc, top):
+    """The items of the carried entries :func:`validate` multiplies, for a
+    ``doc`` whose :func:`program_work` reaches genus ``top``."""
+    bits, words = _column_bits(doc["source"].get("L")), 0
+    for s in doc.get("steps", []):
+        grow = _column_bits(s.get("matrix")) if isinstance(
+            s, dict) and s.get("kind") == "cylinder" else 0
+        bits += grow
+        words += (bits // 64 + 1) * (grow // 64 + 1)
+    return {"words": top ** 3 * (words + 64 * top * (bits // 64 + 1) ** 2)}

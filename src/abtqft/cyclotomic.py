@@ -44,11 +44,13 @@ __all__ = [
     "from_rational",
     "exponent_sum",
     "field_order",
+    "field_degree",
     "q_power",
     "gauss_sum",
     "sqrt_p_prime",
     "eta_kappa",
     "p_prime",
+    "p_prime_power",
     "approx_parts",
     "to_complex",
 ]
@@ -614,8 +616,18 @@ def field_order(p: int) -> int:
     return 8 * p // math.gcd(8, p)
 
 
+def field_degree(p: int) -> int:
+    """phi(M), the degree of the field of order M = lcm(8, p)."""
+    return len(cyclotomic_polynomial(field_order(p))) - 1
+
+
 def p_prime(p: int) -> int:
     return p if p % 2 else p // 2
+
+
+def p_prime_power(p: int, k: int) -> int:
+    """p'^k for a price: at most 2^64, the exponent cut at 64 first."""
+    return min(p_prime(p) ** min(k, 64), 2 ** 64)
 
 
 def q_power(p: int, e: int) -> CycNum:

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import itertools
 
-from .cyclotomic import field_order, one, p_prime, q_power
+from .cyclotomic import (field_degree, field_order, one, p_prime,
+                         p_prime_power, q_power)
 from .homology import (
     Correspondence,
     _is_symplectic_basis,
@@ -54,6 +55,8 @@ __all__ = [
     "right_act_boundary",
     "induced_map_oracle",
     "commutant_dim",
+    "frame_work", "module_work", "oracle_pairs", "oracle_work",
+    "commutant_work",
 ]
 
 
@@ -104,6 +107,11 @@ def closed_context(p, g):
     """Standard meridian/longitude context on a closed genus-g surface."""
     return HeisContext(p=p, g_minus=0, g_plus=g, L=standard_lagrangian(g),
                        Ldual=standard_dual(g))
+
+
+def frame_work(g):
+    """The items of checking a genus-g frame (:func:`closed_context`)."""
+    return {"frame": g ** 3}
 
 
 def correspondence_context(p, corr: Correspondence):
@@ -230,6 +238,14 @@ def schrodinger_act(ctx, fin, vec):
     """Apply a finite element to {label: CycNum} (missing labels are
     zero)."""
     return apply_map(monomial_of(ctx, fin).as_map(), vec)
+
+
+def module_work(p, g):
+    """The items of an operator on the genus-g Schrodinger module: the
+    frame and its p'^g entries, built and printed."""
+    phi, labels = field_degree(p), p_prime_power(p, g)
+    return {**frame_work(g), "entries": labels * phi,
+            "printed": labels * (phi + 64)}
 
 
 # -- maps as sparse matrices over the cyclotomic field --------------------
@@ -397,13 +413,6 @@ def _tensor_quotient(p, corr: Correspondence):
     return pairs, designated, pivots, ctx_c
 
 
-def bimodule_quotient_dim(p, corr: Correspondence):
-    """Dimension of the tensor-product quotient module; equals the
-    rank of the outgoing state space for every valid correspondence."""
-    pairs, _, pivots, _ = _tensor_quotient(p, corr)
-    return len(pairs) - len(pivots)
-
-
 def induced_map_oracle(p, corr: Correspondence):
     """Matrix of the cobordism map computed from the bimodule tensor
     product, as a dict (out_label, in_label) -> CycNum.
@@ -439,6 +448,18 @@ def induced_map_oracle(p, corr: Correspondence):
     return matrix
 
 
+def oracle_pairs(p, g):
+    """The tensor pairs of :func:`induced_map_oracle` on an index-2 step
+    from genus g: p'^(2g-1) correspondence labels by p'^g incoming ones."""
+    return p_prime_power(p, 3 * g - 1)
+
+
+def oracle_work(p, g):
+    """The items of :func:`induced_map_oracle` on an index-2 step from
+    genus g: each tensor pair with a relation row per generator, 2g."""
+    return {"tensor_pairs": 2 * g * oracle_pairs(p, g) * field_degree(p)}
+
+
 def commutant_dim(ops, all_labels):
     """Dimension of the joint commutant of monomial operators: the
     unknowns M[r, c] with q^e(c) M[r, pi(c)] = q^e(s) M[s, c] for each
@@ -458,6 +479,14 @@ def commutant_dim(ops, all_labels):
     rows = itertools.chain.from_iterable(
         _monomial_rows(op.p, relations(op)) for op in ops)
     return n * n - len(_echelonize(rows, lambda c: c))
+
+
+def commutant_work(p, g):
+    """The items of the genus-g commutant: the frame, 2g operators on
+    p'^g labels and p'^(2g) unknowns."""
+    phi = field_degree(p)
+    return {**frame_work(g), "entries": 2 * g * p_prime_power(p, g) * phi,
+            "unknowns": p_prime_power(p, 2 * g) * phi}
 
 
 if __name__ == "__main__":

@@ -26,8 +26,10 @@ twists, a handle swap and a chain twist mixing the two handles in genus
 two.  Primed names are the inverse twists.
 """
 
-from .cyclotomic import exponent_sum, field_order, one
-from .heisenberg import compose_maps, finite_inverse, monomial_of, to_finite
+from .cyclotomic import (exponent_sum, field_degree, field_order, one,
+                         p_prime_power)
+from .heisenberg import (compose_maps, finite_inverse, frame_work,
+                         monomial_of, to_finite)
 from .homology import (
     _is_symplectic_basis,
     combine,
@@ -50,6 +52,7 @@ __all__ = [
     "weil_H",
     "projective_defect",
     "cocycle_c",
+    "composition_work", "averaging_work", "defect_work",
 ]
 
 
@@ -241,6 +244,14 @@ class MappingClass(Value):
         set_field(product, "images", tuple(images))
         set_field(product, "matrix", mat_mul(other.matrix, self.matrix))
         return product
+
+
+def composition_work(f, h):
+    """The items of ``f * h``: the image letters it expands before
+    reduction, f's image of each letter of h's images."""
+    sizes = [len(w.letters) for w in f.images]
+    return {"letters": sum(sizes[abs(x) - 1]
+                           for w in h.images for x in w.letters)}
 
 
 def _mk(g, image_dict):
@@ -489,6 +500,13 @@ def weil_intertwiner(fsymp, ctx):
         "would not be irreducible")
 
 
+def averaging_work(p, g, runs=1):
+    """The items of ``runs`` genus-g :func:`weil_intertwiner` calls: the
+    frame, p'^(4g) averaging terms and a p'^g x p'^g matrix each."""
+    return {**frame_work(g), "terms": runs * p_prime_power(p, 4 * g),
+            "entries": runs * p_prime_power(p, 2 * g) * field_degree(p)}
+
+
 def heisenberg_twist(f, ctx):
     """The monomial operator rho(0, f_*(t_f)) by which the full
     Heisenberg twist of f differs from the symplectic one (odd order
@@ -545,6 +563,12 @@ def projective_defect(A, B, C):
         if left is None or right is None or left != lam * right:
             raise ValueError("product is not proportional to the reference")
     return lam
+
+
+def defect_work(p, g):
+    """The items of the defects of three genus-g intertwiners: two matrix
+    products and three twists, at most p'^(3g) entry products each."""
+    return {"entries": 3 * p_prime_power(p, 3 * g) * field_degree(p)}
 
 
 def cocycle_c(f, g, p):

@@ -59,14 +59,12 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from itertools import islice
 from math import gcd
+from operator import index
 
-from .cyclotomic import (
-    eta_kappa,
-    exponent_sum,
-    field_order,
-    p_prime,
-)
+from .cyclotomic import (eta_kappa, exponent_sum, field_degree, field_order,
+                         p_prime, p_prime_power)
 
 __all__ = [
     "signature",
@@ -82,11 +80,13 @@ __all__ = [
     "refined_invariant",
     "blow_up",
     "slide",
+    "linking_size", "signature_work", "colour_sum_work", "lens_size",
+    "refinement_work",
 ]
 
 
 def _check_symmetric(B):
-    B = tuple(tuple(int(v) for v in row) for row in B)
+    B = tuple(tuple(index(v) for v in row) for row in B)
     n = len(B)
     for row in B:
         if len(row) != n:
@@ -142,6 +142,19 @@ def signature(B):
                 rk[l] = (pivot * rk[l] - f * row[l]) // last
         last = pivot
     return sig
+
+
+def linking_size(B):
+    """(n, bits): B's components and its largest entry's bits with sign."""
+    return len(B), max((abs(x) for row in B for x in row),
+                       default=0).bit_length() + 1
+
+
+def signature_work(n, bits, count=1):
+    """The items of ``count`` signatures of an n x n matrix with entries
+    of ``bits`` bits: n^3 pivots on minors of up to n times those bits."""
+    cube = n ** 3
+    return {"pivots": count * cube, "pivot_bits": count * cube * n * bits}
 
 
 def _phase_sum(p, B, ranges):
@@ -309,14 +322,23 @@ def _colour_sum(p, B, fixed):
     n = len(B)
     if p % 2 == 0:
         return _phase_sum(p, B, [
-            (int(fixed[i]),) if i in fixed else range(p_prime(p))
+            (fixed[i],) if i in fixed else range(p_prime(p))
             for i in range(n)])
     free = [i for i in range(n) if i not in fixed]
-    colors = [(i, int(fixed[i])) for i in range(n) if i in fixed]
+    colors = [(i, fixed[i]) for i in range(n) if i in fixed]
     A = [[B[i][j] for j in free] for i in free]
     b = [sum(B[i][j] * c for j, c in colors) for i in free]
     k = sum(ci * B[i][j] * cj for i, ci in colors for j, cj in colors)
     return _gauss_sum(p, A, b, k)
+
+
+def colour_sum_work(p, n, free):
+    """The items of ``_colour_sum`` over ``free`` of n components: a Gauss
+    sum's free^3 pivots and p^2 histogram slots per component at odd p;
+    p'^free colourings, each reading the n x n matrix, at even p."""
+    if p % 2:
+        return {"pivots": free ** 3, "histogram": free * p * p}
+    return {"colourings": p_prime_power(p, free) * (n * n + 16)}
 
 
 @lru_cache(maxsize=None)
@@ -349,6 +371,7 @@ def matrix_element(p, B_full, fixed, g_plus):
     by one eta per surgered component plus one per outgoing handle."""
     B_full = _check_symmetric(B_full)
     n = len(B_full)
+    fixed = {index(i): index(c) for i, c in fixed.items()}
     if any(not 0 <= i < n for i in fixed):
         raise ValueError("fixed component index out of range")
     free = [i for i in range(n) if i not in fixed]
@@ -419,6 +442,15 @@ def z_lens(p, beta, alpha):
     if alpha == 0:
         return z_invariant(p, ())
     return z_invariant(p, chain_matrix(continued_fraction(beta, alpha)))
+
+
+def lens_size(beta, alpha):
+    """The :func:`linking_size` of the chain :func:`z_lens` surgers, from
+    its framings (each >= 2), cut at 300 unknots, more than any budget."""
+    if beta <= 0 or gcd(alpha, beta) != 1:
+        return 1, 1  # S^2 x S^1, or parameters z_lens refuses
+    terms = list(islice(iter_continued_fraction(beta, alpha % beta), 300))
+    return len(terms), max(terms, default=0).bit_length() + 1
 
 
 # -- parity refinements (even order only) ---------------------------------
@@ -517,7 +549,7 @@ def refined_invariant(p, B, cls):
     n = len(B)
     if len(cls) != n:
         raise ValueError("class length does not match the matrix")
-    parities = [v % 2 for v in cls]
+    parities = [index(v) % 2 for v in cls]
     if any((sum(x * s for x, s in zip(row, parities)) - r) % 2
            for row, r in zip(B, rhs)):
         raise ValueError("not a refinement class of this presentation")
@@ -527,6 +559,14 @@ def refined_invariant(p, B, cls):
     pp = p_prime(p)
     norm = _normalisation(p, signature(B) % 8, n + 1)
     return norm * _phase_sum(p, B, [range(par, pp, 2) for par in parities])
+
+
+def refinement_work(p, n, bits, count):
+    """The items of ``count`` refinement classes at even p: sums covering
+    the colourings once, and a signature and a printed value per class."""
+    k = min(count, 2 ** 64)
+    return {**colour_sum_work(p, n, n), **signature_work(n, bits, k),
+            "printed": k * (field_degree(p) + 64)}
 
 
 # -- Kirby moves ----------------------------------------------------------

@@ -18,24 +18,39 @@ dual vectors once; the Hermite form that updated a separate transform
 whether or not it was asked for, the primitivity test by double-kernel
 saturation and the dual basis solved one column at a time, which
 ``homology`` replaced by one Hermite form of the transposed basis and
-one of the pairing matrix; and small public helpers that only the tests
-used.
+one of the pairing matrix; the command line's price formulas, which the
+work functions beside each kernel replaced; and small public helpers
+that only the tests used, such as the monoidal product of objects and
+of maps and the dimension of the oracle's quotient module.
 """
 
 import itertools
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
-from abtqft.cobordism import Index1, Index2, MappingCylinder, ProgramError
+from math import gcd
+
+from abtqft import cli
+from abtqft.cobordism import (
+    CobObject,
+    Index1,
+    Index2,
+    MappingCylinder,
+    ProgramError,
+    closed_off_lens,
+    load_program,
+)
+from abtqft.cobordism import validate as cobordism_validate
 from abtqft.cyclotomic import (
     _field,
+    cyclotomic_polynomial,
     exponent_sum,
     field_order,
     make_root,
     one,
     q_power,
 )
-from abtqft.heisenberg import to_finite
+from abtqft.heisenberg import _tensor_quotient, to_finite
 from abtqft.homology import (
     _is_symplectic_basis,
     cylinder_correspondence,
@@ -50,16 +65,20 @@ from abtqft.homology import (
     standard_dual,
     standard_lagrangian,
 )
-from abtqft.mcg import FreeWord
+from abtqft.mcg import FreeWord, MappingClass, twist_generators
 from abtqft.surgery import (
     _check_symmetric,
     _normalisation,
+    chain_matrix,
+    iter_continued_fraction,
     p_prime,
+    refinement_count,
     refinement_kind,
     signature,
     z_invariant,
     z_lens,
 )
+from abtqft.value import json_int
 
 
 def root_q(p):
@@ -552,3 +571,352 @@ def symplectic_dual_basis(L_rows, g):
         raise ArithmeticError("dual basis does not complete a symplectic "
                               "basis")
     return U, W2
+
+
+def bimodule_quotient_dim(p, corr):
+    """Dimension of the tensor-product quotient module; equals the
+    rank of the outgoing state space for every valid correspondence."""
+    pairs, _, pivots, _ = _tensor_quotient(p, corr)
+    return len(pairs) - len(pivots)
+
+
+def _concat_object(o1, o2):
+    g = o1.g + o2.g
+    rows = []
+    for r in o1.L:
+        a, b = r[: o1.g], r[o1.g:]
+        rows.append(a + (0,) * o2.g + b + (0,) * o2.g)
+    for r in o2.L:
+        a, b = r[: o2.g], r[o2.g:]
+        rows.append((0,) * o1.g + a + (0,) * o1.g + b)
+    return CobObject(g=g, L=hnf(rows))
+
+
+def monoidal_product(x1, x2):
+    """Product of two objects, or of two maps under label
+    concatenation."""
+    if isinstance(x1, CobObject) and isinstance(x2, CobObject):
+        return _concat_object(x1, x2)
+    result = {}
+    for (z1, w1), v1 in x1.items():
+        for (z2, w2), v2 in x2.items():
+            result[(z1 + z2, w1 + w2)] = v1 * v2
+    return result
+
+
+
+# -- the command line's prices as they were computed inside it ------------
+#
+# Before the engine modules stated the work of their kernels, the command
+# line priced every kernel itself with the helpers below.  ``charges``
+# replays each command's charges in the order the command made them, so
+# the tests can check that every job is charged the same steps and items.
+
+_OVER = 2 ** 64  # more items of any kind than the budget admits
+
+
+def _degree(p):
+    """phi(M), the degree of the field of order M = lcm(8, p)."""
+    return len(cyclotomic_polynomial(field_order(p))) - 1
+
+
+def _power(base, exponent):
+    """base ** exponent for base >= 2, or _OVER when that is larger."""
+    return min(base ** min(exponent, 64), _OVER)
+
+
+def _charge_field(work, p):
+    """Charge the field of order M = lcm(8, p); return its degree."""
+    m = field_order(p)
+    work.add("the cyclotomic field of order %d" % m, field=m * m)
+    return _degree(p)
+
+
+def _charge_invariant(work, p, B, free=None, signatures=1, refine=False):
+    """Charge a closed invariant of B: its signatures, whose minors grow
+    with B's entries, the colour sum over ``free`` (all) components and
+    the refinement block: a signature and a printed value per class, and
+    colour sums that together cover the colourings once."""
+    n = len(B)
+    free = n if free is None else free
+    pp, cube = p_prime(p), n ** 3
+    bits = max((abs(x) for row in B for x in row),
+               default=0).bit_length() + 1
+    work.add("%d signature(s) of a %d x %d linking matrix"
+             % (signatures, n, n), pivots=signatures * cube,
+             pivot_bits=signatures * cube * n * bits)
+    if p % 2:
+        work.add("the Gauss sum over %d components at p = %d" % (free, p),
+                 pivots=free ** 3, histogram=free * p * p)
+    else:
+        work.add("the colour sum over %d components, %d^%d colourings"
+                 % (free, pp, free),
+                 colourings=_power(pp, free) * (n * n + 16))
+    if refine:
+        count = refinement_count(B)
+        k = min(count, _OVER)
+        work.add("the refinement block of 2^%d classes"
+                 % (count.bit_length() - 1),
+                 colourings=_power(pp, n) * (n * n + 16), pivots=k * cube,
+                 pivot_bits=k * cube * n * bits,
+                 printed=k * (_degree(p) + 64))
+
+
+def _lens_chain(beta, alpha):
+    """The linking matrix z_lens surgers for L(beta, alpha), cut at 300
+    unknots, more than the budget admits at any order."""
+    if beta <= 0 or gcd(alpha, beta) != 1:
+        return ((0,),)  # S^2 x S^1, or parameters z_lens refuses
+    return chain_matrix(list(itertools.islice(
+        iter_continued_fraction(beta, alpha % beta), 300)))
+
+
+def _charge_heis(work, p, g, op):
+    """Charge a heis job: a genus-g frame, and on the Schrodinger module
+    the field and its p'^g labels, or a commutant's p'^(2g) unknowns."""
+    if op in ("mul", "inverse"):
+        work.add("the genus-%d frame" % g, frame=g ** 3)
+    elif op in ("act", "matrix", "commutant"):
+        phi, pp = _charge_field(work, p), p_prime(p)
+        labels = _power(pp, g)
+        if op == "commutant":
+            work.add("the genus-%d commutant system of %d^%d unknowns"
+                     % (g, pp, 2 * g), frame=g ** 3,
+                     entries=2 * g * labels * phi,
+                     unknowns=_power(pp, 2 * g) * phi)
+        else:
+            work.add("the genus-%d Schrodinger module's %d^%d labels"
+                     % (g, pp, g), frame=g ** 3, entries=labels * phi,
+                     printed=labels * (phi + 64))
+
+
+def _charge_weil(work, p, g, runs):
+    """Charge ``runs`` genus-g Weil intertwiners, each p'^(4g) averaging
+    terms and a normalised p'^g x p'^g matrix; return phi."""
+    phi, pp = _charge_field(work, p), p_prime(p)
+    work.add("%d Weil intertwiner(s) of genus %d averaging %d^%d terms "
+             "each" % (runs, g, pp, 4 * g), frame=g ** 3,
+             terms=runs * _power(pp, 4 * g),
+             entries=runs * _power(pp, 2 * g) * phi)
+    return phi
+
+
+def _column_bits(rows):
+    """Bits by which a row vector times integer rows can grow: those of
+    the largest column sum of absolute values, less one; 0 if the rows
+    are malformed."""
+    try:
+        return (max(sum(abs(json_int(v)) for v in column)
+                    for column in zip(*rows)) - 1).bit_length()
+    except (TypeError, ValueError):
+        return 0
+
+
+def _charge_validation(work, doc, p):
+    """Charge validating the program of ``doc`` from the step kinds, then
+    from the bits of its entries; return what its routes cost: the
+    largest genus, the labels of the maps built, the oracle's tensor
+    pairs and their relation rows."""
+    try:
+        g, steps = json_int(doc["source"]["g"]), doc.get("steps", [])
+    except (KeyError, TypeError):
+        return None
+    if g < 0 or not isinstance(steps, list):
+        return None
+    kinds = [s.get("kind") if isinstance(s, dict) else None for s in steps]
+    pp, source, top = p_prime(p), g, g
+    labels = pairs = rows = 0
+    for kind in kinds:
+        if kind in ("index1", "index2"):
+            labels += _power(pp, g) + _power(pp, source)
+        if kind == "index2":
+            pairs += _power(pp, 3 * g - 1)
+            rows += 2 * g * _power(pp, 3 * g - 1)
+        g += (kind == "index1") - (kind == "index2")
+        top = max(top, g)
+    step = "validating %d step(s) up to genus %d" % (len(steps), top)
+    work.add(step, steps=(len(steps) + 2) * (top ** 3 + 32))
+    bits, words = _column_bits(doc["source"].get("L")), 0
+    for s, kind in zip(steps, kinds):
+        grow = _column_bits(s.get("matrix")) if kind == "cylinder" else 0
+        bits += grow
+        words += (bits // 64 + 1) * (grow // 64 + 1)
+    work.add(step, words=top ** 3 * (words
+                                     + 64 * top * (bits // 64 + 1) ** 2))
+    return top, labels + _power(pp, g), pairs, rows
+
+
+def _charge_routes(work, p, phi, items, routes):
+    """Charge each route the map entries, and the oracle its relation
+    rows, that ``_charge_validation`` returned."""
+    top, labels, pairs, rows = items
+    for route in sorted(routes):
+        work.add("the %s route over the genus-%d Schrodinger module, "
+                 "%d^%d labels" % (route, top, p_prime(p), top),
+                 entries=labels * phi)
+    if "oracle" in routes:
+        work.add("the tensor oracle over %d tensor pairs" % pairs,
+                 tensor_pairs=rows * phi)
+
+
+def _compose(work, f, h, key, step):
+    """f after h, charged first with its image letters before reduction."""
+    sizes = [len(w.letters) for w in f.images]
+    count = sum(sizes[abs(x) - 1] for w in h.images for x in w.letters)
+    work.add("%s of mapping class %r composes %d image letters"
+             % (step, key, count), letters=count)
+    return f * h
+
+
+def _class_from(work, doc, key, genus):
+    raw = doc.get(key)
+    if raw is None:
+        raise cli.CliError(2, "document lacks mapping class %r" % (key,))
+    if not isinstance(raw, dict):
+        raise cli.CliError(2, "mapping class %r must be an object" % (key,))
+    if "word" in raw:
+        word = raw["word"]
+        if not isinstance(word, list):
+            raise cli.CliError(2, "'word' must be a list")
+        try:
+            lib = twist_generators(genus)
+        except ValueError as exc:
+            raise cli.CliError(2, str(exc))
+        f = MappingClass.identity(genus)
+        for step, name in enumerate(word, 1):
+            if not isinstance(name, str) or name not in lib:
+                raise cli.CliError(2, "unknown twist %r" % (name,))
+            f = _compose(work, f, lib[name], key,
+                         "twist %d (%s)" % (step, name))
+        return f
+    if "images" in raw:
+        work.add("the genus-%d class %r" % (genus, key), frame=genus ** 3)
+        try:
+            images = tuple(FreeWord(tuple(json_int(x) for x in w))
+                           for w in raw["images"])
+            return MappingClass(genus, images)
+        except (TypeError, ValueError) as exc:
+            raise cli.CliError(2, "bad mapping class: %s" % (exc,))
+    raise cli.CliError(2, "mapping class %r needs 'word' or 'images'"
+                       % (key,))
+
+
+def _invariant_charges(args):
+    work = cli._Work("invariant at p = %d" % args.p)
+    cli._check_p(args.p)
+    _charge_field(work, args.p)
+    doc = cli._read_doc(args.input)
+    B = cli._matrix_from(doc)
+    fixed = cli._fixed_colors(doc, len(B))
+    _charge_invariant(work, args.p, B, len(B) - len(fixed), 2,
+                      refine=not fixed and args.p % 4 == 0)
+
+
+def _refine_charges(args):
+    cli._check_p(args.p)
+    if args.p % 4:
+        raise cli.CliError(3, "refinements need p = 0 mod 4")
+    work = cli._Work("refine at p = %d" % args.p)
+    _charge_field(work, args.p)
+    B = cli._matrix_from(cli._read_doc(args.input))
+    _charge_invariant(work, args.p, B, signatures=2, refine=True)
+
+
+def _lens_charges(args):
+    work = cli._Work("lens L(%d, %d) at p = %d"
+                     % (args.beta, args.alpha, args.p))
+    cli._check_p(args.p)
+    _charge_field(work, args.p)
+    _charge_invariant(work, args.p, _lens_chain(args.beta, args.alpha))
+
+
+def _tqft_charges(args):
+    work = cli._Work("tqft at p = %d" % args.p)
+    cli._check_p(args.p)
+    odd = args.p % 2 == 1
+    if args.verify and not odd:
+        raise cli.CliError(3, "--verify needs odd p")
+    phi = _charge_field(work, args.p)
+    doc = cli._read_doc(args.input, cli._PROGRAM_DIGITS)
+    items = _charge_validation(work, doc, args.p)
+    try:
+        prog = load_program(doc)
+    except ProgramError as exc:
+        raise cli.CliError(2, str(exc))
+    closure = None
+    if args.closure is not None:
+        closure = cli._matrix_from(cli._read_doc(args.closure))
+    try:
+        cobordism_validate(prog)
+    except ProgramError as exc:
+        raise cli.CliError(4, str(exc))
+    route = args.mode if args.mode != "auto" else "closed" if odd else "oracle"
+    other = "oracle" if route == "closed" else "closed"
+    _charge_routes(work, args.p, phi, items,
+                   {route, other} if args.verify else {route})
+    labels = _power(p_prime(args.p), prog.source.g)
+    if args.normalized:
+        lens = closed_off_lens(prog.steps)
+        if closure is not None or lens is not None:
+            _charge_invariant(work, args.p, _lens_chain(*lens)
+                              if closure is None else closure)
+        work.add("normalising the map", entries=labels * phi)
+    work.add("printing the map", printed=labels * (phi + 64))
+
+
+def _heis_charges(args):
+    cli._check_p(args.p)
+    doc = cli._read_doc(args.input)
+    op = doc.get("op")
+    g = cli._genus(doc)
+    _charge_heis(cli._Work("heis %s at p = %d" % (op, args.p)), args.p, g,
+                 op)
+
+
+def _mcg_charges(args):
+    cli._check_p(args.p)
+    doc = cli._read_doc(args.input)
+    op = doc.get("op")
+    genus = cli._genus(doc)
+    work = cli._Work("mcg %s at p = %d, g = %d" % (op, args.p, genus))
+    if op == "theta":
+        _class_from(work, doc, "f", genus)
+    elif op == "cocycle":
+        if args.p % 2 == 0:
+            raise cli.CliError(3, "the cocycle needs odd p")
+        f = _class_from(work, doc, "f", genus)
+        h = _class_from(work, doc, "h", genus)
+        if args.verify:
+            phi = _charge_weil(work, args.p, genus, 3)
+            pp = p_prime(args.p)
+            work.add("the projective defects, %d^%d products each"
+                     % (pp, 3 * genus),
+                     entries=3 * _power(pp, 3 * genus) * phi)
+            _compose(work, f, h, "f h", "the product f h")
+    elif op == "weil":
+        if "matrix" in doc:
+            try:
+                tuple(tuple(json_int(x) for x in row) for row in doc["matrix"])
+            except (TypeError, ValueError) as exc:
+                raise cli.CliError(2, "bad matrix: %s" % (exc,))
+        else:
+            _class_from(work, doc, "f", genus)
+        phi = _charge_weil(work, args.p, genus, 1)
+        work.add("printing the intertwiner", printed=(phi + 64) * _power(
+            p_prime(args.p), 2 * genus))
+
+
+_CHARGES = {"invariant": _invariant_charges, "refine": _refine_charges,
+            "lens": _lens_charges, "tqft": _tqft_charges,
+            "heis": _heis_charges, "mcg": _mcg_charges}
+
+
+def charges(argv):
+    """Run the charges of the command line ``argv`` as the command line
+    once made them, each through ``cli._Work``, up to the first error or
+    refusal (``cli.CliError``)."""
+    args = cli.parse_args(argv)
+    try:
+        _CHARGES[argv[0]](args)
+    except cli.CliError:
+        pass

@@ -23,7 +23,9 @@ from abtqft.cobordism import (
     MappingCylinder,
     ProgramError,
     canonical_context,
+    entry_work,
     load_program,
+    program_work,
 )
 from abtqft.cyclotomic import (
     _field,
@@ -37,7 +39,14 @@ from abtqft.cyclotomic import (
     p_prime,
     q_power,
 )
-from abtqft.heisenberg import closed_context, finite_mul, to_finite
+from abtqft.heisenberg import (
+    closed_context,
+    commutant_work,
+    finite_mul,
+    frame_work,
+    module_work,
+    to_finite,
+)
 from abtqft.homology import (
     combine,
     cylinder_correspondence,
@@ -47,6 +56,7 @@ from abtqft.homology import (
 )
 from abtqft.mcg import (
     FreeWord,
+    averaging_work,
     boundary_word,
     cocycle_c,
     projective_defect,
@@ -55,8 +65,13 @@ from abtqft.mcg import (
     weil_intertwiner,
 )
 from abtqft.surgery import (
+    colour_sum_work,
+    linking_size,
     matrix_element,
     refinement_classes,
+    refinement_count,
+    refinement_work,
+    signature_work,
     z_invariant,
     z_lens,
 )
@@ -1150,9 +1165,10 @@ def _heis_elements(g, short=False):
 
 def test_heis_genus_is_bounded_before_the_frame(monkeypatch, tmp_path,
                                                 capsys):
-    # a genus-g frame costs O(g^3) to check; these ran past 5 s before
-    largest = max(g for g in range(1, 1000) if g ** 3 * cli.NS_PER_ITEM[
-        "frame"] <= 1000 * cli.BUDGET_US)
+    # a genus-g frame costs O(g^3) to check; these ran past 5 s before.
+    # The largest genus admitted, 164, is pinned: derived from the rate,
+    # it would move with it
+    largest = PRICED_FAMILIES["frame"][1]
     for op, g, short in (("mul", 100000, False), ("inverse", 3000, True),
                          ("mul", 2000, False), ("inverse", 2000, False),
                          ("mul", largest + 1, False)):
@@ -1175,6 +1191,47 @@ def test_heis_genus_is_bounded_before_the_frame(monkeypatch, tmp_path,
     assert report["error"] == "group element 'x' does not match genus %d" % g
     unknown = _doc(tmp_path, "u.json", {"op": "pow", "g": 10 ** 6})
     _run(capsys, ["heis", unknown, "--p", "13"], expect=2)
+
+
+# For a kind of work, a family of jobs it prices: the job of size n, the
+# largest n the budget admits, and the step that refuses one size more.
+# The genus-g frame of `heis mul` (164^3 frame items, 1.98 s predicted),
+# the colourings of the chain of 2-framed unknots L(n + 1, n) at p = 4
+# (1.58 s) and the histogram of the Gauss sum over the n x n identity at
+# p = 401 (1.97 s), whose field and signatures it dwarfs.
+PRICED_FAMILIES = {
+    "frame": (lambda g: (["heis", "-", "--p", "3"],
+                         dict(_heis_elements(g), op="mul", g=g)),
+              164, "the genus-165 frame"),
+    "colourings": (lambda n: (["lens", str(n + 1), str(n), "--p", "4"],
+                              None),
+                   15, "the colour sum over 16 components, 2^16 colourings"),
+    "histogram": (lambda n: (["invariant", "-", "--p", "401"], {
+        "B": [[int(i == j) for j in range(n)] for i in range(n)]}),
+                  75, "the Gauss sum over 76 components at p = 401"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PRICED_FAMILIES))
+def test_largest_job_of_a_kind_ends_in_time(kind):
+    # a rate set too high refuses it
+    job, largest, _ = PRICED_FAMILIES[kind]
+    start = time.perf_counter()
+    proc = _process(*job(largest))
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 2.5
+
+
+@pytest.mark.parametrize("kind", sorted(PRICED_FAMILIES))
+def test_one_size_more_is_refused_at_its_kind(monkeypatch, capsys, kind):
+    # a rate set too low admits it: a tenth of the frame rate admitted
+    # `heis mul` at genus 340, which ran for 7.6 s
+    job, largest, step = PRICED_FAMILIES[kind]
+    argv, doc = job(largest + 1)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    report = _refused(capsys, argv, step)
+    assert REFUSAL.match(report["error"])["step"] == step
 
 
 def test_heis_and_mcg_budget_admits_jobs_below_it(tmp_path, capsys):
@@ -1347,34 +1404,43 @@ def test_largest_benchmark_jobs_are_admitted(tmp_path, capsys):
     _run(capsys, ["invariant", chain, "--p", "13"])
 
 
-def _work_of(charge):
-    """The total a charge adds to a fresh job, with the budget lifted."""
+def _price(*steps):
+    """The predicted work of a job whose steps have these items, in us,
+    with the budget lifted."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "BUDGET_US", 10 ** 100)
         work = cli._Work("a job")
-        charge(work)
+        for items in steps:
+            work.add("a step", **items)
     return work.us
 
 
 def _predictions(p, n, g, runs):
     """The predicted work of one job of each kind at order p, n
-    components, genus g and ``runs`` oracle runs or extra intertwiners."""
+    components, genus g and ``runs`` oracle runs or extra intertwiners,
+    from the work functions the command line charges."""
+    field = {"field": field_order(p) ** 2}
     program = {"source": _standard_object(g),
                "steps": [{"kind": "index1"},
                          {"kind": "index2", "handle": g, "gamma": [0, 1]}],
                "target": _standard_object(g)}
-    routes = {"closed", "oracle"} if runs else {"closed"}
-    charges = [
-        lambda w: (w.field(p), cli._charge_invariant(w, p, [[3] * n] * n,
-                                                      signatures=2)),
-        lambda w: cli._charge_invariant(w, p, [[2] * n] * n, signatures=2,
-                                        refine=True),
-        lambda w: cli._charge_weil(w, p, g, runs + 1),
-        lambda w: cli._charge_routes(w, p, w.field(p), cli._charge_validation(
-            w, program, p), routes),
-    ] + [lambda w, op=op: cli._charge_heis(w, p, g, op)
-         for op in ("mul", "inverse", "act", "matrix", "commutant")]
-    return [_work_of(charge) for charge in charges]
+    _, top, frames, maps, oracle, _ = program_work(program, p)
+    routes = [maps] * (1 + runs) + [oracle] * runs
+    size = linking_size([[3] * n] * n)
+    jobs = [
+        [field, signature_work(*size, 2), colour_sum_work(p, n, n)],
+        [field, averaging_work(p, g, runs + 1)],
+        [field, frames, entry_work(program, top), *routes],
+        [frame_work(g)],
+        [field, module_work(p, g)],
+        [field, commutant_work(p, g)],
+    ]
+    if p % 2 == 0:
+        B = [[2] * n] * n
+        jobs.append([field, signature_work(*linking_size(B), 2),
+                     colour_sum_work(p, n, n), refinement_work(
+                         p, *linking_size(B), refinement_count(B))])
+    return [_price(*job) for job in jobs]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1402,10 +1468,13 @@ def test_predicted_work_never_falls_as_a_job_grows(data):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 2), st.data())
 def test_predicted_work_never_falls_as_a_word_grows(g, data):
-    names = sorted(twist_generators(g))
-    word = data.draw(st.lists(st.sampled_from(names), max_size=8))
-    totals = [_work_of(lambda w: cli._class_from(
-        w, {"f": {"word": word[:k]}}, "f", g)) for k in range(len(word) + 1)]
+    lib = twist_generators(g)
+    word = data.draw(st.lists(st.sampled_from(sorted(lib)), max_size=8))
+    f, steps, totals = mcg.MappingClass.identity(g), [], [0]
+    for name in word:
+        steps.append(mcg.composition_work(f, lib[name]))
+        f = f * lib[name]
+        totals.append(_price(*steps))
     assert totals == sorted(totals)
 
 

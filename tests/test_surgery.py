@@ -26,6 +26,7 @@ from abtqft.surgery import (
     matrix_element,
     refined_invariant,
     refinement_classes,
+    refinement_count,
     refinement_kind,
     signature,
     slide,
@@ -563,6 +564,48 @@ def test_kirby_move_shapes():
         blow_up(B, 2)
     with pytest.raises(ValueError):
         slide(B, 0, 0)
+
+
+# Each entry point that reads a linking matrix, with the matrix [[x, 1],
+# [1, 2]]: a float or a string entry is refused, not truncated by int().
+READERS = {
+    "signature": signature,
+    "z_invariant": lambda B: z_invariant(3, B),
+    "matrix_element": lambda B: matrix_element(3, B, {0: 1}, 1),
+    "refinement_classes": lambda B: refinement_classes(4, B),
+    "refinement_count": refinement_count,
+    "refined_invariant": lambda B: refined_invariant(4, B, (0, 0)),
+    "blow_up": lambda B: blow_up(B, 1),
+    "slide": lambda B: slide(B, 0, 1),
+}
+
+
+@pytest.mark.parametrize("entry", [1.7, 2.9, 2.0, "2"])
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_matrix_entries_must_be_integers(name, entry):
+    with pytest.raises(TypeError):
+        READERS[name](((entry, 1), (1, 2)))
+
+
+@pytest.mark.parametrize("p", [3, 4])
+@pytest.mark.parametrize("fixed", [{0: 1.9}, {0: "1"}, {0.0: 1}, {"0": 1}])
+def test_fixed_colours_and_components_must_be_integers(p, fixed):
+    # 1.9 was read as colour 1, and "0" named no component
+    with pytest.raises(TypeError):
+        matrix_element(p, ((2, 1), (1, 2)), fixed, 1)
+
+
+def test_refinement_class_must_be_integers():
+    with pytest.raises(TypeError):
+        refined_invariant(4, ((2, 1), (1, 2)), (1.0, 0))
+
+
+def test_integer_like_entries_are_still_read():
+    # operator.index takes what int() took exactly: int subclasses
+    assert z_invariant(5, ((True, 1), (1, 2))) == z_invariant(5, ((1, 1),
+                                                                  (1, 2)))
+    assert matrix_element(4, ((2, 1), (1, 2)), {False: True}, 1) == (
+        matrix_element(4, ((2, 1), (1, 2)), {0: 1}, 1))
 
 
 def test_doctests():
